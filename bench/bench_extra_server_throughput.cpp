@@ -1,6 +1,7 @@
 // Extra experiment: end-to-end throughput of the T3 prediction service
 // (src/server) — the full wire-protocol path (client encode -> TCP ->
-// server batcher -> SIMD PredictBatch -> decode), not just the in-process
+// the worker that read the request batches it with the rest of its poll
+// round -> SIMD PredictBatch -> decode), not just the in-process
 // evaluator of Table 2. Sweeps concurrent connections {1, 8, 64}; the
 // 64-connection run performs a mid-run atomic hot swap and the acceptance
 // gates are:

@@ -28,11 +28,9 @@ namespace t3 {
 /// trailing bytes are protocol errors, mirroring the strict parsers of the
 /// corpus/model text formats.
 ///
-/// Request/response pairing is FIFO per connection for prediction requests
-/// (they funnel through one batching queue). Admin requests (swap, stats,
-/// shutdown) are answered inline by the handling worker and may overtake
-/// in-flight prediction responses, so admin clients should use a dedicated
-/// connection (t3_loadgen does).
+/// Request/response pairing is strictly FIFO per connection: every frame,
+/// prediction or admin, failed or not, is answered in the order it arrived,
+/// so a client may pipeline any mix of requests on one connection.
 inline constexpr uint8_t kMagic[4] = {'t', '3', 'p', '1'};
 inline constexpr size_t kFrameHeaderBytes = 12;
 inline constexpr uint32_t kMaxPayloadBytes = 16u << 20;  // 16 MiB

@@ -1,5 +1,6 @@
 #include "server/server.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -7,12 +8,12 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <thread>
 #include <unistd.h>
 #include <utility>
 
-#include "common/check.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
@@ -22,45 +23,55 @@ namespace t3 {
 namespace {
 
 constexpr int kPollTimeoutMs = 100;
+/// Poll timeout of a worker that is not polling the listener: the workers
+/// that had fewer connections may fill up meanwhile, and it must not leave
+/// a pending connection unaccepted for long.
+constexpr int kRebalancePollMs = 10;
 constexpr double kDrainDeadlineSeconds = 5.0;
+
+/// A prediction request parsed in the current poll round.
+struct PredictJob {
+  std::vector<uint8_t>* reply;  ///< Reserved slot in the connection's out.
+  std::vector<double> rows;     ///< Row-major, the request's own width.
+  std::vector<double> cardinalities;  ///< One per row.
+  bool sum_to_one;  ///< kPredictPlan: one query total, not one value per row.
+};
 
 }  // namespace
 
-/// Per-connection state. The owning worker's loop thread is the only
-/// mutator of the buffers below the fence comment; `ready`, `dead`, and
-/// `in_flight` are the cross-thread handoff with the batcher's inference
-/// loop (responses enqueue under `ready_mu`, then the worker moves them
-/// into `out`).
+/// Per-connection state, touched only by the owning worker's thread.
 struct PredictionServer::Connection {
   ScopedFd fd;
-
-  // Worker-thread-owned.
-  std::vector<uint8_t> in;   ///< Unparsed request bytes.
+  std::vector<uint8_t> in;  ///< Unparsed request bytes.
   size_t parse_pos = 0;
-  std::deque<std::vector<uint8_t>> out;  ///< Encoded frames to write.
-  size_t out_offset = 0;     ///< Bytes of out.front() already written.
+  /// Encoded responses in the order their requests arrived. A prediction
+  /// request reserves its slot when parsed; PredictParsed fills it before
+  /// the next flush.
+  std::deque<std::vector<uint8_t>> out;
+  size_t out_offset = 0;  ///< Bytes of out.front() already written.
   bool close_after_flush = false;
-
-  // Shared with the inference loop.
-  std::mutex ready_mu;
-  std::vector<std::vector<uint8_t>> ready;  ///< Completed responses.
-  std::atomic<bool> dead{false};
-  std::atomic<int> in_flight{0};
+  bool dead = false;  ///< The socket failed; reaped without further I/O.
 };
 
 struct PredictionServer::Worker {
   size_t index = 0;
-  ScopedFd wake_read;
-  ScopedFd wake_write;
-  std::vector<std::shared_ptr<Connection>> conns;
+  std::vector<std::unique_ptr<Connection>> conns;
+  /// conns.size() as of this worker's last poll, read by the other workers
+  /// to decide who accepts next.
+  std::atomic<size_t> num_conns{0};
+  std::vector<PredictJob> parsed;  ///< This round's prediction requests.
+  std::vector<double> matrix;      ///< Scratch: the round's packed rows.
+  std::vector<double> raw;         ///< Scratch: PredictBatch outputs.
+  // Written by this worker's thread only; stats() reads them from any.
+  std::atomic<uint64_t> jobs{0};
+  std::atomic<uint64_t> rows{0};
+  std::atomic<uint64_t> batches{0};
+  std::atomic<uint64_t> max_batch_rows{0};
 };
 
 PredictionServer::PredictionServer(
     std::shared_ptr<const ServingModel> initial, ServerOptions options)
-    : options_(std::move(options)),
-      registry_(std::move(initial)),
-      batcher_(&registry_,
-               RequestBatcher::Options{options_.max_batch_rows}) {}
+    : options_(std::move(options)), registry_(std::move(initial)) {}
 
 PredictionServer::~PredictionServer() { Stop(); }
 
@@ -81,6 +92,10 @@ Result<std::unique_ptr<PredictionServer>> PredictionServer::Start(
   Result<uint16_t> port = LocalPort(server->listener_.get());
   if (!port.ok()) return port.status();
   server->port_ = *port;
+  server->stop_fd_ = ScopedFd(::eventfd(0, EFD_CLOEXEC));
+  if (server->stop_fd_.get() < 0) {
+    return UnavailableError(StrFormat("eventfd: %s", std::strerror(errno)));
+  }
 
   size_t num_workers = server->options_.num_workers;
   if (num_workers == 0) {
@@ -89,21 +104,11 @@ Result<std::unique_ptr<PredictionServer>> PredictionServer::Start(
   for (size_t i = 0; i < num_workers; ++i) {
     auto worker = std::make_unique<Worker>();
     worker->index = i;
-    int pipe_fds[2];
-    if (::pipe(pipe_fds) != 0) {
-      return UnavailableError(StrFormat("pipe: %s", std::strerror(errno)));
-    }
-    worker->wake_read = ScopedFd(pipe_fds[0]);
-    worker->wake_write = ScopedFd(pipe_fds[1]);
-    Status status = SetNonBlocking(worker->wake_read.get());
-    if (status.ok()) status = SetNonBlocking(worker->wake_write.get());
-    if (!status.ok()) return status;
     server->workers_.push_back(std::move(worker));
   }
-
-  // Workers + the batcher's inference loop all run on one pool.
-  server->pool_ = std::make_unique<ThreadPool>(num_workers + 1);
-  server->batcher_.Start(server->pool_.get());
+  // Every worker exists before any loop runs: each loop reads the others'
+  // connection counts to decide whether to accept.
+  server->pool_ = std::make_unique<ThreadPool>(num_workers);
   for (auto& worker : server->workers_) {
     Worker* raw = worker.get();
     server->pool_->Submit([server = server.get(), raw] {
@@ -128,17 +133,12 @@ void PredictionServer::Stop() {
     stop_requested_cv_.notify_all();
   }
   std::lock_guard<std::mutex> teardown(teardown_mu_);
-  if (workers_joined_) return;
-  stopping_.store(true, std::memory_order_release);
-  // Drain first: every accepted request gets its prediction computed and
-  // its response enqueued before the workers run their final flush.
-  batcher_.Stop();
-  for (auto& worker : workers_) {
-    const uint8_t byte = 1;
-    (void)!::write(worker->wake_write.get(), &byte, 1);
-  }
+  if (pool_ == nullptr) return;  // Already stopped, or never started.
+  // Each worker answers what it has parsed, flushes, and returns.
+  const uint64_t one = 1;
+  (void)!::write(stop_fd_.get(), &one, sizeof(one));
   pool_->Wait();
-  workers_joined_ = true;
+  pool_.reset();
   listener_.Reset();
 }
 
@@ -153,7 +153,15 @@ ServerStats PredictionServer::stats() const {
   stats.predict_requests = predict_requests_.load(std::memory_order_relaxed);
   stats.rows_predicted = rows_predicted_.load(std::memory_order_relaxed);
   stats.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-  stats.batcher = batcher_.stats();
+  for (const auto& worker : workers_) {
+    BatcherStats& batcher = stats.batcher;
+    batcher.jobs += worker->jobs.load(std::memory_order_relaxed);
+    batcher.rows += worker->rows.load(std::memory_order_relaxed);
+    batcher.batches += worker->batches.load(std::memory_order_relaxed);
+    batcher.max_batch_rows_seen =
+        std::max(batcher.max_batch_rows_seen,
+                 worker->max_batch_rows.load(std::memory_order_relaxed));
+  }
   stats.model_version = registry_.Current()->version;
   return stats;
 }
@@ -191,94 +199,37 @@ std::string PredictionServer::StatsText() const {
   return text;
 }
 
-namespace {
-
-void WakeWorker(int wake_write_fd) {
-  const uint8_t byte = 1;
-  // A full pipe already holds a pending wake; EAGAIN is success here.
-  (void)!::write(wake_write_fd, &byte, 1);
-}
-
-void DrainWakePipe(int wake_read_fd) {
-  uint8_t buffer[256];
-  while (::read(wake_read_fd, buffer, sizeof(buffer)) > 0) {
-  }
-}
-
-}  // namespace
-
-void PredictionServer::SendFrame(Worker* worker,
-                                 const std::shared_ptr<Connection>& conn,
-                                 const Frame& frame) {
-  std::vector<uint8_t> bytes = EncodeFrame(frame);
-  {
-    std::lock_guard<std::mutex> lock(conn->ready_mu);
-    if (conn->dead.load(std::memory_order_relaxed)) return;
-    conn->ready.push_back(std::move(bytes));
-  }
-  WakeWorker(worker->wake_write.get());
-}
-
-void PredictionServer::FinishPredict(
-    Worker* worker, const std::shared_ptr<Connection>& conn,
-    std::vector<double> cardinalities, bool sum_to_one,
-    Result<RequestBatcher::Reply> reply) {
-  if (!reply.ok()) {
-    SendFrame(worker, conn, EncodeErrorResponse(reply.status()));
-  } else {
-    const ServingModel& model = *reply->model;
-    PredictResponse response;
-    response.model_version = model.version;
-    if (sum_to_one) {
-      // Plan request: pipeline predictions summed left to right, the
-      // PredictQuerySeconds convention.
-      double total = 0.0;
-      for (size_t i = 0; i < reply->raw.size(); ++i) {
-        total += model.RowSeconds(reply->raw[i], cardinalities[i]);
-      }
-      response.predictions.push_back(total);
-    } else {
-      response.predictions.reserve(reply->raw.size());
-      for (size_t i = 0; i < reply->raw.size(); ++i) {
-        response.predictions.push_back(
-            model.RowSeconds(reply->raw[i], cardinalities[i]));
-      }
-    }
-    SendFrame(worker, conn, EncodePredictResponse(response));
-  }
-  conn->in_flight.fetch_sub(1, std::memory_order_acq_rel);
-  WakeWorker(worker->wake_write.get());
-}
-
-void PredictionServer::HandleFrame(Worker* worker,
-                                   const std::shared_ptr<Connection>& conn,
+void PredictionServer::HandleFrame(Worker* worker, Connection* conn,
                                    MessageType type,
                                    std::vector<uint8_t> payload) {
   Frame frame;
   frame.type = type;
   frame.payload = std::move(payload);
+  // Every reply is appended to `out` as the frame is handled; predictions
+  // reserve their slot now, so a connection's replies keep frame order.
+  auto reply = [conn](const Frame& response) {
+    conn->out.push_back(EncodeFrame(response));
+  };
+  auto predict = [&](std::vector<double> rows, std::vector<double> cards,
+                     bool sum_to_one) {
+    predict_requests_.fetch_add(1, std::memory_order_relaxed);
+    rows_predicted_.fetch_add(cards.size(), std::memory_order_relaxed);
+    worker->parsed.push_back(PredictJob{&conn->out.emplace_back(),
+                                        std::move(rows), std::move(cards),
+                                        sum_to_one});
+  };
 
   switch (type) {
     case MessageType::kPredictRows: {
       Result<PredictRowsRequest> request = DecodePredictRows(frame);
       if (!request.ok()) {
         protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        SendFrame(worker, conn, EncodeErrorResponse(request.status()));
+        reply(EncodeErrorResponse(request.status()));
         return;
       }
-      predict_requests_.fetch_add(1, std::memory_order_relaxed);
-      rows_predicted_.fetch_add(request->num_rows(),
-                                std::memory_order_relaxed);
-      const size_t num_rows = request->num_rows();
-      std::vector<double> cards = std::move(request->input_cardinalities);
-      conn->in_flight.fetch_add(1, std::memory_order_acq_rel);
-      batcher_.Submit(
-          std::move(request->rows), num_rows,
-          [this, worker, conn, cards = std::move(cards)](
-              Result<RequestBatcher::Reply> reply) mutable {
-            FinishPredict(worker, conn, std::move(cards),
-                          /*sum_to_one=*/false, std::move(reply));
-          });
+      predict(std::move(request->rows),
+              std::move(request->input_cardinalities),
+              /*sum_to_one=*/false);
       return;
     }
     case MessageType::kPredictPlan: {
@@ -288,22 +239,11 @@ void PredictionServer::HandleFrame(Worker* worker,
       Result<PlanPredictionInput> input = BuildPlanPredictionInput(text);
       if (!input.ok()) {
         protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        SendFrame(worker, conn, EncodeErrorResponse(input.status()));
+        reply(EncodeErrorResponse(input.status()));
         return;
       }
-      predict_requests_.fetch_add(1, std::memory_order_relaxed);
-      rows_predicted_.fetch_add(input->num_rows(),
-                                std::memory_order_relaxed);
-      const size_t num_rows = input->num_rows();
-      std::vector<double> cards = std::move(input->input_cardinalities);
-      conn->in_flight.fetch_add(1, std::memory_order_acq_rel);
-      batcher_.Submit(
-          std::move(input->rows), num_rows,
-          [this, worker, conn, cards = std::move(cards)](
-              Result<RequestBatcher::Reply> reply) mutable {
-            FinishPredict(worker, conn, std::move(cards),
-                          /*sum_to_one=*/true, std::move(reply));
-          });
+      predict(std::move(input->rows), std::move(input->input_cardinalities),
+              /*sum_to_one=*/true);
       return;
     }
     case MessageType::kSwapModel: {
@@ -311,36 +251,31 @@ void PredictionServer::HandleFrame(Worker* worker,
                        frame.payload.size());
       if (path.empty()) path = options_.default_swap_path;
       if (path.empty()) {
-        SendFrame(worker, conn,
-                  EncodeErrorResponse(FailedPreconditionError(
-                      "swap request without a path and no default "
-                      "configured")));
+        reply(EncodeErrorResponse(FailedPreconditionError(
+            "swap request without a path and no default configured")));
         return;
       }
       Result<uint32_t> version = SwapFromFile(path);
       if (!version.ok()) {
-        SendFrame(worker, conn, EncodeErrorResponse(version.status()));
+        reply(EncodeErrorResponse(version.status()));
         return;
       }
       std::fprintf(stderr, "t3 server: hot-swapped to %s (version %u)\n",
                    path.c_str(), *version);
-      SendFrame(worker, conn, EncodeSwapResponse(*version));
+      reply(EncodeSwapResponse(*version));
       return;
     }
     case MessageType::kStats: {
-      SendFrame(worker, conn,
-                EncodeTextFrame(MessageType::kStatsOk, StatsText()));
+      reply(EncodeTextFrame(MessageType::kStatsOk, StatsText()));
       return;
     }
     case MessageType::kShutdown: {
       if (!options_.allow_remote_shutdown) {
-        SendFrame(worker, conn,
-                  EncodeErrorResponse(FailedPreconditionError(
-                      "remote shutdown is disabled")));
+        reply(EncodeErrorResponse(
+            FailedPreconditionError("remote shutdown is disabled")));
         return;
       }
-      SendFrame(worker, conn,
-                EncodeEmptyFrame(MessageType::kShutdownOk));
+      reply(EncodeEmptyFrame(MessageType::kShutdownOk));
       conn->close_after_flush = true;
       std::lock_guard<std::mutex> lock(state_mu_);
       stop_requested_ = true;
@@ -350,14 +285,78 @@ void PredictionServer::HandleFrame(Worker* worker,
     default: {
       // A response type sent as a request.
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      SendFrame(worker, conn,
-                EncodeErrorResponse(InvalidArgumentError(StrFormat(
-                    "message type %d is not a request",
-                    static_cast<int>(type)))));
+      reply(EncodeErrorResponse(InvalidArgumentError(StrFormat(
+          "message type %d is not a request", static_cast<int>(type)))));
       conn->close_after_flush = true;
       return;
     }
   }
+}
+
+void PredictionServer::PredictParsed(Worker* worker) {
+  if (worker->parsed.empty()) return;
+  // One model snapshot per batch: every request in it is answered by the
+  // same version, and a concurrent hot swap only affects later rounds.
+  const std::shared_ptr<const ServingModel> model = registry_.Current();
+  const size_t dim = static_cast<size_t>(model->num_features());
+  auto fits = [dim](const PredictJob& job) {
+    return job.rows.size() == job.cardinalities.size() * dim;
+  };
+
+  uint64_t batch_rows = 0;  // Every request's rows, as BatcherStats counts.
+  size_t num_rows = 0;      // The rows that fit the snapshot's width.
+  worker->matrix.clear();
+  for (const PredictJob& job : worker->parsed) {
+    batch_rows += job.cardinalities.size();
+    if (!fits(job)) continue;
+    worker->matrix.insert(worker->matrix.end(), job.rows.begin(),
+                          job.rows.end());
+    num_rows += job.cardinalities.size();
+  }
+  worker->raw.resize(num_rows);
+  if (num_rows > 0) {
+    model->evaluator().PredictBatch(worker->matrix.data(), num_rows, dim,
+                                    worker->raw.data());
+  }
+
+  const double* raw = worker->raw.data();
+  for (const PredictJob& job : worker->parsed) {
+    const size_t n = job.cardinalities.size();
+    if (!fits(job)) {
+      *job.reply = EncodeFrame(EncodeErrorResponse(InvalidArgumentError(
+          StrFormat("request rows have %zu values for %zu rows of the "
+                    "served model's %zu features",
+                    job.rows.size(), n, dim))));
+      continue;
+    }
+    PredictResponse response;
+    response.model_version = model->version;
+    if (job.sum_to_one) {
+      // Plan request: pipeline predictions summed left to right, the
+      // PredictQuerySeconds convention.
+      double total = 0.0;
+      for (size_t i = 0; i < n; ++i) {
+        total += model->RowSeconds(raw[i], job.cardinalities[i]);
+      }
+      response.predictions.push_back(total);
+    } else {
+      response.predictions.reserve(n);
+      for (size_t i = 0; i < n; ++i) {
+        response.predictions.push_back(
+            model->RowSeconds(raw[i], job.cardinalities[i]));
+      }
+    }
+    raw += n;
+    *job.reply = EncodeFrame(EncodePredictResponse(response));
+  }
+
+  worker->jobs.fetch_add(worker->parsed.size(), std::memory_order_relaxed);
+  worker->rows.fetch_add(batch_rows, std::memory_order_relaxed);
+  worker->batches.fetch_add(1, std::memory_order_relaxed);
+  if (batch_rows > worker->max_batch_rows.load(std::memory_order_relaxed)) {
+    worker->max_batch_rows.store(batch_rows, std::memory_order_relaxed);
+  }
+  worker->parsed.clear();
 }
 
 void PredictionServer::ExecuteQueuedSwap() {
@@ -375,15 +374,6 @@ void PredictionServer::ExecuteQueuedSwap() {
     std::fprintf(stderr, "t3 server: hot swap failed: %s\n",
                  version.status().ToString().c_str());
   }
-}
-
-void PredictionServer::DrainReady(Connection* conn) {
-  std::vector<std::vector<uint8_t>> batch;
-  {
-    std::lock_guard<std::mutex> lock(conn->ready_mu);
-    batch.swap(conn->ready);
-  }
-  for (auto& bytes : batch) conn->out.push_back(std::move(bytes));
 }
 
 bool PredictionServer::FlushWrites(Connection* conn) {
@@ -408,30 +398,41 @@ bool PredictionServer::FlushWrites(Connection* conn) {
 }
 
 void PredictionServer::WorkerLoop(Worker* worker) {
+  std::vector<std::unique_ptr<Connection>>& conns = worker->conns;
   std::vector<pollfd> pfds;
   uint8_t read_buffer[64 * 1024];
 
-  auto accept_all = [&] {
-    for (;;) {
-      const int fd = ::accept(listener_.get(), nullptr, nullptr);
-      if (fd < 0) {
-        if (errno == EINTR) continue;
-        // EAGAIN: another worker won the race for this connection.
-        return;
+  // A worker predicts for the connections it accepts, so connections must
+  // spread evenly: only a worker holding no more than any other polls the
+  // listener, and it takes one connection per round.
+  auto may_accept = [&] {
+    const size_t mine = conns.size();
+    for (const auto& other : workers_) {
+      if (other->num_conns.load(std::memory_order_relaxed) < mine) {
+        return false;
       }
-      auto conn = std::make_shared<Connection>();
-      conn->fd = ScopedFd(fd);
-      if (!SetNonBlocking(fd).ok()) continue;  // ScopedFd closes it.
-      const int one = 1;
-      (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-      worker->conns.push_back(std::move(conn));
     }
+    return true;
+  };
+  auto accept_one = [&] {
+    int fd;
+    do {
+      fd = ::accept(listener_.get(), nullptr, nullptr);
+    } while (fd < 0 && errno == EINTR);
+    // EAGAIN: another worker won the race for this connection.
+    if (fd < 0) return;
+    auto conn = std::make_unique<Connection>();
+    conn->fd = ScopedFd(fd);
+    if (!SetNonBlocking(fd).ok()) return;  // ScopedFd closes it.
+    const int one = 1;
+    (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
+    conns.push_back(std::move(conn));
   };
 
-  // Parses complete frames out of conn->in; returns false on a framing
-  // error (error response queued, connection marked for close).
-  auto parse_frames = [&](const std::shared_ptr<Connection>& conn) {
+  // Handles every complete frame in conn->in; a framing error queues an
+  // error response and marks the connection for close.
+  auto parse_frames = [&](Connection* conn) {
     while (!conn->close_after_flush) {
       const size_t available = conn->in.size() - conn->parse_pos;
       if (available < kFrameHeaderBytes) break;
@@ -439,7 +440,8 @@ void PredictionServer::WorkerLoop(Worker* worker) {
           DecodeFrameHeader(conn->in.data() + conn->parse_pos);
       if (!header.ok()) {
         protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        SendFrame(worker, conn, EncodeErrorResponse(header.status()));
+        conn->out.push_back(
+            EncodeFrame(EncodeErrorResponse(header.status())));
         conn->close_after_flush = true;
         break;
       }
@@ -460,7 +462,7 @@ void PredictionServer::WorkerLoop(Worker* worker) {
   };
 
   // Reads until EAGAIN/EOF. Returns false when the socket errored hard.
-  auto read_and_handle = [&](const std::shared_ptr<Connection>& conn) {
+  auto read_and_handle = [&](Connection* conn) {
     for (;;) {
       const ssize_t n =
           ::read(conn->fd.get(), read_buffer, sizeof(read_buffer));
@@ -482,53 +484,35 @@ void PredictionServer::WorkerLoop(Worker* worker) {
     return true;
   };
 
-  auto reap = [&] {
-    auto& conns = worker->conns;
-    for (size_t i = 0; i < conns.size();) {
-      Connection* conn = conns[i].get();
-      // Read in_flight before ready: FinishPredict pushes the response
-      // first and decrements after, so idle==true (acquire pairing with
-      // the acq_rel decrement) guarantees every response is visible in
-      // `ready` by the time we check it.
-      const bool idle =
-          conn->in_flight.load(std::memory_order_acquire) == 0;
-      const bool flushed = conn->out.empty() && [&] {
-        std::lock_guard<std::mutex> lock(conn->ready_mu);
-        return conn->ready.empty();
-      }();
-      if ((conn->dead.load(std::memory_order_relaxed) && idle) ||
-          (conn->close_after_flush && flushed && idle)) {
-        conn->dead.store(true, std::memory_order_relaxed);
-        conns.erase(conns.begin() + static_cast<ptrdiff_t>(i));
-        continue;
-      }
-      ++i;
+  auto flush_all = [&] {
+    for (auto& conn : conns) {
+      if (!conn->dead && !FlushWrites(conn.get())) conn->dead = true;
     }
   };
 
-  while (!stopping_.load(std::memory_order_acquire)) {
-    for (auto& conn : worker->conns) DrainReady(conn.get());
-    for (auto& conn : worker->conns) {
-      if (!conn->dead.load(std::memory_order_relaxed) &&
-          !FlushWrites(conn.get())) {
-        conn->dead.store(true, std::memory_order_relaxed);
-      }
-    }
-    reap();
+  for (;;) {
+    flush_all();
+    std::erase_if(conns, [](const std::unique_ptr<Connection>& conn) {
+      return conn->dead || (conn->close_after_flush && conn->out.empty());
+    });
+    worker->num_conns.store(conns.size(), std::memory_order_relaxed);
 
+    const bool accepting = may_accept();
     pfds.clear();
-    pfds.push_back({worker->wake_read.get(), POLLIN, 0});
-    pfds.push_back({listener_.get(), POLLIN, 0});
-    for (auto& conn : worker->conns) {
+    pfds.push_back({stop_fd_.get(), POLLIN, 0});
+    pfds.push_back(
+        {listener_.get(), static_cast<short>(accepting ? POLLIN : 0), 0});
+    for (auto& conn : conns) {
       short events = 0;
       if (!conn->close_after_flush) events |= POLLIN;
       if (!conn->out.empty()) events |= POLLOUT;
       pfds.push_back({conn->fd.get(), events, 0});
     }
-    const int ready = ::poll(pfds.data(), pfds.size(), kPollTimeoutMs);
+    const int ready = ::poll(pfds.data(), pfds.size(),
+                             accepting ? kPollTimeoutMs : kRebalancePollMs);
     if (ready < 0 && errno != EINTR) break;
+    if (pfds[0].revents & POLLIN) break;  // Stop(): read no more requests.
 
-    DrainWakePipe(worker->wake_read.get());
     if (worker->index == 0 &&
         swap_requested_.exchange(false, std::memory_order_acq_rel)) {
       ExecuteQueuedSwap();
@@ -536,63 +520,39 @@ void PredictionServer::WorkerLoop(Worker* worker) {
     // Freshly accepted connections are polled next iteration; only the
     // pfds-backed prefix of `conns` has revents to inspect.
     const size_t polled_conns = pfds.size() - 2;
-    if (pfds[1].revents & POLLIN) accept_all();
+    if (pfds[1].revents & POLLIN) accept_one();
 
     for (size_t i = 0; i < polled_conns; ++i) {
-      const std::shared_ptr<Connection>& conn = worker->conns[i];
+      Connection* conn = conns[i].get();
       const short revents = pfds[2 + i].revents;
       if (revents & (POLLERR | POLLNVAL)) {
-        conn->dead.store(true, std::memory_order_relaxed);
+        conn->dead = true;
         continue;
       }
-      if (revents & (POLLIN | POLLHUP)) {
-        if (!read_and_handle(conn)) {
-          conn->dead.store(true, std::memory_order_relaxed);
-        }
+      if ((revents & (POLLIN | POLLHUP)) && !read_and_handle(conn)) {
+        conn->dead = true;
       }
     }
+    PredictParsed(worker);
   }
 
-  // Drain phase: the batcher has been (or is being) drained; flush every
-  // remaining response, bounded by a deadline so a stalled client cannot
-  // wedge shutdown.
+  // Drain: every parsed request already has its response queued. Flush
+  // them, bounded by a deadline so a stalled client cannot wedge shutdown.
   Stopwatch drain_timer;
   for (;;) {
-    for (auto& conn : worker->conns) DrainReady(conn.get());
-    bool pending = false;
-    for (auto& conn : worker->conns) {
-      if (conn->dead.load(std::memory_order_relaxed)) continue;
-      if (!FlushWrites(conn.get())) {
-        conn->dead.store(true, std::memory_order_relaxed);
-        continue;
-      }
-      if (!conn->out.empty() ||
-          conn->in_flight.load(std::memory_order_acquire) > 0) {
-        pending = true;
-      }
-    }
-    for (auto& conn : worker->conns) {
-      std::lock_guard<std::mutex> lock(conn->ready_mu);
-      if (!conn->ready.empty()) pending = true;
-    }
-    if (!pending || drain_timer.ElapsedSeconds() > kDrainDeadlineSeconds) {
-      break;
-    }
+    flush_all();
     pfds.clear();
-    pfds.push_back({worker->wake_read.get(), POLLIN, 0});
-    for (auto& conn : worker->conns) {
-      if (!conn->out.empty() &&
-          !conn->dead.load(std::memory_order_relaxed)) {
+    for (auto& conn : conns) {
+      if (!conn->dead && !conn->out.empty()) {
         pfds.push_back({conn->fd.get(), POLLOUT, 0});
       }
     }
+    if (pfds.empty() || drain_timer.ElapsedSeconds() > kDrainDeadlineSeconds) {
+      break;
+    }
     (void)::poll(pfds.data(), pfds.size(), kPollTimeoutMs);
-    DrainWakePipe(worker->wake_read.get());
   }
-  for (auto& conn : worker->conns) {
-    conn->dead.store(true, std::memory_order_relaxed);
-  }
-  worker->conns.clear();
+  conns.clear();
 }
 
 }  // namespace t3

@@ -11,7 +11,6 @@
 
 #include "common/net.h"
 #include "common/status.h"
-#include "server/batcher.h"
 #include "server/protocol.h"
 #include "server/serving_model.h"
 
@@ -25,14 +24,28 @@ struct ServerOptions {
   uint16_t port = 0;
   /// Accept/worker event loops (thread-per-core); 0 = hardware concurrency.
   size_t num_workers = 0;
-  /// Row cap of one coalesced PredictBatch call.
-  size_t max_batch_rows = 16384;
   /// Honor kShutdown frames (CI smoke and tests); off for long-lived
   /// deployments where only the operator may stop the process.
   bool allow_remote_shutdown = true;
   /// Default model file of kSwapModel frames with an empty payload and of
   /// RequestSwap() (the SIGHUP path). Empty = such swaps are rejected.
   std::string default_swap_path;
+};
+
+/// Inference counters summed over the workers. A batch is every prediction
+/// request one worker parsed in one poll() round; `max_batch_rows_seen`
+/// shows how far concurrent load on one worker actually coalesces.
+struct BatcherStats {
+  uint64_t jobs = 0;
+  uint64_t rows = 0;
+  uint64_t batches = 0;
+  uint64_t max_batch_rows_seen = 0;
+
+  double RowsPerBatch() const {
+    return batches == 0 ? 0.0
+                        : static_cast<double>(rows) /
+                              static_cast<double>(batches);
+  }
 };
 
 /// Monotonic counters across all workers.
@@ -50,13 +63,14 @@ struct ServerStats {
 ///
 /// Architecture (DESIGN.md "Prediction service"):
 ///  - N worker threads on an internal ThreadPool, each running a poll()
-///    event loop over non-blocking sockets; all workers poll the shared
-///    listener, so accepted connections spread across loops;
-///  - prediction requests are decoded on the worker and submitted to the
-///    RequestBatcher, which coalesces every in-flight request into single
-///    SIMD PredictBatch calls; completions re-enter the owning worker via
-///    its wake pipe, so a worker keeps serving other sockets while
-///    predictions are in flight;
+///    event loop over non-blocking sockets; the workers holding the fewest
+///    connections accept from the shared listener, so connections spread
+///    evenly across loops;
+///  - a worker predicts for its own connections: after each poll round it
+///    packs every prediction request it parsed into one row-major matrix
+///    and makes one SIMD PredictBatch call on one model snapshot. Nothing
+///    crosses threads between reading a request and writing its response,
+///    and each connection's responses leave in the order its frames came;
 ///  - models are versioned snapshots swapped atomically through the
 ///    ModelRegistry (release/acquire shared_ptr publish) — swaps never
 ///    drop or stall in-flight requests;
@@ -81,8 +95,8 @@ class PredictionServer {
   /// frame).
   void Wait();
 
-  /// Graceful stop: stop accepting, drain the batcher (every accepted
-  /// request is answered), flush sockets, join the workers. Idempotent.
+  /// Graceful stop: stop accepting, answer every request already parsed,
+  /// flush sockets (bounded by a deadline), join the workers. Idempotent.
   void Stop();
 
   /// Hot-swaps to the model at `path`, re-proving serialization
@@ -110,37 +124,31 @@ class PredictionServer {
                    ServerOptions options);
 
   void WorkerLoop(Worker* worker);
-  void HandleFrame(Worker* worker, const std::shared_ptr<Connection>& conn,
-                   MessageType type, std::vector<uint8_t> payload);
-  void FinishPredict(Worker* worker,
-                     const std::shared_ptr<Connection>& conn,
-                     std::vector<double> cardinalities, bool sum_to_one,
-                     Result<RequestBatcher::Reply> reply);
-  void SendFrame(Worker* worker, const std::shared_ptr<Connection>& conn,
-                 const Frame& frame);
+  void HandleFrame(Worker* worker, Connection* conn, MessageType type,
+                   std::vector<uint8_t> payload);
+  /// Answers every prediction request `worker` parsed this round with one
+  /// PredictBatch call on one model snapshot.
+  void PredictParsed(Worker* worker);
   void ExecuteQueuedSwap();
-  /// Moves completed responses from the cross-thread `ready` queue into the
-  /// worker-owned write queue.
-  static void DrainReady(Connection* conn);
   /// Writes as much pending output as the socket accepts; false when the
   /// connection failed (peer reset / EPIPE) and must be reaped.
   static bool FlushWrites(Connection* conn);
 
   ServerOptions options_;
   ModelRegistry registry_;
-  RequestBatcher batcher_;
   ScopedFd listener_;
+  /// Readable once Stop() writes it; never drained, so every worker's
+  /// poll() returns at once from then on.
+  ScopedFd stop_fd_;
   uint16_t port_ = 0;
   std::unique_ptr<ThreadPool> pool_;
   std::vector<std::unique_ptr<Worker>> workers_;
 
-  std::atomic<bool> stopping_{false};
   std::atomic<bool> swap_requested_{false};
   std::mutex state_mu_;
   std::condition_variable stop_requested_cv_;
   bool stop_requested_ = false;
   std::mutex teardown_mu_;
-  bool workers_joined_ = false;
 
   std::atomic<uint64_t> connections_accepted_{0};
   std::atomic<uint64_t> predict_requests_{0};

@@ -76,11 +76,11 @@ Result<std::shared_ptr<const ServingModel>> LoadServingModel(
 ///    reference outside it, so the old snapshot outlives every batch still
 ///    predicting with it and is freed when the last reference drops.
 ///
-/// Current() is one uncontended lock + shared_ptr copy, taken once per
-/// coalesced batch — not per row — so it is never on the per-prediction
-/// hot path. (std::atomic<std::shared_ptr> would make the read lock-free,
-/// but libstdc++'s lock-bit implementation is opaque to ThreadSanitizer
-/// and CI runs the server tests under TSan.)
+/// Current() is one lock + shared_ptr copy, taken once per worker batch —
+/// not per row — so it is never on the per-prediction hot path.
+/// (std::atomic<std::shared_ptr> would make the read lock-free, but
+/// libstdc++'s lock-bit implementation is opaque to ThreadSanitizer and CI
+/// runs the server tests under TSan.)
 ///
 /// Swap versions continue strictly increasing from the initial snapshot's.
 class ModelRegistry {

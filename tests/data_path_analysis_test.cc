@@ -4,8 +4,10 @@
 // corpus; mutation tests prove the passes catch seeded corruption.
 
 #include <cmath>
+#include <cstdlib>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +22,7 @@
 #include "features/feature_registry.h"
 #include "gbt/forest.h"
 #include "harness/corpus.h"
+#include "plan/pipeline.h"
 #include "plan/plan.h"
 #include "plan/plan_file.h"
 #include "querygen/querygen.h"
@@ -41,28 +44,124 @@ bool HasError(const AnalysisReport& report, const std::string& check) {
   return HasCheck(report, check, Severity::kError);
 }
 
-std::vector<PlanNodeRecord> LoadPlanFixture(const std::string& name) {
+// Fixture loaders fail the calling test, not the whole binary; call them
+// under ASSERT_NO_FATAL_FAILURE.
+void LoadPlanFixture(const std::string& name,
+                     std::vector<PlanNodeRecord>* records) {
   Result<std::string> content =
       ReadFileToString(std::string(T3_SOURCE_DIR) + "/" + name);
-  T3_CHECK_OK(content);
-  Result<std::vector<PlanNodeRecord>> records = ParsePlanText(*content);
-  T3_CHECK_OK(records);
-  return *std::move(records);
+  ASSERT_TRUE(content.ok()) << content.status().ToString();
+  Result<std::vector<PlanNodeRecord>> parsed = ParsePlanText(*content);
+  ASSERT_TRUE(parsed.ok()) << name << ": " << parsed.status().ToString();
+  *records = *std::move(parsed);
 }
 
-Corpus LoadMiniCorpus() {
-  Result<Corpus> corpus =
+void LoadMiniCorpus(Corpus* corpus) {
+  Result<Corpus> loaded =
       LoadCorpusFromFile(std::string(T3_SOURCE_DIR) + "/data/corpus_mini.txt");
-  T3_CHECK_OK(corpus);
-  return *std::move(corpus);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  *corpus = *std::move(loaded);
+}
+
+/// The small tpch instance the live-plan tests build over.
+Catalog MakeTestCatalog() {
+  Result<const InstanceSpec*> spec = FindInstance("tpch_sf0");
+  T3_CHECK_OK(spec);
+  DatagenOptions options;
+  options.scale_override = 0.05;
+  Result<Catalog> catalog = GenerateInstance(**spec, options);
+  T3_CHECK_OK(catalog);
+  return *std::move(catalog);
+}
+
+/// The first FK edge whose fact table has a float64 column, and that column.
+std::pair<JoinEdge, int> EdgeWithFloatColumn(const Catalog& catalog) {
+  for (const JoinEdge& edge : DiscoverJoinEdges(catalog)) {
+    const Table& fact = catalog.table(edge.fk_table);
+    for (size_t c = 0; c < fact.num_columns(); ++c) {
+      if (fact.column(c).type() == ColumnType::kFloat64) {
+        return {edge, static_cast<int>(c)};
+      }
+    }
+  }
+  return {JoinEdge{}, -1};
+}
+
+/// A built plan as tracked fixture text: stage-tagged skeleton records.
+std::string SkeletonText(Result<PhysicalPlan> plan) {
+  T3_CHECK_OK(plan);
+  Result<PipelineDecomposition> decomposition = DecomposePipelines(*plan);
+  T3_CHECK_OK(decomposition);
+  AnnotatePipelineStages(&*plan, *decomposition);
+  return PlanRecordsToText(PlanToRecords(*plan));
 }
 
 // --- Plan file format. ---
 
+TEST(PlanFileTest, GoldenFixturesMatchBuiltPlans) {
+  // The tracked golden plans are PlanBuilder output over a fixed datagen
+  // instance: data/plan_agg_golden.txt is scan -> filter -> hash aggregate
+  // (records[2]) -> output, data/plan_join_golden.txt is an FK hash join
+  // under an aggregate (three pipelines). Regenerate intentionally with
+  //   T3_UPDATE_GOLDEN=1 ./build/tests/data_path_analysis_test
+  //     --gtest_filter='*GoldenFixturesMatchBuiltPlans*'
+  const Catalog catalog = MakeTestCatalog();
+  const auto [edge, float_column] = EdgeWithFloatColumn(catalog);
+  ASSERT_GE(float_column, 0) << "no FK edge with a float column in the fact";
+  const std::string& fact_name = catalog.table(edge.fk_table).name();
+  const int fk = static_cast<int>(edge.fk_column);
+  const int pk = static_cast<int>(edge.pk_column);
+
+  PlanBuilder builder(&catalog);
+  std::vector<std::pair<std::string, std::string>> fixtures;
+  {
+    Result<int> scan = builder.Scan(fact_name);
+    T3_CHECK_OK(scan);
+    Result<int> filter =
+        builder.Filter(*scan, {{float_column, CompareOp::kLt, 100.0}});
+    T3_CHECK_OK(filter);
+    Result<int> agg = builder.HashAggregate(
+        *filter, {fk},
+        {{AggFunc::kCountStar, -1}, {AggFunc::kSum, float_column}});
+    T3_CHECK_OK(agg);
+    fixtures.emplace_back("data/plan_agg_golden.txt",
+                          SkeletonText(builder.Output(*agg)));
+  }
+  {
+    Result<int> fact = builder.Scan(fact_name);
+    T3_CHECK_OK(fact);
+    Result<int> dim = builder.Scan(catalog.table(edge.pk_table).name());
+    T3_CHECK_OK(dim);
+    Result<int> join = builder.HashJoin(*fact, *dim, {fk}, {pk});
+    T3_CHECK_OK(join);
+    Result<int> agg =
+        builder.HashAggregate(*join, {fk}, {{AggFunc::kCountStar, -1}});
+    T3_CHECK_OK(agg);
+    fixtures.emplace_back("data/plan_join_golden.txt",
+                          SkeletonText(builder.Output(*agg)));
+  }
+
+  const bool update = std::getenv("T3_UPDATE_GOLDEN") != nullptr;
+  for (const auto& [name, text] : fixtures) {
+    const std::string path = std::string(T3_SOURCE_DIR) + "/" + name;
+    if (update) {
+      ASSERT_TRUE(WriteStringToFile(path, text).ok()) << path;
+      continue;
+    }
+    Result<std::string> golden = ReadFileToString(path);
+    ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+    EXPECT_EQ(text, *golden)
+        << name << " drifted from the plan it is built from; if the "
+           "change is intended, regenerate with T3_UPDATE_GOLDEN=1.";
+  }
+  if (update) GTEST_SKIP() << "regenerated the golden plan fixtures";
+}
+
 TEST(PlanFileTest, GoldenFixturesRoundTrip) {
   for (const char* name :
        {"data/plan_agg_golden.txt", "data/plan_join_golden.txt"}) {
-    const std::vector<PlanNodeRecord> records = LoadPlanFixture(name);
+    std::vector<PlanNodeRecord> records;
+    ASSERT_NO_FATAL_FAILURE(LoadPlanFixture(name, &records));
     const std::string text = PlanRecordsToText(records);
     Result<std::vector<PlanNodeRecord>> reparsed = ParsePlanText(text);
     ASSERT_TRUE(reparsed.ok()) << name;
@@ -85,8 +184,9 @@ TEST(PlanFileTest, RejectsMalformedText) {
 TEST(PlanVerifierTest, GoldenFixturesVerifyClean) {
   for (const char* name :
        {"data/plan_agg_golden.txt", "data/plan_join_golden.txt"}) {
-    const AnalysisReport report =
-        PlanVerifier().VerifyRecords(LoadPlanFixture(name));
+    std::vector<PlanNodeRecord> records;
+    ASSERT_NO_FATAL_FAILURE(LoadPlanFixture(name, &records));
+    const AnalysisReport report = PlanVerifier().VerifyRecords(records);
     EXPECT_TRUE(report.empty()) << name << ":\n" << report.ToString();
   }
 }
@@ -106,8 +206,9 @@ TEST(PlanVerifierTest, CatchesCycle) {
 TEST(PlanVerifierTest, CatchesZeroedStageTags) {
   // Zeroing every stage tag of a multi-pipeline plan is the signature of
   // dropped breaker annotations; the recomputed decomposition disagrees.
-  std::vector<PlanNodeRecord> records =
-      LoadPlanFixture("data/plan_join_golden.txt");
+  std::vector<PlanNodeRecord> records;
+  ASSERT_NO_FATAL_FAILURE(
+      LoadPlanFixture("data/plan_join_golden.txt", &records));
   for (PlanNodeRecord& record : records) record.stage = 0;
   const AnalysisReport report = PlanVerifier().VerifyRecords(records);
   EXPECT_TRUE(HasError(report, "plan-stage")) << report.ToString();
@@ -117,8 +218,9 @@ TEST(PlanVerifierTest, CatchesMissingBreaker) {
   // Downgrading the hash aggregate to a streaming project removes the
   // breaker: the plan collapses to one pipeline and every downstream stage
   // tag diverges from the recomputed decomposition.
-  std::vector<PlanNodeRecord> records =
-      LoadPlanFixture("data/plan_agg_golden.txt");
+  std::vector<PlanNodeRecord> records;
+  ASSERT_NO_FATAL_FAILURE(
+      LoadPlanFixture("data/plan_agg_golden.txt", &records));
   ASSERT_EQ(records[2].op, static_cast<int>(PlanOp::kHashAggregate));
   records[2].op = static_cast<int>(PlanOp::kProject);
   const AnalysisReport report = PlanVerifier().VerifyRecords(records);
@@ -126,8 +228,9 @@ TEST(PlanVerifierTest, CatchesMissingBreaker) {
 }
 
 TEST(PlanVerifierTest, CatchesNonFiniteAnnotations) {
-  std::vector<PlanNodeRecord> records =
-      LoadPlanFixture("data/plan_agg_golden.txt");
+  std::vector<PlanNodeRecord> records;
+  ASSERT_NO_FATAL_FAILURE(
+      LoadPlanFixture("data/plan_agg_golden.txt", &records));
   records[0].cardinality = -5.0;
   records[1].width = kNan;
   const AnalysisReport report = PlanVerifier().VerifyRecords(records);
@@ -137,45 +240,25 @@ TEST(PlanVerifierTest, CatchesNonFiniteAnnotations) {
 TEST(PlanVerifierTest, CatchesTypeMismatchedJoinKey) {
   // Build a live FK join, then retarget the probe key at a float column:
   // ResolvePlanSchemas (the executor's type checks) must reject it.
-  Result<const InstanceSpec*> spec = FindInstance("tpch_sf0");
-  T3_CHECK_OK(spec);
-  DatagenOptions options;
-  options.scale_override = 0.05;
-  Result<Catalog> catalog = GenerateInstance(**spec, options);
-  T3_CHECK_OK(catalog);
+  const Catalog catalog = MakeTestCatalog();
+  const auto [edge, float_column] = EdgeWithFloatColumn(catalog);
+  ASSERT_GE(float_column, 0) << "no FK edge with a float column in the fact";
 
-  const std::vector<JoinEdge> edges = DiscoverJoinEdges(*catalog);
-  ASSERT_FALSE(edges.empty());
-  const JoinEdge* edge = nullptr;
-  int float_column = -1;
-  for (const JoinEdge& candidate : edges) {
-    const Table& fact = catalog->table(candidate.fk_table);
-    for (size_t c = 0; c < fact.num_columns(); ++c) {
-      if (fact.column(c).type() == ColumnType::kFloat64) {
-        edge = &candidate;
-        float_column = static_cast<int>(c);
-        break;
-      }
-    }
-    if (edge != nullptr) break;
-  }
-  ASSERT_NE(edge, nullptr) << "no FK edge with a float column in the fact";
-
-  PlanBuilder builder(&*catalog);
-  Result<int> fact = builder.Scan(catalog->table(edge->fk_table).name());
+  PlanBuilder builder(&catalog);
+  Result<int> fact = builder.Scan(catalog.table(edge.fk_table).name());
   T3_CHECK_OK(fact);
-  Result<int> dim = builder.Scan(catalog->table(edge->pk_table).name());
+  Result<int> dim = builder.Scan(catalog.table(edge.pk_table).name());
   T3_CHECK_OK(dim);
   Result<int> join = builder.HashJoin(*fact, *dim,
-                                      {static_cast<int>(edge->fk_column)},
-                                      {static_cast<int>(edge->pk_column)});
+                                      {static_cast<int>(edge.fk_column)},
+                                      {static_cast<int>(edge.pk_column)});
   T3_CHECK_OK(join);
   Result<PhysicalPlan> plan = builder.Output(*join);
   T3_CHECK_OK(plan);
-  EXPECT_TRUE(PlanVerifier().Verify(*plan, &*catalog).empty());
+  EXPECT_TRUE(PlanVerifier().Verify(*plan, &catalog).empty());
 
   plan->nodes[static_cast<size_t>(*join)].left_keys[0] = float_column;
-  const AnalysisReport report = PlanVerifier().Verify(*plan, &*catalog);
+  const AnalysisReport report = PlanVerifier().Verify(*plan, &catalog);
   EXPECT_TRUE(HasError(report, "plan-schema")) << report.ToString();
 }
 
@@ -266,34 +349,39 @@ TEST(FeatureAuditorTest, DeadFeatureReport) {
 // --- CorpusAuditor. ---
 
 TEST(CorpusAuditorTest, MiniCorpusIsClean) {
-  const Corpus corpus = LoadMiniCorpus();
+  Corpus corpus;
+  ASSERT_NO_FATAL_FAILURE(LoadMiniCorpus(&corpus));
   const AnalysisReport report =
       CorpusAuditor().Audit(corpus, "data/corpus_mini.txt");
   EXPECT_TRUE(report.empty()) << report.ToString();
 }
 
 TEST(CorpusAuditorTest, CatchesTamperedMedian) {
-  Corpus corpus = LoadMiniCorpus();
+  Corpus corpus;
+  ASSERT_NO_FATAL_FAILURE(LoadMiniCorpus(&corpus));
   corpus.records[0].median_seconds *= 2.0;
   const AnalysisReport report = CorpusAuditor().Audit(corpus, "");
   EXPECT_TRUE(HasError(report, "corpus-median")) << report.ToString();
 }
 
 TEST(CorpusAuditorTest, CatchesNegativeLabel) {
-  Corpus corpus = LoadMiniCorpus();
+  Corpus corpus;
+  ASSERT_NO_FATAL_FAILURE(LoadMiniCorpus(&corpus));
   corpus.records[1].median_seconds = -0.5;
   EXPECT_TRUE(
       HasError(CorpusAuditor().Audit(corpus, ""), "corpus-label"));
 }
 
 TEST(CorpusAuditorTest, CatchesTruncatedFeatureVector) {
-  Corpus corpus = LoadMiniCorpus();
+  Corpus corpus;
+  ASSERT_NO_FATAL_FAILURE(LoadMiniCorpus(&corpus));
   corpus.records[0].feat_est[0].values.resize(40);
   EXPECT_TRUE(HasError(CorpusAuditor().Audit(corpus, ""), "feature-dim"));
 }
 
 TEST(CorpusAuditorTest, CatchesTamperedStageCount) {
-  Corpus corpus = LoadMiniCorpus();
+  Corpus corpus;
+  ASSERT_NO_FATAL_FAILURE(LoadMiniCorpus(&corpus));
   const FeatureRegistry& registry = FeatureRegistry::Get();
   const int count_index = registry.StageFeature(0, FeatureKind::kCount);
   corpus.records[0].feat_true[0].values[static_cast<size_t>(count_index)] +=
@@ -306,7 +394,8 @@ TEST(CorpusAuditorTest, CatchesTamperedStageCount) {
 }
 
 TEST(CorpusAuditorTest, FlagsDuplicateRecords) {
-  Corpus corpus = LoadMiniCorpus();
+  Corpus corpus;
+  ASSERT_NO_FATAL_FAILURE(LoadMiniCorpus(&corpus));
   QueryRecord copy = corpus.records[3];
   // Fresh timings: a duplicate is about (instance, plan, features), not
   // about identical measurements.
@@ -320,7 +409,8 @@ TEST(CorpusAuditorTest, FlagsDuplicateRecords) {
 }
 
 TEST(CorpusAuditorTest, DiagnosticsCarryPathAndLine) {
-  Corpus corpus = LoadMiniCorpus();
+  Corpus corpus;
+  ASSERT_NO_FATAL_FAILURE(LoadMiniCorpus(&corpus));
   corpus.records[0].median_seconds = -1.0;
   const AnalysisReport report =
       CorpusAuditor().Audit(corpus, "data/corpus_mini.txt");

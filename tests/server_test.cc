@@ -259,7 +259,7 @@ TEST(PredictionServerTest, PredictRowsBitMatchesDirectModel) {
       const double expected = reference.PredictPipelineSeconds(
           request.rows.data() + i * kFeatures,
           request.input_cardinalities[i]);
-      // Bit-exact, not approximately: the whole serving path (batcher,
+      // Bit-exact, not approximately: the whole serving path (batching,
       // SIMD evaluators, wire encoding) must not perturb a single ULP.
       EXPECT_EQ(response->predictions[i], expected) << "row " << i;
     }
@@ -304,6 +304,62 @@ TEST(PredictionServerTest, PredictPlanMatchesPipelineSum) {
   Result<PredictResponse> again = client->PredictPlan(*plan_text);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_EQ(again->predictions[0], expected);
+  (*server)->Stop();
+}
+
+TEST(PredictionServerTest, PipelinedFramesAnswerInArrivalOrder) {
+  const int kFeatures = 8;
+  const T3Model reference = MakeRandomModel(404, kFeatures, 6);
+  Result<std::unique_ptr<PredictionServer>> server = PredictionServer::Start(
+      MakeTestServingModel(404, kFeatures, 6), TestServerOptions());
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  Result<PredictionClient> client =
+      PredictionClient::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(client.ok());
+
+  // Four frames in one write, so the server parses them in one round: a
+  // failing request and an admin request between two predictions must not
+  // overtake the prediction ahead of them.
+  const PredictRowsRequest first = MakeRandomRequest(41, 5, kFeatures);
+  const PredictRowsRequest last = MakeRandomRequest(42, 3, kFeatures);
+  std::vector<uint8_t> bytes;
+  for (const Frame& frame :
+       {EncodePredictRows(first),
+        EncodeTextFrame(MessageType::kPredictPlan, "not a plan"),
+        EncodeEmptyFrame(MessageType::kStats), EncodePredictRows(last)}) {
+    const std::vector<uint8_t> encoded = EncodeFrame(frame);
+    bytes.insert(bytes.end(), encoded.begin(), encoded.end());
+  }
+  ASSERT_TRUE(client->RawSend(bytes.data(), bytes.size()).ok());
+
+  const MessageType expected_types[] = {
+      MessageType::kPredictOk, MessageType::kError, MessageType::kStatsOk,
+      MessageType::kPredictOk};
+  std::vector<Frame> replies;
+  for (MessageType expected : expected_types) {
+    Result<Frame> reply = client->RawReceive();
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(reply->type, expected) << "reply " << replies.size();
+    replies.push_back(*std::move(reply));
+  }
+
+  // The predictions are the right ones for their requests, bit for bit.
+  const PredictRowsRequest* requests[] = {&first, &last};
+  const Frame* predict_replies[] = {&replies[0], &replies[3]};
+  for (int r = 0; r < 2; ++r) {
+    Result<PredictResponse> response =
+        DecodePredictResponse(*predict_replies[r]);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    const PredictRowsRequest& request = *requests[r];
+    ASSERT_EQ(response->predictions.size(), request.num_rows());
+    for (size_t i = 0; i < request.num_rows(); ++i) {
+      EXPECT_EQ(response->predictions[i],
+                reference.PredictPipelineSeconds(
+                    request.rows.data() + i * kFeatures,
+                    request.input_cardinalities[i]))
+          << "request " << r << " row " << i;
+    }
+  }
   (*server)->Stop();
 }
 

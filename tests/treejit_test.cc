@@ -360,7 +360,8 @@ std::vector<double> MakeAdversarialRow(Rng* rng, int num_features) {
 
 // Checks PredictBatch and PredictBatchSoA against per-row Predict on one
 // evaluator, bitwise, across the battery's batch sizes (straddling the
-// 8-row kernel width on both sides plus a large batch with a ragged tail).
+// 8-row kernel width on both sides, whole 512-row kernel chunks, and a
+// partial chunk with a ragged tail).
 void CheckBatchAgainstPerRow(const ForestEvaluator& evaluator,
                              const std::vector<double>& rows, size_t max_rows,
                              int num_features, const char* label) {
@@ -368,7 +369,7 @@ void CheckBatchAgainstPerRow(const ForestEvaluator& evaluator,
   std::vector<double> out(max_rows);
   std::vector<double> soa(max_rows * dim);
   for (const size_t n : {size_t{1}, size_t{7}, size_t{8}, size_t{9},
-                         size_t{1024}}) {
+                         size_t{1024}, size_t{1053}}) {
     if (n > max_rows) continue;
     evaluator.PredictBatch(rows.data(), n, dim, out.data());
     for (size_t i = 0; i < n; ++i) {
@@ -387,9 +388,9 @@ void CheckBatchAgainstPerRow(const ForestEvaluator& evaluator,
 }
 
 // The batch tentpole's randomized battery: 100 random forests, batch sizes
-// {1, 7, 8, 9, 1024}, adversarial inputs, every evaluator and both layouts
-// bit-identical to per-row Predict (which the scalar battery above already
-// ties to the interpreted reference).
+// {1, 7, 8, 9, 1024, 1053}, adversarial inputs, every evaluator and both
+// layouts bit-identical to per-row Predict (which the scalar battery above
+// already ties to the interpreted reference).
 TEST(BatchTest, RandomizedBatteryBitIdenticalAcrossEvaluators) {
   Rng rng(4242);
   for (int trial = 0; trial < 100; ++trial) {
@@ -401,7 +402,7 @@ TEST(BatchTest, RandomizedBatteryBitIdenticalAcrossEvaluators) {
     ASSERT_TRUE(forest.Validate().ok()) << "trial " << trial;
 
     // Big batches only every 10th trial to keep the battery fast.
-    const size_t max_rows = trial % 10 == 0 ? 1024 : 9;
+    const size_t max_rows = trial % 10 == 0 ? 1053 : 9;
     std::vector<double> rows;
     rows.reserve(max_rows * static_cast<size_t>(num_features));
     for (size_t i = 0; i < max_rows; ++i) {
