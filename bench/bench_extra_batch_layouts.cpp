@@ -1,10 +1,8 @@
 // Extension bench (not in the paper): batched-inference scaling across
-// batch sizes and memory layouts. For each batch size the same synthetic
-// main-model-sized forest is evaluated through the row-major (AoS)
-// PredictBatch and column-major (SoA) PredictBatchSoA entry points of the
-// flat interpreter and the compiled forest, answering two questions the
-// throughput table folds together: where the 8-wide kernels start paying
-// off, and what the transpose costs relative to a kernel-native layout.
+// batch sizes. For each batch size the same synthetic main-model-sized
+// forest is evaluated through the row-major PredictBatch of the flat
+// interpreter and the compiled forest, showing where the 8-wide kernels
+// start paying off — a question the throughput table folds away.
 
 #include <cstddef>
 #include <cstdio>
@@ -65,45 +63,30 @@ void Run() {
   const bool simd = jit.has_batch_kernels() && BatchKernelsEnabled();
 
   constexpr size_t kMaxRows = 8192;
-  std::vector<double> aos(kMaxRows * dim);
-  for (double& v : aos) v = rng.UniformDouble(-2, 2);
-  std::vector<double> soa(kMaxRows * dim);
+  std::vector<double> matrix(kMaxRows * dim);
+  for (double& v : matrix) v = rng.UniformDouble(-2, 2);
   std::vector<double> out(kMaxRows);
 
   PrintExperimentHeader(
-      "Extension: batched inference across batch sizes and layouts",
-      StrFormat("synthetic forest (%zu trees, %zu features); AoS = row-major "
-                "PredictBatch, SoA = column-major PredictBatchSoA; compiled "
-                "batch kernels: %s.",
+      "Extension: batched inference across batch sizes",
+      StrFormat("synthetic forest (%zu trees, %zu features); row-major "
+                "PredictBatch; compiled batch kernels: %s.",
                 forest.trees.size(), dim,
                 simd ? "SIMD (AVX 8-wide)" : "per-row fallback"));
-  ReportTable table({"Batch", "Flat AoS p/s", "Flat SoA p/s",
-                     "Compiled AoS p/s", "Compiled SoA p/s"});
+  ReportTable table({"Batch", "Flat p/s", "Compiled p/s"});
   for (const size_t rows : {size_t{1}, size_t{8}, size_t{64}, size_t{1024},
                             size_t{8192}}) {
-    // Repack the leading `rows` rows column-major for this batch size.
-    for (size_t f = 0; f < dim; ++f) {
-      for (size_t i = 0; i < rows; ++i) {
-        soa[f * rows + i] = aos[i * dim + f];
-      }
-    }
     auto tput = [&](const std::function<void()>& fn) {
       const int iters = rows >= 1024 ? 60 : 400;
       return bench::MeasureBatchThroughput(fn, rows, iters, iters / 10);
     };
-    const bench::BatchTiming flat_aos = tput(
-        [&] { flat.PredictBatch(aos.data(), rows, dim, out.data()); });
-    const bench::BatchTiming flat_soa = tput(
-        [&] { flat.PredictBatchSoA(soa.data(), rows, dim, out.data()); });
-    const bench::BatchTiming jit_aos = tput(
-        [&] { jit.PredictBatch(aos.data(), rows, dim, out.data()); });
-    const bench::BatchTiming jit_soa = tput(
-        [&] { jit.PredictBatchSoA(soa.data(), rows, dim, out.data()); });
+    const bench::BatchTiming flat_timing = tput(
+        [&] { flat.PredictBatch(matrix.data(), rows, dim, out.data()); });
+    const bench::BatchTiming jit_timing = tput(
+        [&] { jit.PredictBatch(matrix.data(), rows, dim, out.data()); });
     table.AddRow({StrFormat("%zu", rows),
-                  StrFormat("%.0f", flat_aos.preds_per_sec),
-                  StrFormat("%.0f", flat_soa.preds_per_sec),
-                  StrFormat("%.0f", jit_aos.preds_per_sec),
-                  StrFormat("%.0f", jit_soa.preds_per_sec)});
+                  StrFormat("%.0f", flat_timing.preds_per_sec),
+                  StrFormat("%.0f", jit_timing.preds_per_sec)});
   }
   table.Print();
 }

@@ -10,6 +10,7 @@
 #include "bench_util.h"
 #include "features/feature_registry.h"
 #include "gbt/trainer.h"
+#include "harness/training.h"
 
 namespace t3 {
 namespace {
@@ -31,65 +32,25 @@ std::vector<size_t> MaskedIndices(const std::vector<FeatureKind>& kinds) {
 
 /// Trains a per-tuple model on the train split with the masked features
 /// zeroed in every row (same recipe as Workbench::MainModel, fewer trees —
-/// this binary trains one model per variant).
-T3Model TrainMasked(const std::vector<const QueryRecord*>& train_records,
-                    const std::vector<size_t>& masked) {
-  const size_t num_features = static_cast<size_t>(kFeatureDim);
-  std::vector<double> rows;
-  std::vector<double> targets;
-  for (const QueryRecord* record : train_records) {
-    for (size_t p = 0; p < record->feat_true.size(); ++p) {
-      const PipelineFeatures& features = record->feat_true[p];
-      if (features.values.size() != num_features) continue;
-      std::vector<double> row = features.values;
-      for (size_t index : masked) row[index] = 0.0;
-      const double pipeline_seconds =
-          p < record->pipeline_times.size()
-              ? record->pipeline_times[p].median_seconds
-              : record->median_seconds;
-      const double tuples = std::max(features.input_cardinality, 1.0);
-      rows.insert(rows.end(), row.begin(), row.end());
-      targets.push_back(TransformTarget(pipeline_seconds / tuples));
-    }
-  }
-  T3_CHECK(!targets.empty());
-
-  TrainParams params;
-  params.num_trees = 80;
-  params.max_leaves = 31;
-  params.objective = Objective::kMape;
-  params.validation_fraction = 0.1;
-  params.early_stopping_rounds = 20;
-  Result<Forest> forest = TrainForest(rows, targets, num_features, params,
-                                      /*stats=*/nullptr);
+/// this binary trains one model per variant). The forest never splits on a
+/// zeroed, hence constant, column, so evaluation needs no mask.
+T3Model TrainMasked(const Corpus& corpus, const std::vector<size_t>& masked) {
+  T3Config config;
+  config.drop_features.assign(masked.begin(), masked.end());
+  config.train.num_trees = 80;
+  Result<TrainingMatrix> matrix = BuildTrainingMatrix(
+      corpus, bench::IsTrain, CardinalityMode::kTrue, config, 0);
+  T3_CHECK_OK(matrix);
+  Result<Forest> forest =
+      TrainForest(matrix->rows, matrix->targets, matrix->num_features,
+                  config.train, /*stats=*/nullptr);
   T3_CHECK_OK(forest);
-  return T3Model(*std::move(forest), PredictionTarget::kPerTuple);
-}
-
-/// Q-error summary of `model` on the test split, with the same mask applied
-/// to the evaluation features the model was trained without.
-QErrorSummary EvaluateMasked(const T3Model& model,
-                             const std::vector<const QueryRecord*>& records,
-                             const std::vector<size_t>& masked) {
-  std::vector<double> q_errors;
-  q_errors.reserve(records.size());
-  for (const QueryRecord* record : records) {
-    double predicted = 0.0;
-    for (const PipelineFeatures& features : record->feat_true) {
-      std::vector<double> row = features.values;
-      for (size_t index : masked) row[index] = 0.0;
-      predicted +=
-          model.PredictPipelineSeconds(row.data(), features.input_cardinality);
-    }
-    q_errors.push_back(QError(predicted, record->median_seconds));
-  }
-  return Summarize(q_errors);
+  return T3Model(*std::move(forest), config.target);
 }
 
 void Run() {
   Workbench& workbench = bench::SharedWorkbench();
   const Corpus& corpus = workbench.corpus();
-  const auto train_records = SelectRecords(corpus, bench::IsTrain);
   const auto test_records = SelectRecords(corpus, bench::IsTest);
 
   struct Variant {
@@ -121,8 +82,8 @@ void Run() {
   ReportTable table({"Variant", "p50", "p90", "Avg"});
   for (const Variant& variant : variants) {
     const std::vector<size_t> masked = MaskedIndices(variant.masked);
-    const T3Model model = TrainMasked(train_records, masked);
-    const QErrorSummary summary = EvaluateMasked(model, test_records, masked);
+    const T3Model model = TrainMasked(corpus, masked);
+    const QErrorSummary summary = Summarize(QErrors(model, test_records));
     table.AddRow({variant.label, bench::FormatQ(summary.p50),
                   bench::FormatQ(summary.p90), bench::FormatQ(summary.avg)});
   }

@@ -50,15 +50,15 @@ void Run() {
       const PipelineFeatures* f =
           pool[static_cast<size_t>(rng.UniformInt(0, pool.size() - 1))];
       rows.insert(rows.end(), f->values.begin(), f->values.end());
-      cards.push_back(std::max(f->input_cardinality, 1.0));
+      cards.push_back(f->input_cardinality);
     }
     volatile double sink = 0;
     auto sum_with = [&](const ForestEvaluator& evaluator) {
       double total = 0;
       for (size_t i = 0; i < n; ++i) {
-        total += InverseTransformTarget(
-                     evaluator.Predict(rows.data() + i * dim)) *
-                 cards[i];
+        total += OutputSeconds(PredictionTarget::kPerTuple,
+                               evaluator.Predict(rows.data() + i * dim),
+                               cards[i]);
       }
       sink = total;
     };

@@ -44,10 +44,10 @@ void Run() {
   T3_CHECK(compiled.ok());
   const CompiledForest& jit = **compiled;
 
-  // The batched harness path must agree with the per-record path bit for
-  // bit before its throughput means anything.
-  T3_CHECK(QErrorsBatched(model, jit, test_records) ==
-           QErrors(model, test_records));
+  // The compiled forest must score the test split bit for bit like the
+  // interpreter before its throughput means anything.
+  T3_CHECK(PredictQuerySecondsBatched(model, jit, test_records) ==
+           PredictQuerySecondsBatched(model, interpreted, test_records));
 
   volatile double sink = 0;
   size_t cursor = 0;

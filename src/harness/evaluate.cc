@@ -39,128 +39,56 @@ std::vector<const QueryRecord*> SelectRecords(
   return selected;
 }
 
-std::vector<double> SummedQueryFeatures(const QueryRecord& record,
-                                        CardinalityMode mode) {
-  const std::vector<PipelineFeatures>& features_set =
-      mode == CardinalityMode::kTrue ? record.feat_true : record.feat_est;
-  std::vector<double> summed;
-  for (const PipelineFeatures& features : features_set) {
-    if (features.values.empty()) continue;
-    if (summed.empty()) {
-      summed = features.values;
-      continue;
-    }
-    if (features.values.size() != summed.size()) return {};
-    for (size_t i = 0; i < summed.size(); ++i) {
-      summed[i] += features.values[i];
-    }
-  }
-  return summed;
-}
-
-double PredictQuerySeconds(const T3Model& model, const QueryRecord& record,
-                           CardinalityMode mode) {
-  if (model.target() == PredictionTarget::kPerQuery) {
-    const std::vector<double> summed = SummedQueryFeatures(record, mode);
-    if (summed.empty()) return 0.0;
-    return model.PredictPipelineSeconds(summed.data(), 0.0);
-  }
-  const std::vector<PipelineFeatures>& features_set =
-      mode == CardinalityMode::kTrue ? record.feat_true : record.feat_est;
-  double total = 0.0;
-  for (const PipelineFeatures& features : features_set) {
-    total += model.PredictPipelineSeconds(features.values.data(),
-                                          features.input_cardinality);
-  }
-  return total;
-}
-
-std::vector<double> QErrors(const T3Model& model,
-                            const std::vector<const QueryRecord*>& records,
-                            CardinalityMode mode) {
-  std::vector<double> q_errors;
-  q_errors.reserve(records.size());
-  for (const QueryRecord* record : records) {
-    q_errors.push_back(QError(PredictQuerySeconds(model, *record, mode),
-                              record->median_seconds));
-  }
-  return q_errors;
+const std::vector<PipelineFeatures>& PipelineRows(const QueryRecord& record,
+                                                  CardinalityMode mode) {
+  return mode == CardinalityMode::kTrue ? record.feat_true : record.feat_est;
 }
 
 std::vector<double> PredictQuerySecondsBatched(
     const T3Model& model, const ForestEvaluator& evaluator,
     const std::vector<const QueryRecord*>& records, CardinalityMode mode) {
-  std::vector<double> seconds(records.size(), 0.0);
-  if (records.empty()) return seconds;
-
-  // Flatten the rows every record contributes. Per-query targets contribute
-  // one summed vector per record (matching PredictQuerySeconds); the other
-  // targets one row per pipeline.
-  const bool per_query = model.target() == PredictionTarget::kPerQuery;
-  size_t num_features = 0;
-  std::vector<double> flat;
-  std::vector<size_t> row_record;
-  std::vector<double> row_cardinality;
-  // Ragged feature rows cannot share one batch; the per-record path is
-  // bit-identical by the evaluator contract.
-  auto predict_ragged = [&] {
-    for (size_t i = 0; i < records.size(); ++i) {
-      seconds[i] = PredictQuerySeconds(model, *records[i], mode);
-    }
-    return seconds;
-  };
-  for (size_t r = 0; r < records.size(); ++r) {
-    if (per_query) {
-      const std::vector<double> summed =
-          SummedQueryFeatures(*records[r], mode);
-      if (summed.empty()) continue;
-      if (row_record.empty()) num_features = summed.size();
-      if (summed.size() != num_features) return predict_ragged();
-      flat.insert(flat.end(), summed.begin(), summed.end());
-      row_record.push_back(r);
-      row_cardinality.push_back(0.0);
-      continue;
-    }
-    const std::vector<PipelineFeatures>& features_set =
-        mode == CardinalityMode::kTrue ? records[r]->feat_true
-                                       : records[r]->feat_est;
-    for (const PipelineFeatures& features : features_set) {
-      if (row_record.empty()) num_features = features.values.size();
-      if (features.values.size() != num_features) return predict_ragged();
-      flat.insert(flat.end(), features.values.begin(), features.values.end());
-      row_record.push_back(r);
-      row_cardinality.push_back(features.input_cardinality);
+  const size_t width = static_cast<size_t>(model.forest().num_features);
+  QueryBatch batch(model.target(), width);
+  for (const QueryRecord* record : records) {
+    batch.AddQuery();
+    for (const PipelineFeatures& features : PipelineRows(*record, mode)) {
+      if (features.values.size() != width) continue;
+      batch.AddPipeline(features.values.data(), features.input_cardinality);
     }
   }
-  if (row_record.empty()) return seconds;
-
-  std::vector<double> raw(row_record.size());
-  evaluator.PredictBatch(flat.data(), row_record.size(), num_features,
+  std::vector<double> raw(batch.num_rows());
+  evaluator.PredictBatch(batch.rows().data(), batch.num_rows(), width,
                          raw.data());
-
-  // Same per-row transform and per-record left-to-right accumulation as
-  // PredictQuerySeconds, so the result matches it bit for bit.
-  const bool per_tuple = model.target() == PredictionTarget::kPerTuple;
-  for (size_t i = 0; i < row_record.size(); ++i) {
-    double s = InverseTransformTarget(raw[i]);
-    if (per_tuple) s *= std::max(row_cardinality[i], 1.0);
-    seconds[row_record[i]] += s;
+  std::vector<double> seconds(records.size());
+  for (size_t i = 0; i < seconds.size(); ++i) {
+    seconds[i] = batch.QuerySeconds(i, raw.data());
   }
   return seconds;
+}
+
+double PredictQuerySeconds(const T3Model& model, const QueryRecord& record,
+                           CardinalityMode mode) {
+  return PredictQuerySecondsBatched(
+      model, InterpretedEvaluator(model.forest()), {&record}, mode)[0];
+}
+
+std::vector<double> QErrors(const T3Model& model,
+                            const std::vector<const QueryRecord*>& records,
+                            CardinalityMode mode) {
+  return QErrors(EvaluateModel(model, records, mode));
 }
 
 std::vector<RecordEvaluation> EvaluateModel(
     const T3Model& model, const std::vector<const QueryRecord*>& records,
     CardinalityMode mode) {
-  std::vector<RecordEvaluation> evals;
-  evals.reserve(records.size());
-  for (const QueryRecord* record : records) {
-    RecordEvaluation eval;
-    eval.record = record;
-    eval.predicted_seconds = PredictQuerySeconds(model, *record, mode);
-    eval.actual_seconds = record->median_seconds;
-    eval.q_error = QError(eval.predicted_seconds, eval.actual_seconds);
-    evals.push_back(eval);
+  const std::vector<double> predicted = PredictQuerySecondsBatched(
+      model, InterpretedEvaluator(model.forest()), records, mode);
+  std::vector<RecordEvaluation> evals(records.size());
+  for (size_t i = 0; i < evals.size(); ++i) {
+    evals[i].record = records[i];
+    evals[i].predicted_seconds = predicted[i];
+    evals[i].actual_seconds = records[i]->median_seconds;
+    evals[i].q_error = QError(predicted[i], records[i]->median_seconds);
   }
   return evals;
 }
@@ -176,19 +104,6 @@ std::vector<double> QErrors(const std::vector<RecordEvaluation>& evals) {
 
 QErrorSummary Summarize(const std::vector<RecordEvaluation>& evals) {
   return Summarize(QErrors(evals));
-}
-
-std::vector<double> QErrorsBatched(
-    const T3Model& model, const ForestEvaluator& evaluator,
-    const std::vector<const QueryRecord*>& records, CardinalityMode mode) {
-  const std::vector<double> predicted =
-      PredictQuerySecondsBatched(model, evaluator, records, mode);
-  std::vector<double> q_errors;
-  q_errors.reserve(records.size());
-  for (size_t i = 0; i < records.size(); ++i) {
-    q_errors.push_back(QError(predicted[i], records[i]->median_seconds));
-  }
-  return q_errors;
 }
 
 }  // namespace t3

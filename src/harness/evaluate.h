@@ -44,17 +44,24 @@ std::vector<const QueryRecord*> SelectRecords(
 /// lines) or the estimator's ("FE" lines, Figure 11's degraded setting).
 enum class CardinalityMode { kTrue = 0, kEstimated = 1 };
 
-/// The per-query feature vector of the kPerQuery target: the elementwise
-/// left-to-right sum of the record's pipeline vectors under `mode` — the
-/// "one summed vector per query" representation of the paper's Figure 13
-/// ablation. Empty when the record has no feature rows or their dimensions
-/// disagree.
-std::vector<double> SummedQueryFeatures(const QueryRecord& record,
-                                        CardinalityMode mode);
+/// The record's pipeline feature rows under `mode`.
+const std::vector<PipelineFeatures>& PipelineRows(const QueryRecord& record,
+                                                  CardinalityMode mode);
 
-/// Predicted total seconds of one corpus query under `model`: per-pipeline
-/// predictions summed over pipelines for per-tuple/per-pipeline targets;
-/// one prediction over SummedQueryFeatures for per-query targets.
+/// Predicted seconds of each record under `model`: the record's pipeline
+/// rows under `mode` go through the model's QueryBatch rules, and every
+/// input row of the whole set is predicted in one `evaluator.PredictBatch`
+/// call. Rows whose width differs from the model's are skipped, the rule
+/// BuildTrainingMatrix applies too. `evaluator` must evaluate
+/// model.forest(); every ForestEvaluator is bit-identical to Forest::Predict,
+/// so the choice never changes a bit. One value per record, in order.
+std::vector<double> PredictQuerySecondsBatched(
+    const T3Model& model, const ForestEvaluator& evaluator,
+    const std::vector<const QueryRecord*>& records,
+    CardinalityMode mode = CardinalityMode::kTrue);
+
+/// Predicted seconds of one record: PredictQuerySecondsBatched over
+/// model.forest()'s InterpretedEvaluator.
 double PredictQuerySeconds(const T3Model& model, const QueryRecord& record,
                            CardinalityMode mode = CardinalityMode::kTrue);
 
@@ -72,8 +79,9 @@ struct RecordEvaluation {
   double q_error = 0.0;
 };
 
-/// Evaluates `model` over every record: predicted vs measured seconds plus
-/// the q-error, one entry per record in input order.
+/// Evaluates `model` over every record through PredictQuerySecondsBatched
+/// (interpreted): predicted vs measured seconds plus the q-error, one entry
+/// per record in input order.
 std::vector<RecordEvaluation> EvaluateModel(
     const T3Model& model, const std::vector<const QueryRecord*>& records,
     CardinalityMode mode = CardinalityMode::kTrue);
@@ -83,26 +91,6 @@ std::vector<double> QErrors(const std::vector<RecordEvaluation>& evals);
 
 /// Reduces per-record evaluations to the paper's reported summary.
 QErrorSummary Summarize(const std::vector<RecordEvaluation>& evals);
-
-/// Batched counterpart of PredictQuerySeconds over a whole record set: every
-/// pipeline feature row the records contribute is flattened into one
-/// row-major matrix and pushed through a single `evaluator.PredictBatch`
-/// call, then reduced per record. When `evaluator` evaluates model.forest()
-/// (every ForestEvaluator guarantees bit-identical Predict), the result
-/// matches per-record PredictQuerySeconds bit for bit: same rows, same
-/// inverse transform and cardinality scaling, same left-to-right per-record
-/// summation. Returns one predicted-seconds value per record.
-std::vector<double> PredictQuerySecondsBatched(
-    const T3Model& model, const ForestEvaluator& evaluator,
-    const std::vector<const QueryRecord*>& records,
-    CardinalityMode mode = CardinalityMode::kTrue);
-
-/// QErrors computed through PredictQuerySecondsBatched — the batched
-/// inference path the throughput bench times end to end.
-std::vector<double> QErrorsBatched(
-    const T3Model& model, const ForestEvaluator& evaluator,
-    const std::vector<const QueryRecord*>& records,
-    CardinalityMode mode = CardinalityMode::kTrue);
 
 }  // namespace t3
 

@@ -20,49 +20,6 @@ double LabelSeconds(const std::vector<double>& run_seconds,
                                         static_cast<ptrdiff_t>(k)));
 }
 
-/// One row slot of the matrix: a (record, pipeline) pair for per-pipeline
-/// rows, or a record alone (pipeline == -1) for per-query rows. Slots are
-/// assigned in corpus order before any filling happens, so the produced
-/// bytes are independent of how the fill work is scheduled.
-struct RowSlot {
-  const QueryRecord* record = nullptr;
-  int pipeline = -1;
-  size_t row = 0;
-};
-
-void FillSlot(const RowSlot& slot, CardinalityMode mode,
-              const T3Config& config, int runs_limit, size_t num_features,
-              double* row_out, double* target_out) {
-  const QueryRecord& record = *slot.record;
-  if (slot.pipeline < 0) {
-    const std::vector<double> summed = SummedQueryFeatures(record, mode);
-    std::copy(summed.begin(), summed.end(), row_out);
-    *target_out = TransformTarget(LabelSeconds(
-        record.total_run_seconds, record.median_seconds, runs_limit));
-  } else {
-    const size_t p = static_cast<size_t>(slot.pipeline);
-    const std::vector<PipelineFeatures>& features_set =
-        mode == CardinalityMode::kTrue ? record.feat_true : record.feat_est;
-    const PipelineFeatures& features = features_set[p];
-    std::copy(features.values.begin(), features.values.end(), row_out);
-    double seconds = record.median_seconds;
-    if (p < record.pipeline_times.size()) {
-      const PipelineTiming& timing = record.pipeline_times[p];
-      seconds = LabelSeconds(timing.run_seconds, timing.median_seconds,
-                             runs_limit);
-    }
-    if (config.target == PredictionTarget::kPerTuple) {
-      seconds /= std::max(features.input_cardinality, 1.0);
-    }
-    *target_out = TransformTarget(seconds);
-  }
-  for (const int dropped : config.drop_features) {
-    if (dropped >= 0 && static_cast<size_t>(dropped) < num_features) {
-      row_out[dropped] = 0.0;
-    }
-  }
-}
-
 }  // namespace
 
 Result<TrainingMatrix> BuildTrainingMatrix(const Corpus& corpus,
@@ -70,61 +27,89 @@ Result<TrainingMatrix> BuildTrainingMatrix(const Corpus& corpus,
                                            CardinalityMode mode,
                                            const T3Config& config,
                                            int runs_limit, ThreadPool* pool) {
-  const bool per_query = config.target == PredictionTarget::kPerQuery;
-
-  // Pass 1 (sequential): assign row slots in corpus order. The first usable
-  // row pins the feature dimension; later rows that disagree are skipped,
-  // exactly like the per-record prediction paths.
-  TrainingMatrix matrix;
-  std::vector<RowSlot> slots;
+  // The first non-empty row of the filtered records pins the width; rows of
+  // another width are skipped, as PredictQuerySecondsBatched skips rows
+  // whose width differs from the model's.
+  std::vector<const QueryRecord*> records;
+  size_t width = 0;
   for (const QueryRecord& record : corpus.records) {
     if (train_filter ? !train_filter(record) : record.is_test) continue;
-    const std::vector<PipelineFeatures>& features_set =
-        mode == CardinalityMode::kTrue ? record.feat_true : record.feat_est;
-    if (per_query) {
-      const std::vector<double> summed = SummedQueryFeatures(record, mode);
-      if (summed.empty()) continue;
-      if (matrix.num_features == 0) matrix.num_features = summed.size();
-      if (summed.size() != matrix.num_features) continue;
-      slots.push_back({&record, -1, slots.size()});
-    } else {
-      for (size_t p = 0; p < features_set.size(); ++p) {
-        if (features_set[p].values.empty()) continue;
-        if (matrix.num_features == 0) {
-          matrix.num_features = features_set[p].values.size();
-        }
-        if (features_set[p].values.size() != matrix.num_features) continue;
-        slots.push_back({&record, static_cast<int>(p), slots.size()});
-      }
+    records.push_back(&record);
+    for (const PipelineFeatures& features : PipelineRows(record, mode)) {
+      if (width == 0) width = features.values.size();
     }
   }
-  if (slots.empty()) {
+  if (width == 0) {
     return InvalidArgumentError(
         "no usable training rows: the record filter selected no records "
         "with feature vectors");
   }
 
-  // Pass 2: fill the pre-sized matrix. Every slot writes a disjoint range,
-  // so parallel filling is race-free and bit-identical to the inline path.
-  matrix.rows.resize(slots.size() * matrix.num_features);
-  matrix.targets.resize(slots.size());
-  auto fill_range = [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      FillSlot(slots[i], mode, config, runs_limit, matrix.num_features,
-               matrix.rows.data() + slots[i].row * matrix.num_features,
-               matrix.targets.data() + slots[i].row);
+  // Each chunk of records assembles its rows and labels through the
+  // model's QueryBatch rules. A record's rows depend on that record alone,
+  // so concatenating the chunks in order gives the same bytes however many
+  // chunks there are.
+  struct Chunk {
+    std::vector<double> rows;
+    std::vector<double> targets;
+  };
+  auto fill_chunk = [&](size_t begin, size_t end, Chunk* chunk) {
+    QueryBatch batch(config.target, width);
+    std::vector<double> pipeline_seconds;
+    std::vector<double> query_seconds;
+    for (size_t r = begin; r < end; ++r) {
+      const QueryRecord& record = *records[r];
+      batch.AddQuery();
+      query_seconds.push_back(LabelSeconds(
+          record.total_run_seconds, record.median_seconds, runs_limit));
+      const std::vector<PipelineFeatures>& rows = PipelineRows(record, mode);
+      for (size_t p = 0; p < rows.size(); ++p) {
+        if (rows[p].values.size() != width) continue;
+        double seconds = record.median_seconds;
+        if (p < record.pipeline_times.size()) {
+          const PipelineTiming& timing = record.pipeline_times[p];
+          seconds = LabelSeconds(timing.run_seconds, timing.median_seconds,
+                                 runs_limit);
+        }
+        batch.AddPipeline(rows[p].values.data(), rows[p].input_cardinality);
+        pipeline_seconds.push_back(seconds);
+      }
+    }
+    chunk->rows = batch.rows();
+    chunk->targets = batch.Labels(pipeline_seconds, query_seconds);
+    for (size_t row = 0; row < chunk->targets.size(); ++row) {
+      for (const int dropped : config.drop_features) {
+        if (dropped >= 0 && static_cast<size_t>(dropped) < width) {
+          chunk->rows[row * width + static_cast<size_t>(dropped)] = 0.0;
+        }
+      }
     }
   };
-  if (pool == nullptr || pool->num_threads() <= 1 || slots.size() < 2) {
-    fill_range(0, slots.size());
+
+  const size_t num_chunks =
+      pool == nullptr ? 1 : std::min(pool->num_threads(), records.size());
+  const size_t per_chunk = (records.size() + num_chunks - 1) / num_chunks;
+  std::vector<Chunk> chunks(num_chunks);
+  if (num_chunks <= 1) {
+    fill_chunk(0, records.size(), &chunks[0]);
   } else {
-    const size_t chunk =
-        (slots.size() + pool->num_threads() - 1) / pool->num_threads();
-    for (size_t begin = 0; begin < slots.size(); begin += chunk) {
-      const size_t end = std::min(begin + chunk, slots.size());
-      pool->Submit([&fill_range, begin, end] { fill_range(begin, end); });
+    for (size_t c = 0; c < num_chunks; ++c) {
+      const size_t begin = std::min(c * per_chunk, records.size());
+      const size_t end = std::min(begin + per_chunk, records.size());
+      pool->Submit([&fill_chunk, &chunks, begin, end, c] {
+        fill_chunk(begin, end, &chunks[c]);
+      });
     }
     pool->Wait();
+  }
+
+  TrainingMatrix matrix;
+  matrix.num_features = width;
+  for (const Chunk& chunk : chunks) {
+    matrix.rows.insert(matrix.rows.end(), chunk.rows.begin(),
+                       chunk.rows.end());
+    matrix.targets.insert(matrix.targets.end(), chunk.targets.begin(),
+                          chunk.targets.end());
   }
   return matrix;
 }

@@ -51,23 +51,23 @@ struct TrainingMatrix {
 };
 
 /// Assembles the training matrix of one model configuration over the
-/// filtered corpus records:
+/// filtered corpus records through the target's QueryBatch rules:
 ///
 /// - kPerTuple:    one row per pipeline (features under `mode`), target =
 ///                 -log(pipeline seconds / max(input cardinality, 1)),
 /// - kPerPipeline: one row per pipeline, target = -log(pipeline seconds),
-/// - kPerQuery:    one summed feature vector per query
-///                 (SummedQueryFeatures), target = -log(query seconds).
+/// - kPerQuery:    one summed feature vector per query, target =
+///                 -log(query seconds).
 ///
 /// `runs_limit` > 0 re-derives the target label as the median of the first
 /// `runs_limit` stored benchmark runs (Figure 14's varying-run study); 0
-/// uses the stored medians. Rows whose dimension disagrees with the first
-/// usable record are skipped, and config.drop_features columns are zeroed.
+/// uses the stored medians. The first non-empty row pins the width, rows of
+/// another width are skipped, and config.drop_features columns are zeroed.
 ///
-/// The assembly is bit-deterministic regardless of `pool`: row slots are
-/// assigned in corpus order up front and workers fill disjoint ranges, so
-/// every thread count (including pool == nullptr) produces identical bytes.
-/// Fails with InvalidArgument when no usable training rows survive.
+/// The assembly is bit-deterministic regardless of `pool`: workers fill
+/// contiguous chunks of records and the chunks are joined in corpus order,
+/// so every thread count (including pool == nullptr) produces identical
+/// bytes. Fails with InvalidArgument when no usable training rows survive.
 Result<TrainingMatrix> BuildTrainingMatrix(const Corpus& corpus,
                                            const RecordFilter& train_filter,
                                            CardinalityMode mode,

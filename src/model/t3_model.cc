@@ -4,6 +4,52 @@
 
 namespace t3 {
 
+void QueryBatch::Reset(PredictionTarget target, size_t width) {
+  target_ = target;
+  width_ = width;
+  rows_.clear();
+  cardinalities_.clear();
+  query_begin_.clear();
+}
+
+void QueryBatch::AddQuery() { query_begin_.push_back(num_rows()); }
+
+void QueryBatch::AddPipeline(const double* values, double input_cardinality) {
+  // kPerQuery: the query's first pipeline row starts its one input row,
+  // which stands for the whole query; later rows add into it.
+  if (target_ != PredictionTarget::kPerQuery ||
+      num_rows() == query_begin_.back()) {
+    rows_.insert(rows_.end(), values, values + width_);
+    cardinalities_.push_back(input_cardinality);
+    return;
+  }
+  double* sum = rows_.data() + rows_.size() - width_;
+  for (size_t i = 0; i < width_; ++i) sum[i] += values[i];
+}
+
+double QueryBatch::QuerySeconds(size_t query, const double* raw) const {
+  double total = 0.0;
+  for (size_t i = query_begin_[query]; i < QueryEnd(query); ++i) {
+    total += OutputSeconds(target_, raw[i], cardinalities_[i]);
+  }
+  return total;
+}
+
+std::vector<double> QueryBatch::Labels(
+    const std::vector<double>& pipeline_seconds,
+    const std::vector<double>& query_seconds) const {
+  std::vector<double> labels(num_rows());
+  for (size_t query = 0; query < query_begin_.size(); ++query) {
+    for (size_t i = query_begin_[query]; i < QueryEnd(query); ++i) {
+      const double seconds = target_ == PredictionTarget::kPerQuery
+                                 ? query_seconds[query]
+                                 : pipeline_seconds[i];
+      labels[i] = TrainingLabel(target_, seconds, cardinalities_[i]);
+    }
+  }
+  return labels;
+}
+
 Status T3Model::SaveToFile(const std::string& path) const {
   std::string out = StrFormat("t3model target %d\n", static_cast<int>(target_));
   out += forest_.ToText();

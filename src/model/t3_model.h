@@ -5,6 +5,7 @@
 #include <cmath>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "gbt/forest.h"
 
@@ -32,6 +33,83 @@ inline double TransformTarget(double seconds) {
 /// Inverse of TransformTarget: model output back to seconds.
 inline double InverseTransformTarget(double y) { return std::exp(-y); }
 
+/// Raw output to seconds: the inverse transform, scaled for kPerTuple by
+/// the row's input cardinality (floored at one tuple). Other targets
+/// ignore the cardinality.
+inline double OutputSeconds(PredictionTarget target, double raw,
+                            double input_cardinality) {
+  const double seconds = InverseTransformTarget(raw);
+  if (target == PredictionTarget::kPerTuple) {
+    return seconds * std::max(input_cardinality, 1.0);
+  }
+  return seconds;
+}
+
+/// Seconds to training label, the inverse of OutputSeconds: kPerTuple
+/// labels are per-tuple seconds.
+inline double TrainingLabel(PredictionTarget target, double seconds,
+                            double input_cardinality) {
+  if (target == PredictionTarget::kPerTuple) {
+    seconds /= std::max(input_cardinality, 1.0);
+  }
+  return TransformTarget(seconds);
+}
+
+/// A batch of queries in the form a model reads them, and the way back from
+/// its raw outputs to query seconds. This is the one definition of what a
+/// PredictionTarget means; the trainer, the evaluation harness and the
+/// server all go through it:
+///
+///  - query rows to model input: each pipeline row is its own input row,
+///    or for kPerQuery the query's pipeline rows summed elementwise left to
+///    right form one input row;
+///  - query seconds: OutputSeconds summed left to right over the query's
+///    input rows (0 for a query without rows).
+class QueryBatch {
+ public:
+  QueryBatch() = default;
+  QueryBatch(PredictionTarget target, size_t width) { Reset(target, width); }
+
+  /// Empties the batch for `target` rows of `width` values, keeping its
+  /// capacity.
+  void Reset(PredictionTarget target, size_t width);
+
+  /// Starts the next query.
+  void AddQuery();
+
+  /// Adds one pipeline row of width() values to the current query (call
+  /// AddQuery first).
+  void AddPipeline(const double* values, double input_cardinality);
+
+  size_t num_rows() const { return cardinalities_.size(); }
+  /// The input rows, row-major: num_rows() x width().
+  const std::vector<double>& rows() const { return rows_; }
+
+  /// Seconds of query `query`, given `raw`: the model's outputs for every
+  /// input row of the batch.
+  double QuerySeconds(size_t query, const double* raw) const;
+
+  /// Training labels, one per input row: TrainingLabel of the measured time
+  /// the row stands for. `pipeline_seconds` has one entry per AddPipeline
+  /// call and `query_seconds` one per AddQuery call; kPerQuery rows take
+  /// their query's time, the other targets their pipeline's.
+  std::vector<double> Labels(const std::vector<double>& pipeline_seconds,
+                             const std::vector<double>& query_seconds) const;
+
+ private:
+  /// One past the last input row of query `query`.
+  size_t QueryEnd(size_t query) const {
+    return query + 1 < query_begin_.size() ? query_begin_[query + 1]
+                                           : num_rows();
+  }
+
+  PredictionTarget target_ = PredictionTarget::kPerTuple;
+  size_t width_ = 0;
+  std::vector<double> rows_;
+  std::vector<double> cardinalities_;  ///< One per input row.
+  std::vector<size_t> query_begin_;    ///< First input row of each query.
+};
+
 /// A trained T3 predictor: a GBDT forest plus the semantics of its output.
 /// Serialized as the forest's text format behind a one-line header:
 ///
@@ -50,16 +128,10 @@ class T3Model {
   /// Raw model output (transformed domain) for one feature row.
   double PredictRaw(const double* row) const { return forest_.Predict(row); }
 
-  /// Predicted pipeline seconds for one pipeline feature row. For
-  /// kPerTuple models the per-tuple time is scaled by the pipeline's input
-  /// cardinality; other targets ignore it.
+  /// Predicted seconds of one input row (OutputSeconds of its raw output).
   double PredictPipelineSeconds(const double* row,
                                 double input_cardinality) const {
-    const double seconds = InverseTransformTarget(PredictRaw(row));
-    if (target_ == PredictionTarget::kPerTuple) {
-      return seconds * std::max(input_cardinality, 1.0);
-    }
-    return seconds;
+    return OutputSeconds(target_, PredictRaw(row), input_cardinality);
   }
 
   Status SaveToFile(const std::string& path) const;

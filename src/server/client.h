@@ -32,7 +32,7 @@ class PredictionClient {
   Result<PredictResponse> PredictRows(const PredictRowsRequest& request);
 
   /// kPredictPlan round trip over "t3plan v1" skeleton text; the response
-  /// holds one summed query prediction.
+  /// holds one query prediction.
   Result<PredictResponse> PredictPlan(std::string_view plan_text);
 
   /// kSwapModel round trip; empty path = the server's default swap path.

@@ -10,10 +10,10 @@ namespace t3 {
 
 /// The prediction input derived from one serialized plan: per-pipeline
 /// feature rows (row-major, kFeatureDim wide) plus each pipeline's driving
-/// cardinality — exactly what a kPredictRows request would carry, so both
-/// request kinds share the batching path and the per-row seconds
-/// conversion. The query prediction is the pipeline predictions summed in
-/// pipeline order (the PredictQuerySeconds convention).
+/// cardinality — what a kPredictRows request would carry. The server treats
+/// them as one query's pipeline rows, so the plan's prediction follows the
+/// model's QueryBatch rules: the pipeline predictions summed in pipeline
+/// order, or for a kPerQuery model one prediction over the summed row.
 struct PlanPredictionInput {
   size_t num_features = 0;
   std::vector<double> rows;

@@ -41,7 +41,9 @@ inline constexpr uint32_t kMaxFeaturesPerRow = 4096;
 enum class MessageType : uint8_t {
   // Requests.
   kPredictRows = 1,  ///< Feature rows + input cardinalities -> predictions.
-  kPredictPlan = 2,  ///< "t3plan v1" skeleton text -> one query prediction.
+  kPredictPlan = 2,  ///< "t3plan v1" skeleton text -> one query prediction
+                     ///  (the plan's pipeline rows under the model's
+                     ///  QueryBatch rules).
   kSwapModel = 3,    ///< Hot-swap: payload = model path ("" = server default).
   kStats = 4,        ///< Server counters as text.
   kShutdown = 5,     ///< Graceful stop (servers may refuse; see options).
@@ -85,10 +87,10 @@ Result<Frame> DecodeFrame(const uint8_t* data, size_t size);
 
 // --- kPredictRows ---
 
-/// A batch of feature rows to predict. `rows` is row-major
+/// A batch of feature rows to predict, each answered on its own exactly
+/// like T3Model::PredictPipelineSeconds. `rows` is row-major
 /// (num_rows x num_features); `input_cardinalities` has one entry per row
-/// and feeds the per-tuple scaling exactly like
-/// T3Model::PredictPipelineSeconds (ignored by per-pipeline/per-query
+/// and feeds the per-tuple scaling (ignored by per-pipeline/per-query
 /// models).
 struct PredictRowsRequest {
   uint32_t num_features = 0;

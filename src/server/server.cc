@@ -34,7 +34,9 @@ struct PredictJob {
   std::vector<uint8_t>* reply;  ///< Reserved slot in the connection's out.
   std::vector<double> rows;     ///< Row-major, the request's own width.
   std::vector<double> cardinalities;  ///< One per row.
-  bool sum_to_one;  ///< kPredictPlan: one query total, not one value per row.
+  /// kPredictPlan: the rows are one query's pipelines and get one answer.
+  /// kPredictRows asks for every row on its own.
+  bool one_query;
 };
 
 }  // namespace
@@ -60,7 +62,7 @@ struct PredictionServer::Worker {
   /// to decide who accepts next.
   std::atomic<size_t> num_conns{0};
   std::vector<PredictJob> parsed;  ///< This round's prediction requests.
-  std::vector<double> matrix;      ///< Scratch: the round's packed rows.
+  QueryBatch batch;                ///< Scratch: the round's model input.
   std::vector<double> raw;         ///< Scratch: PredictBatch outputs.
   // Written by this worker's thread only; stats() reads them from any.
   std::atomic<uint64_t> jobs{0};
@@ -211,12 +213,12 @@ void PredictionServer::HandleFrame(Worker* worker, Connection* conn,
     conn->out.push_back(EncodeFrame(response));
   };
   auto predict = [&](std::vector<double> rows, std::vector<double> cards,
-                     bool sum_to_one) {
+                     bool one_query) {
     predict_requests_.fetch_add(1, std::memory_order_relaxed);
     rows_predicted_.fetch_add(cards.size(), std::memory_order_relaxed);
     worker->parsed.push_back(PredictJob{&conn->out.emplace_back(),
                                         std::move(rows), std::move(cards),
-                                        sum_to_one});
+                                        one_query});
   };
 
   switch (type) {
@@ -229,7 +231,7 @@ void PredictionServer::HandleFrame(Worker* worker, Connection* conn,
       }
       predict(std::move(request->rows),
               std::move(request->input_cardinalities),
-              /*sum_to_one=*/false);
+              /*one_query=*/false);
       return;
     }
     case MessageType::kPredictPlan: {
@@ -243,7 +245,7 @@ void PredictionServer::HandleFrame(Worker* worker, Connection* conn,
         return;
       }
       predict(std::move(input->rows), std::move(input->input_cardinalities),
-              /*sum_to_one=*/true);
+              /*one_query=*/true);
       return;
     }
     case MessageType::kSwapModel: {
@@ -304,22 +306,23 @@ void PredictionServer::PredictParsed(Worker* worker) {
   };
 
   uint64_t batch_rows = 0;  // Every request's rows, as BatcherStats counts.
-  size_t num_rows = 0;      // The rows that fit the snapshot's width.
-  worker->matrix.clear();
+  QueryBatch& batch = worker->batch;
+  batch.Reset(model->model.target(), dim);
   for (const PredictJob& job : worker->parsed) {
-    batch_rows += job.cardinalities.size();
+    const size_t n = job.cardinalities.size();
+    batch_rows += n;
     if (!fits(job)) continue;
-    worker->matrix.insert(worker->matrix.end(), job.rows.begin(),
-                          job.rows.end());
-    num_rows += job.cardinalities.size();
+    if (job.one_query) batch.AddQuery();
+    for (size_t i = 0; i < n; ++i) {
+      if (!job.one_query) batch.AddQuery();
+      batch.AddPipeline(job.rows.data() + i * dim, job.cardinalities[i]);
+    }
   }
-  worker->raw.resize(num_rows);
-  if (num_rows > 0) {
-    model->evaluator().PredictBatch(worker->matrix.data(), num_rows, dim,
-                                    worker->raw.data());
-  }
+  worker->raw.resize(batch.num_rows());
+  model->evaluator().PredictBatch(batch.rows().data(), batch.num_rows(), dim,
+                                  worker->raw.data());
 
-  const double* raw = worker->raw.data();
+  size_t query = 0;
   for (const PredictJob& job : worker->parsed) {
     const size_t n = job.cardinalities.size();
     if (!fits(job)) {
@@ -331,22 +334,12 @@ void PredictionServer::PredictParsed(Worker* worker) {
     }
     PredictResponse response;
     response.model_version = model->version;
-    if (job.sum_to_one) {
-      // Plan request: pipeline predictions summed left to right, the
-      // PredictQuerySeconds convention.
-      double total = 0.0;
-      for (size_t i = 0; i < n; ++i) {
-        total += model->RowSeconds(raw[i], job.cardinalities[i]);
-      }
-      response.predictions.push_back(total);
-    } else {
-      response.predictions.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        response.predictions.push_back(
-            model->RowSeconds(raw[i], job.cardinalities[i]));
-      }
+    const size_t num_answers = job.one_query ? 1 : n;
+    response.predictions.reserve(num_answers);
+    for (size_t i = 0; i < num_answers; ++i) {
+      response.predictions.push_back(
+          batch.QuerySeconds(query++, worker->raw.data()));
     }
-    raw += n;
     *job.reply = EncodeFrame(EncodePredictResponse(response));
   }
 

@@ -67,8 +67,8 @@ struct ServerStats {
 ///    connections accept from the shared listener, so connections spread
 ///    evenly across loops;
 ///  - a worker predicts for its own connections: after each poll round it
-///    packs every prediction request it parsed into one row-major matrix
-///    and makes one SIMD PredictBatch call on one model snapshot. Nothing
+///    packs every prediction request it parsed into one QueryBatch and
+///    makes one SIMD PredictBatch call on one model snapshot. Nothing
 ///    crosses threads between reading a request and writing its response,
 ///    and each connection's responses leave in the order its frames came;
 ///  - models are versioned snapshots swapped atomically through the

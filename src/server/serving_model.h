@@ -39,18 +39,6 @@ struct ServingModel {
   }
 
   int num_features() const { return model.forest().num_features; }
-
-  /// Raw forest output -> predicted pipeline seconds, the exact operation
-  /// sequence of T3Model::PredictPipelineSeconds (inverse transform, then
-  /// per-tuple cardinality scaling) so batched server predictions bit-match
-  /// the direct model call.
-  double RowSeconds(double raw, double input_cardinality) const {
-    const double seconds = InverseTransformTarget(raw);
-    if (model.target() == PredictionTarget::kPerTuple) {
-      return seconds * std::max(input_cardinality, 1.0);
-    }
-    return seconds;
-  }
 };
 
 /// Wraps `model` as a serving snapshot: re-proves text-format bit-exactness

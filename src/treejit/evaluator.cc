@@ -37,15 +37,6 @@ void ForestEvaluator::PredictBatch(const double* rows, size_t num_rows,
   }
 }
 
-void ForestEvaluator::PredictBatchSoA(const double* soa, size_t num_rows,
-                                      size_t num_features, double* out) const {
-  std::vector<double> row(num_features);
-  for (size_t i = 0; i < num_rows; ++i) {
-    for (size_t f = 0; f < num_features; ++f) row[f] = soa[f * num_rows + i];
-    out[i] = Predict(row.data());
-  }
-}
-
 FlatEvaluator::FlatEvaluator(const Forest& forest)
     : base_score_(forest.base_score) {
   const size_t num_nodes = forest.NumNodes();
@@ -97,9 +88,8 @@ double FlatEvaluator::Predict(const double* row) const {
   return sum;
 }
 
-template <typename GetFeature>
-void FlatEvaluator::PredictBlock(size_t num_lanes, const GetFeature& get,
-                                 double* out) const {
+void FlatEvaluator::PredictBlock(const double* rows, size_t num_lanes,
+                                 size_t num_features, double* out) const {
   double sum[kBlockLanes];
   size_t cursor[kBlockLanes];
   for (size_t lane = 0; lane < num_lanes; ++lane) sum[lane] = base_score_;
@@ -115,7 +105,8 @@ void FlatEvaluator::PredictBlock(size_t num_lanes, const GetFeature& get,
         // their children both self-loop, so the lane is unaffected. The
         // clamp keeps the load in bounds (Forest::Validate guarantees
         // num_features >= 1).
-        const double x = get(lane, f < 0 ? 0 : f);
+        const double x =
+            rows[lane * num_features + static_cast<size_t>(f < 0 ? 0 : f)];
         const bool left =
             std::isnan(x) ? default_left_[node] != 0
                           : x < threshold_or_value_[node];
@@ -132,28 +123,8 @@ void FlatEvaluator::PredictBlock(size_t num_lanes, const GetFeature& get,
 void FlatEvaluator::PredictBatch(const double* rows, size_t num_rows,
                                  size_t num_features, double* out) const {
   for (size_t i = 0; i < num_rows; i += kBlockLanes) {
-    const size_t lanes = std::min(kBlockLanes, num_rows - i);
-    const double* base = rows + i * num_features;
-    PredictBlock(
-        lanes,
-        [base, num_features](size_t lane, int32_t f) {
-          return base[lane * num_features + static_cast<size_t>(f)];
-        },
-        out + i);
-  }
-}
-
-void FlatEvaluator::PredictBatchSoA(const double* soa, size_t num_rows,
-                                    size_t num_features, double* out) const {
-  (void)num_features;
-  for (size_t i = 0; i < num_rows; i += kBlockLanes) {
-    const size_t lanes = std::min(kBlockLanes, num_rows - i);
-    PredictBlock(
-        lanes,
-        [soa, num_rows, i](size_t lane, int32_t f) {
-          return soa[static_cast<size_t>(f) * num_rows + i + lane];
-        },
-        out + i);
+    PredictBlock(rows + i * num_features, std::min(kBlockLanes, num_rows - i),
+                 num_features, out + i);
   }
 }
 

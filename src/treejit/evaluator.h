@@ -27,14 +27,6 @@ class ForestEvaluator {
   /// The default implementation loops over Predict.
   virtual void PredictBatch(const double* rows, size_t num_rows,
                             size_t num_features, double* out) const;
-
-  /// Predicts `num_rows` rows stored column-major (structure-of-arrays):
-  /// feature f of row i at `soa[f * num_rows + i]` — the layout batched
-  /// kernels consume without a transpose. The default implementation
-  /// gathers each row and loops over Predict. Implementations must stay
-  /// bit-identical to per-row Predict.
-  virtual void PredictBatchSoA(const double* soa, size_t num_rows,
-                               size_t num_features, double* out) const;
 };
 
 /// Node-pointer interpreter: walks Tree::nodes child indices directly.
@@ -57,7 +49,7 @@ class InterpretedEvaluator : public ForestEvaluator {
 /// locality than pointer chasing, still interpreted. Owns its flattened
 /// copy; independent of the source forest's lifetime.
 ///
-/// The batched entry points walk up to 8 rows in lockstep through each
+/// The batched entry point walks up to 8 rows in lockstep through each
 /// tree: leaves self-loop (left == right == self), so every lane can take
 /// the tree's full max depth in fixed steps while the per-lane dependent
 /// loads interleave. Predictions stay bit-identical to per-row Predict —
@@ -69,19 +61,14 @@ class FlatEvaluator : public ForestEvaluator {
   double Predict(const double* row) const override;
   void PredictBatch(const double* rows, size_t num_rows, size_t num_features,
                     double* out) const override;
-  void PredictBatchSoA(const double* soa, size_t num_rows,
-                       size_t num_features, double* out) const override;
 
  private:
   /// Rows walked in lockstep per block; matches the JIT kernels' width.
   static constexpr size_t kBlockLanes = 8;
 
-  /// Walks `num_lanes` (<= kBlockLanes) rows through every tree.
-  /// `get(lane, feature)` reads one feature value — the only difference
-  /// between the row-major and column-major entry points.
-  template <typename GetFeature>
-  void PredictBlock(size_t num_lanes, const GetFeature& get,
-                    double* out) const;
+  /// Walks `num_lanes` (<= kBlockLanes) row-major rows through every tree.
+  void PredictBlock(const double* rows, size_t num_lanes,
+                    size_t num_features, double* out) const;
 
   // One entry per node, parallel arrays (structure-of-arrays).
   std::vector<double> threshold_or_value_;  // Inner: threshold. Leaf: value.

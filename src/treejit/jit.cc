@@ -609,24 +609,30 @@ namespace {
 /// features are 192 KiB, small enough to stay in a core's L2.
 constexpr size_t kChunkBlocks = 64;
 
-/// Runs the batch kernels `fns` over whole 8-row blocks and returns how many
-/// rows (a multiple of 8) it predicted into `out`. `fill(first, block)`
-/// writes rows [first, first + 8) feature-major into `block`
-/// (block[f * 8 + r]). A chunk of blocks runs tree by tree, so one tree's
-/// code stays hot over the chunk instead of the whole forest's code
+/// Runs the batch kernels `fns` over whole 8-row blocks of the row-major
+/// `rows` and returns how many rows (a multiple of 8) it predicted into
+/// `out`. Each block is transposed feature-major (block[f * 8 + r]), the
+/// layout the kernels read. A chunk of blocks runs tree by tree, so one
+/// tree's code stays hot over the chunk instead of the whole forest's code
 /// streaming through once per block. Each row still adds the trees in
 /// forest order, so the sums are bit-identical to the per-row path.
-template <typename Fn, typename FillBlock>
+template <typename Fn>
 size_t RunBatchKernels(const std::vector<Fn>& fns, double base_score,
-                       size_t num_rows, size_t num_features,
-                       const FillBlock& fill, double* out) {
+                       const double* rows, size_t num_rows,
+                       size_t num_features, double* out) {
   const size_t stride = num_features * 8;
   std::vector<double> blocks(std::min(num_rows / 8, kChunkBlocks) * stride);
   size_t done = 0;
   while (done + 8 <= num_rows) {
     const size_t num_blocks = std::min((num_rows - done) / 8, kChunkBlocks);
     for (size_t b = 0; b < num_blocks; ++b) {
-      fill(done + 8 * b, blocks.data() + b * stride);
+      double* block = blocks.data() + b * stride;
+      const double* first = rows + (done + 8 * b) * num_features;
+      for (size_t r = 0; r < 8; ++r) {
+        for (size_t f = 0; f < num_features; ++f) {
+          block[f * 8 + r] = first[r * num_features + f];
+        }
+      }
     }
     double* acc = out + done;
     std::fill(acc, acc + 8 * num_blocks, base_score);
@@ -649,45 +655,10 @@ void CompiledForest::PredictBatch(const double* rows, size_t num_rows,
     ForestEvaluator::PredictBatch(rows, num_rows, num_features, out);
     return;
   }
-  // Transpose 8 rows at a time into the kernels' feature-major block; the
-  // (< 8)-row tail takes the per-row path, which is bit-identical.
-  size_t i = RunBatchKernels(
-      batch_fns_, base_score_, num_rows, num_features,
-      [&](size_t first, double* block) {
-        for (size_t r = 0; r < 8; ++r) {
-          const double* row = rows + (first + r) * num_features;
-          for (size_t f = 0; f < num_features; ++f) block[f * 8 + r] = row[f];
-        }
-      },
-      out);
+  // The (< 8)-row tail takes the per-row path, which is bit-identical.
+  size_t i = RunBatchKernels(batch_fns_, base_score_, rows, num_rows,
+                             num_features, out);
   for (; i < num_rows; ++i) out[i] = Predict(rows + i * num_features);
-}
-
-void CompiledForest::PredictBatchSoA(const double* soa, size_t num_rows,
-                                     size_t num_features, double* out) const {
-  if (batch_fns_.empty() || !BatchKernelsEnabled() ||
-      num_features != static_cast<size_t>(num_features_) || num_rows < 8) {
-    ForestEvaluator::PredictBatchSoA(soa, num_rows, num_features, out);
-    return;
-  }
-  // Column-major input matches the block layout directly: each feature's 8
-  // lanes are one contiguous copy instead of an 8-row transpose.
-  size_t i = RunBatchKernels(
-      batch_fns_, base_score_, num_rows, num_features,
-      [&](size_t first, double* block) {
-        for (size_t f = 0; f < num_features; ++f) {
-          std::memcpy(&block[f * 8], soa + f * num_rows + first,
-                      8 * sizeof(double));
-        }
-      },
-      out);
-  if (i < num_rows) {
-    std::vector<double> row(num_features);
-    for (; i < num_rows; ++i) {
-      for (size_t f = 0; f < num_features; ++f) row[f] = soa[f * num_rows + i];
-      out[i] = Predict(row.data());
-    }
-  }
 }
 
 #else  // !T3_JIT_X86_64
@@ -717,11 +688,6 @@ double CompiledForest::Predict(const double*) const { return base_score_; }
 void CompiledForest::PredictBatch(const double*, size_t, size_t,
                                   double* out) const {
   *out = base_score_;
-}
-
-void CompiledForest::PredictBatchSoA(const double* soa, size_t num_rows,
-                                     size_t num_features, double* out) const {
-  ForestEvaluator::PredictBatchSoA(soa, num_rows, num_features, out);
 }
 
 #endif  // T3_JIT_X86_64

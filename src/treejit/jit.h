@@ -128,8 +128,6 @@ class CompiledForest : public ForestEvaluator {
   double Predict(const double* row) const override;
   void PredictBatch(const double* rows, size_t num_rows, size_t num_features,
                     double* out) const override;
-  void PredictBatchSoA(const double* soa, size_t num_rows,
-                       size_t num_features, double* out) const override;
 
   /// Bytes of emitted machine code (before page rounding).
   size_t code_size() const { return code_size_; }

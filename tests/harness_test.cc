@@ -18,8 +18,10 @@
 #include "harness/corpus.h"
 #include "harness/evaluate.h"
 #include "harness/report.h"
+#include "harness/training.h"
 #include "harness/workbench.h"
 #include "model/t3_model.h"
+#include "treejit/jit.h"
 
 namespace t3 {
 namespace {
@@ -525,44 +527,133 @@ TEST(EvaluateTest, EvaluateModelMatchesGoldenFixture) {
          "T3_UPDATE_GOLDEN=1.";
 }
 
-TEST(EvaluateTest, QErrorsOfEvaluationsMatchesDirectQErrors) {
+// One record of hand-picked two-feature pipeline rows, plus a one-feature
+// row that a two-feature model must skip rather than read past.
+QueryRecord HandRecord() {
+  QueryRecord record;
+  record.median_seconds = 7.0;
+  record.feat_true = {{0, 10.0, {1.0, 0.0}}, {1, 0.0, {2.0, 0.0}},
+                      {2, 4.0, {5.0}}};
+  record.pipeline_times = {{0, 20.0, {}}, {1, 3.0, {}}, {2, 1.0, {}}};
+  return record;
+}
+
+// x0 < 2.5 predicts raw 0 (1 s), otherwise raw 1 (exp(-1) s) behind a split
+// on x1, so a one-feature row that is not skipped reads past its end.
+Forest HandForest() {
+  Forest forest;
+  forest.num_features = 2;
+  Tree tree;
+  tree.nodes.resize(5);
+  auto split = [&tree](int node, int feature, double threshold) {
+    tree.nodes[node].feature = feature;
+    tree.nodes[node].threshold = threshold;
+    tree.nodes[node].left = node + 1;
+    tree.nodes[node].right = node + 2;
+  };
+  auto leaf = [&tree](int node, double value) {
+    tree.nodes[node].is_leaf = true;
+    tree.nodes[node].value = value;
+  };
+  split(0, 0, 2.5);
+  leaf(1, 0.0);
+  split(2, 1, 0.5);
+  leaf(3, 1.0);
+  leaf(4, 1.0);
+  forest.trees.push_back(tree);
+  return forest;
+}
+
+TEST(EvaluateTest, QuerySecondsFollowEachTargetsRule) {
+  const QueryRecord record = HandRecord();
+  const QueryRecord empty;
+  const std::vector<const QueryRecord*> records = {&record, &empty};
+  struct Case {
+    PredictionTarget target;
+    double seconds;
+  };
+  // Per tuple: 1 s x 10 tuples + 1 s x max(0, 1) tuples. Per pipeline:
+  // 1 s + 1 s. Per query: one prediction over the summed row {3, 0}.
+  for (const Case& c : {Case{PredictionTarget::kPerTuple, 11.0},
+                        Case{PredictionTarget::kPerPipeline, 2.0},
+                        Case{PredictionTarget::kPerQuery, std::exp(-1.0)}}) {
+    const T3Model model(HandForest(), c.target);
+    const InterpretedEvaluator interpreted(model.forest());
+    const std::vector<double> seconds =
+        PredictQuerySecondsBatched(model, interpreted, records);
+    ASSERT_EQ(seconds.size(), 2u);
+    EXPECT_EQ(seconds[0], c.seconds) << static_cast<int>(c.target);
+    EXPECT_EQ(seconds[1], 0.0) << static_cast<int>(c.target);
+    EXPECT_EQ(PredictQuerySeconds(model, record), c.seconds);
+  }
+}
+
+TEST(TrainingTest, LabelsFollowEachTargetsRule) {
+  Corpus corpus;
+  corpus.records = {HandRecord()};
+  struct Case {
+    PredictionTarget target;
+    std::vector<double> rows;
+    std::vector<double> label_seconds;
+  };
+  // The one-feature row is skipped; per-tuple labels are per-tuple seconds.
+  for (const Case& c :
+       {Case{PredictionTarget::kPerTuple, {1, 0, 2, 0}, {2.0, 3.0}},
+        Case{PredictionTarget::kPerPipeline, {1, 0, 2, 0}, {20.0, 3.0}},
+        Case{PredictionTarget::kPerQuery, {3, 0}, {7.0}}}) {
+    T3Config config;
+    config.target = c.target;
+    Result<TrainingMatrix> matrix = BuildTrainingMatrix(
+        corpus, [](const QueryRecord&) { return true; },
+        CardinalityMode::kTrue, config, 0);
+    ASSERT_TRUE(matrix.ok()) << matrix.status().ToString();
+    EXPECT_EQ(matrix->num_features, 2u);
+    EXPECT_EQ(matrix->rows, c.rows);
+    std::vector<double> labels;
+    for (const double s : c.label_seconds) labels.push_back(TransformTarget(s));
+    EXPECT_EQ(matrix->targets, labels) << static_cast<int>(c.target);
+  }
+}
+
+TEST(EvaluateTest, CompiledAndInterpretedQuerySecondsBitMatchForEveryTarget) {
   T3_REQUIRE_CORPUS();
   std::vector<const QueryRecord*> records;
   for (const QueryRecord& record : corpus.records) records.push_back(&record);
+  for (const PredictionTarget target :
+       {PredictionTarget::kPerTuple, PredictionTarget::kPerPipeline,
+        PredictionTarget::kPerQuery}) {
+    T3Config config;
+    config.target = target;
+    config.train.num_trees = 20;
+    config.train.min_data_in_leaf = 2;
+    config.train.validation_fraction = 0.0;
+    Result<TrainingMatrix> matrix = BuildTrainingMatrix(
+        corpus, [](const QueryRecord&) { return true; },
+        CardinalityMode::kTrue, config, 0);
+    ASSERT_TRUE(matrix.ok()) << matrix.status().ToString();
+    Result<Forest> forest = TrainForest(matrix->rows, matrix->targets,
+                                        matrix->num_features, config.train);
+    ASSERT_TRUE(forest.ok()) << forest.status().ToString();
+    const T3Model model(*std::move(forest), target);
 
-  TrainParams params;
-  params.num_trees = 20;
-  params.objective = Objective::kMape;
-  params.min_data_in_leaf = 2;
-  params.validation_fraction = 0.0;
-  std::vector<double> rows;
-  std::vector<double> targets;
-  for (const QueryRecord* record : records) {
-    for (size_t p = 0; p < record->feat_true.size(); ++p) {
-      const PipelineFeatures& features = record->feat_true[p];
-      rows.insert(rows.end(), features.values.begin(), features.values.end());
-      const double tuples = std::max(features.input_cardinality, 1.0);
-      targets.push_back(TransformTarget(
-          record->pipeline_times[p].median_seconds / tuples));
+    const std::vector<double> interpreted = PredictQuerySecondsBatched(
+        model, InterpretedEvaluator(model.forest()), records);
+    const std::vector<RecordEvaluation> evals = EvaluateModel(model, records);
+    ASSERT_EQ(evals.size(), records.size());
+    for (size_t i = 0; i < evals.size(); ++i) {
+      EXPECT_EQ(evals[i].record, records[i]);
+      EXPECT_EQ(evals[i].predicted_seconds, interpreted[i]);
+      EXPECT_EQ(evals[i].actual_seconds, records[i]->median_seconds);
     }
+    EXPECT_EQ(QErrors(model, records), QErrors(evals));
+    if (!JitSupported()) continue;
+    Result<std::unique_ptr<CompiledForest>> compiled =
+        CompiledForest::Compile(model.forest());
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    EXPECT_EQ(PredictQuerySecondsBatched(model, **compiled, records),
+              interpreted)
+        << static_cast<int>(target);
   }
-  Result<Forest> forest = TrainForest(rows, targets, 48, params);
-  ASSERT_TRUE(forest.ok()) << forest.status().ToString();
-  const T3Model model(*std::move(forest), PredictionTarget::kPerTuple);
-
-  // EvaluateModel is the structured view of the QErrors scalar path: same
-  // records, same numbers, bit for bit.
-  const std::vector<RecordEvaluation> evals = EvaluateModel(model, records);
-  const std::vector<double> direct = QErrors(model, records);
-  ASSERT_EQ(evals.size(), direct.size());
-  for (size_t i = 0; i < evals.size(); ++i) {
-    EXPECT_EQ(evals[i].q_error, direct[i]);
-    EXPECT_EQ(evals[i].record, records[i]);
-    EXPECT_EQ(evals[i].actual_seconds, records[i]->median_seconds);
-  }
-  const QErrorSummary from_evals = Summarize(evals);
-  const QErrorSummary from_errors = Summarize(QErrors(evals));
-  EXPECT_EQ(from_evals.ToString(), from_errors.ToString());
 }
 
 TEST(ReportTest, TableFormatsAlignedColumns) {

@@ -68,9 +68,10 @@ Forest MakeRandomForest(uint64_t seed, int num_features, int num_trees) {
   return forest;
 }
 
-T3Model MakeRandomModel(uint64_t seed, int num_features, int num_trees) {
-  return T3Model(MakeRandomForest(seed, num_features, num_trees),
-                 PredictionTarget::kPerTuple);
+T3Model MakeRandomModel(
+    uint64_t seed, int num_features, int num_trees,
+    PredictionTarget target = PredictionTarget::kPerTuple) {
+  return T3Model(MakeRandomForest(seed, num_features, num_trees), target);
 }
 
 std::shared_ptr<const ServingModel> MakeTestServingModel(uint64_t seed,
@@ -278,8 +279,8 @@ TEST(PredictionServerTest, PredictPlanMatchesPipelineSum) {
   ASSERT_TRUE(plan_text.ok()) << plan_text.status().ToString();
 
   // The expected value through the library path: featurize the skeleton,
-  // then sum the per-pipeline predictions in pipeline order (the
-  // PredictQuerySeconds convention).
+  // then sum the per-pipeline predictions in pipeline order (a per-tuple
+  // model's query rule).
   Result<PlanPredictionInput> input = BuildPlanPredictionInput(*plan_text);
   ASSERT_TRUE(input.ok()) << input.status().ToString();
   ASSERT_GT(input->num_rows(), 0u);
@@ -304,6 +305,44 @@ TEST(PredictionServerTest, PredictPlanMatchesPipelineSum) {
   Result<PredictResponse> again = client->PredictPlan(*plan_text);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_EQ(again->predictions[0], expected);
+  (*server)->Stop();
+}
+
+// A per-query model reads a plan as one row, its pipeline rows summed
+// elementwise in pipeline order, and predicts once; summing per-pipeline
+// predictions would answer a different query time.
+TEST(PredictionServerTest, PredictPlanPerQueryModelPredictsSummedRow) {
+  const T3Model reference =
+      MakeRandomModel(505, 48, 12, PredictionTarget::kPerQuery);
+  Result<std::shared_ptr<const ServingModel>> serving =
+      MakeServingModel(reference, 1, "test:per-query");
+  ASSERT_TRUE(serving.ok()) << serving.status().ToString();
+  Result<std::unique_ptr<PredictionServer>> server =
+      PredictionServer::Start(*std::move(serving), TestServerOptions());
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  Result<std::string> plan_text = ReadFileToString(
+      std::string(T3_SOURCE_DIR) + "/data/plan_join_golden.txt");
+  ASSERT_TRUE(plan_text.ok()) << plan_text.status().ToString();
+  Result<PlanPredictionInput> input = BuildPlanPredictionInput(*plan_text);
+  ASSERT_TRUE(input.ok()) << input.status().ToString();
+  ASSERT_GT(input->num_rows(), 1u);
+  const size_t dim = input->num_features;
+  ASSERT_EQ(dim, 48u);
+  std::vector<double> summed(input->rows.begin(),
+                             input->rows.begin() + static_cast<long>(dim));
+  for (size_t i = 1; i < input->num_rows(); ++i) {
+    for (size_t f = 0; f < dim; ++f) summed[f] += input->rows[i * dim + f];
+  }
+  const double expected = reference.PredictPipelineSeconds(summed.data(), 0.0);
+
+  Result<PredictionClient> client =
+      PredictionClient::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(client.ok());
+  Result<PredictResponse> response = client->PredictPlan(*plan_text);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  ASSERT_EQ(response->predictions.size(), 1u);
+  EXPECT_EQ(response->predictions[0], expected);
   (*server)->Stop();
 }
 

@@ -358,16 +358,15 @@ std::vector<double> MakeAdversarialRow(Rng* rng, int num_features) {
   return row;
 }
 
-// Checks PredictBatch and PredictBatchSoA against per-row Predict on one
-// evaluator, bitwise, across the battery's batch sizes (straddling the
-// 8-row kernel width on both sides, whole 512-row kernel chunks, and a
-// partial chunk with a ragged tail).
+// Checks PredictBatch against per-row Predict on one evaluator, bitwise,
+// across the battery's batch sizes (straddling the 8-row kernel width on
+// both sides, whole 512-row kernel chunks, and a partial chunk with a
+// ragged tail).
 void CheckBatchAgainstPerRow(const ForestEvaluator& evaluator,
                              const std::vector<double>& rows, size_t max_rows,
                              int num_features, const char* label) {
   const size_t dim = static_cast<size_t>(num_features);
   std::vector<double> out(max_rows);
-  std::vector<double> soa(max_rows * dim);
   for (const size_t n : {size_t{1}, size_t{7}, size_t{8}, size_t{9},
                          size_t{1024}, size_t{1053}}) {
     if (n > max_rows) continue;
@@ -376,20 +375,12 @@ void CheckBatchAgainstPerRow(const ForestEvaluator& evaluator,
       ASSERT_EQ(out[i], evaluator.Predict(&rows[i * dim]))
           << label << " PredictBatch, batch " << n << " row " << i;
     }
-    for (size_t f = 0; f < dim; ++f) {
-      for (size_t i = 0; i < n; ++i) soa[f * n + i] = rows[i * dim + f];
-    }
-    evaluator.PredictBatchSoA(soa.data(), n, dim, out.data());
-    for (size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(out[i], evaluator.Predict(&rows[i * dim]))
-          << label << " PredictBatchSoA, batch " << n << " row " << i;
-    }
   }
 }
 
 // The batch tentpole's randomized battery: 100 random forests, batch sizes
-// {1, 7, 8, 9, 1024, 1053}, adversarial inputs, every evaluator and both
-// layouts bit-identical to per-row Predict (which the scalar battery above
+// {1, 7, 8, 9, 1024, 1053}, adversarial inputs, every evaluator
+// bit-identical to per-row Predict (which the scalar battery above
 // already ties to the interpreted reference).
 TEST(BatchTest, RandomizedBatteryBitIdenticalAcrossEvaluators) {
   Rng rng(4242);
@@ -543,32 +534,6 @@ TEST(CpuFeaturesTest, DetectHonorsForceScalarEnv) {
   const CpuFeatures& cached = GetCpuFeatures();
   EXPECT_EQ(BatchKernelsEnabled(),
             cached.avx && cached.avx2 && !cached.force_scalar);
-}
-
-TEST(BatchTest, SoADefaultMatchesRowMajor) {
-  // The base-class SoA entry point (gather + Predict) agrees with the
-  // row-major one on an evaluator that overrides neither.
-  Rng rng(8);
-  const int num_features = 5;
-  const Forest forest = MakeRandomForest(&rng, num_features, 3, 4);
-  const InterpretedEvaluator interpreted(forest);
-  const size_t num_rows = 17;
-  std::vector<double> rows;
-  for (size_t i = 0; i < num_rows; ++i) {
-    const std::vector<double> row = MakeRandomRow(&rng, num_features);
-    rows.insert(rows.end(), row.begin(), row.end());
-  }
-  std::vector<double> soa(num_rows * num_features);
-  for (size_t f = 0; f < static_cast<size_t>(num_features); ++f) {
-    for (size_t i = 0; i < num_rows; ++i) {
-      soa[f * num_rows + i] = rows[i * num_features + f];
-    }
-  }
-  std::vector<double> a(num_rows);
-  std::vector<double> b(num_rows);
-  interpreted.PredictBatch(rows.data(), num_rows, num_features, a.data());
-  interpreted.PredictBatchSoA(soa.data(), num_rows, num_features, b.data());
-  EXPECT_EQ(a, b);
 }
 
 TEST(BatchTest, PredictSumParallelMatchesSerialSum) {

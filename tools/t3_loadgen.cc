@@ -1,19 +1,19 @@
 // t3_loadgen — load generator for the t3_serve prediction service:
 // N concurrent connections issuing kPredictRows batches, with optional
 // mid-run hot swap, reporting sustained predictions/sec and latency
-// percentiles.
+// percentiles. The loop is closed: each connection keeps one request in
+// flight, so the latencies are service times, not latency under an offered
+// load (perfbench's serve_point runs an open loop timed from the scheduled
+// send).
 //
 //   t3_loadgen --port N [--host H] [--connections N] [--rows N]
-//              [--seconds S] [--rate R] [--seed N]
+//              [--seconds S] [--seed N]
 //              [--swap-at S --swap-path FILE] [--shutdown]
 //
 // --connections — concurrent client connections, one thread each
 //                 (default 8).
 // --rows        — feature rows per request frame (default 64).
 // --seconds     — run duration (default 5).
-// --rate        — open-loop request rate across all connections, in
-//                 requests/sec; 0 = closed loop, each connection keeps one
-//                 request in flight (default 0).
 // --seed        — feature-value RNG seed (default 42).
 // --swap-at     — seconds into the run at which to send one kSwapModel
 //                 frame on a dedicated admin connection.
@@ -50,7 +50,7 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage: t3_loadgen --port N [--host H] [--connections N] [--rows N]\n"
-      "                  [--seconds S] [--rate R] [--seed N]\n"
+      "                  [--seconds S] [--seed N]\n"
       "                  [--swap-at S --swap-path FILE] [--shutdown]\n");
   return 2;
 }
@@ -61,7 +61,6 @@ struct Args {
   size_t connections = 8;
   size_t rows = 64;
   double seconds = 5.0;
-  double rate = 0.0;
   uint64_t seed = 42;
   double swap_at = -1.0;
   std::string swap_path;
@@ -103,11 +102,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (arg == "--seconds") {
       if (!CliPositiveDouble(kTool, argc, argv, &i, "--seconds",
                              &args->seconds)) {
-        return false;
-      }
-    } else if (arg == "--rate") {
-      if (!CliPositiveDouble(kTool, argc, argv, &i, "--rate",
-                             &args->rate)) {
         return false;
       }
     } else if (arg == "--seed") {
@@ -176,25 +170,8 @@ void RunConnection(const Args& args, size_t index, int num_features,
   }
   request.input_cardinalities.assign(args.rows, 1000.0);
 
-  // Open loop: this connection's share of the total request rate.
-  const double per_conn_rate =
-      args.rate > 0.0 ? args.rate / static_cast<double>(args.connections)
-                      : 0.0;
-  const double interval_s =
-      per_conn_rate > 0.0 ? 1.0 / per_conn_rate : 0.0;
-
-  Stopwatch run_timer;
   uint64_t sent = 0;
   while (!stop_flag->load(std::memory_order_acquire)) {
-    if (interval_s > 0.0) {
-      const double next_send = static_cast<double>(sent) * interval_s;
-      const double now = run_timer.ElapsedSeconds();
-      if (now < next_send) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(next_send - now));
-        continue;
-      }
-    }
     // Vary one cell per request so responses are not trivially cacheable
     // anywhere in the path.
     request.rows[sent % request.rows.size()] =
@@ -297,9 +274,8 @@ int Run(int argc, char** argv) {
   const double preds_per_sec =
       elapsed > 0.0 ? static_cast<double>(total.rows) / elapsed : 0.0;
   std::printf("t3_loadgen: connections=%zu rows_per_request=%zu "
-              "elapsed=%.2fs mode=%s\n",
-              args.connections, args.rows, elapsed,
-              args.rate > 0.0 ? "open" : "closed");
+              "elapsed=%.2fs\n",
+              args.connections, args.rows, elapsed);
   std::printf("t3_loadgen: requests=%llu predictions=%llu "
               "preds_per_sec=%.0f errors=%llu\n",
               static_cast<unsigned long long>(total.requests),
