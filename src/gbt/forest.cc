@@ -1,8 +1,9 @@
 #include "gbt/forest.h"
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/string_util.h"
@@ -53,15 +54,49 @@ std::vector<int> FeatureSplitCounts(const Forest& forest) {
 
 namespace {
 
-void AppendDouble(std::string* out, double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  out->append(buffer);
+uint64_t DoubleBits(double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
 }
 
+bool SameNode(const TreeNode& a, const TreeNode& b) {
+  if (a.is_leaf != b.is_leaf) return false;
+  if (a.is_leaf) return DoubleBits(a.value) == DoubleBits(b.value);
+  return a.feature == b.feature &&
+         DoubleBits(a.threshold) == DoubleBits(b.threshold) &&
+         a.left == b.left && a.right == b.right &&
+         a.default_left == b.default_left;
+}
+
+/// Appends `value` exactly as printf("%.17g") would, without the format
+/// string parse.
+void AppendDouble(std::string* out, double value) {
+  char buffer[32];
+  const std::to_chars_result printed = std::to_chars(
+      buffer, buffer + sizeof(buffer), value, std::chars_format::general, 17);
+  out->append(buffer, printed.ptr);
+}
+
+template <typename Int>
+void AppendInt(std::string* out, Int value) {
+  char buffer[24];
+  const std::to_chars_result printed =
+      std::to_chars(buffer, buffer + sizeof(buffer), value);
+  out->append(buffer, printed.ptr);
+}
+
+/// Lower bounds on the text one node line and one tree take, counting the
+/// whitespace before each token: six one-character tokens, and "tree" plus
+/// a one-digit count ahead of at least one node. A count larger than the
+/// remaining bytes can hold is rejected before anything is allocated.
+constexpr size_t kMinNodeBytes = 6 * 2;
+constexpr size_t kMinTreeBytes = 5 + 2 + kMinNodeBytes;
+
 /// Whitespace-separated token reader over the raw file contents. Faster and
-/// less allocation-happy than istringstream on the ~12k-line model files and
-/// the ~200k-line corpus.
+/// less allocation-happy than istringstream on the ~12k-line model files.
+/// Numbers parse with std::from_chars: locale-independent, and a number
+/// must fill its whole token.
 class TokenCursor {
  public:
   explicit TokenCursor(std::string_view text) : pos_(text.data()), end_(text.data() + text.size()) {}
@@ -70,6 +105,9 @@ class TokenCursor {
     SkipSpace();
     return pos_ == end_;
   }
+
+  /// Bytes not yet consumed.
+  size_t Remaining() const { return static_cast<size_t>(end_ - pos_); }
 
   /// Next whitespace-delimited token; empty at end of input.
   std::string_view NextToken() {
@@ -81,24 +119,14 @@ class TokenCursor {
 
   bool NextDouble(double* out) {
     SkipSpace();
-    if (pos_ == end_) return false;
-    char* after = nullptr;
-    errno = 0;
-    *out = std::strtod(pos_, &after);
-    if (after == pos_) return false;
-    pos_ = after;
-    return true;
+    return Finish(std::from_chars(pos_, end_, *out));
   }
 
-  bool NextInt(int64_t* out) {
+  /// False on a value outside T's range as well as on a malformed token.
+  template <typename T>
+  bool NextInt(T* out) {
     SkipSpace();
-    if (pos_ == end_) return false;
-    char* after = nullptr;
-    errno = 0;
-    *out = std::strtoll(pos_, &after, 10);
-    if (after == pos_) return false;
-    pos_ = after;
-    return true;
+    return Finish(std::from_chars(pos_, end_, *out));
   }
 
  private:
@@ -108,38 +136,68 @@ class TokenCursor {
   void SkipSpace() {
     while (pos_ != end_ && IsSpace(*pos_)) ++pos_;
   }
+  bool Finish(std::from_chars_result parsed) {
+    if (parsed.ec != std::errc() ||
+        (parsed.ptr != end_ && !IsSpace(*parsed.ptr))) {
+      return false;
+    }
+    pos_ = parsed.ptr;
+    return true;
+  }
 
-  // strtod/strtoll need NUL-terminated input; callers keep the backing
-  // string alive and it is always NUL-terminated (std::string::data()).
   const char* pos_;
   const char* end_;
 };
 
 }  // namespace
 
+bool SameForest(const Forest& a, const Forest& b) {
+  if (a.num_features != b.num_features ||
+      DoubleBits(a.base_score) != DoubleBits(b.base_score) ||
+      a.trees.size() != b.trees.size()) {
+    return false;
+  }
+  for (size_t t = 0; t < a.trees.size(); ++t) {
+    const std::vector<TreeNode>& x = a.trees[t].nodes;
+    const std::vector<TreeNode>& y = b.trees[t].nodes;
+    if (x.size() != y.size() ||
+        !std::equal(x.begin(), x.end(), y.begin(), SameNode)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 std::string Forest::ToText() const {
   std::string out;
   out.reserve(64 + NumNodes() * 48);
-  out += "t3gbt v1\n";
-  out += StrFormat("num_features %d\n", num_features);
-  out += "base_score ";
+  out += "t3gbt v1\nnum_features ";
+  AppendInt(&out, num_features);
+  out += "\nbase_score ";
   AppendDouble(&out, base_score);
-  out += "\n";
-  out += StrFormat("num_trees %zu\n", trees.size());
+  out += "\nnum_trees ";
+  AppendInt(&out, trees.size());
+  out += '\n';
   for (const Tree& tree : trees) {
-    out += StrFormat("tree %zu\n", tree.nodes.size());
+    out += "tree ";
+    AppendInt(&out, tree.nodes.size());
+    out += '\n';
     for (const TreeNode& node : tree.nodes) {
       if (node.is_leaf) {
         out += "1 -1 0 -1 -1 ";
         AppendDouble(&out, node.value);
       } else {
         out += "0 ";
-        out += StrFormat("%d ", node.feature);
+        AppendInt(&out, node.feature);
+        out += ' ';
         AppendDouble(&out, node.threshold);
-        out += StrFormat(" %d %d %d", node.left, node.right,
-                         node.default_left ? 1 : 0);
+        out += ' ';
+        AppendInt(&out, node.left);
+        out += ' ';
+        AppendInt(&out, node.right);
+        out += node.default_left ? " 1" : " 0";
       }
-      out += "\n";
+      out += '\n';
     }
   }
   return out;
@@ -173,66 +231,60 @@ Result<Forest> Forest::ParseTextUnvalidated(std::string_view text) {
   }
 
   Forest forest;
-  int64_t num_trees = 0;
   if (cursor.NextToken() != "num_features") {
     return InvalidArgumentError("expected num_features");
   }
-  int64_t num_features = 0;
-  if (!cursor.NextInt(&num_features) || num_features <= 0) {
+  if (!cursor.NextInt(&forest.num_features) || forest.num_features <= 0) {
     return InvalidArgumentError("bad num_features");
   }
-  forest.num_features = static_cast<int>(num_features);
   if (cursor.NextToken() != "base_score" ||
       !cursor.NextDouble(&forest.base_score)) {
     return InvalidArgumentError("bad base_score");
   }
+  int64_t num_trees = 0;
   if (cursor.NextToken() != "num_trees" || !cursor.NextInt(&num_trees) ||
-      num_trees < 0) {
+      num_trees < 0 ||
+      static_cast<uint64_t>(num_trees) > cursor.Remaining() / kMinTreeBytes) {
     return InvalidArgumentError("bad num_trees");
   }
 
-  forest.trees.reserve(static_cast<size_t>(num_trees));
+  forest.trees.resize(static_cast<size_t>(num_trees));
   for (int64_t t = 0; t < num_trees; ++t) {
     if (cursor.NextToken() != "tree") {
       return InvalidArgumentError(StrFormat("tree %lld: missing header",
                                             static_cast<long long>(t)));
     }
     int64_t num_nodes = 0;
-    if (!cursor.NextInt(&num_nodes) || num_nodes <= 0) {
+    if (!cursor.NextInt(&num_nodes) || num_nodes <= 0 ||
+        static_cast<uint64_t>(num_nodes) > cursor.Remaining() / kMinNodeBytes) {
       return InvalidArgumentError(StrFormat("tree %lld: bad node count",
                                             static_cast<long long>(t)));
     }
-    Tree tree;
-    tree.nodes.resize(static_cast<size_t>(num_nodes));
-    for (int64_t n = 0; n < num_nodes; ++n) {
-      TreeNode& node = tree.nodes[static_cast<size_t>(n)];
-      int64_t is_leaf = 0, feature = 0, left = 0, right = 0;
-      double threshold = 0;
-      if (!cursor.NextInt(&is_leaf) || !cursor.NextInt(&feature) ||
-          !cursor.NextDouble(&threshold) || !cursor.NextInt(&left) ||
-          !cursor.NextInt(&right)) {
+    std::vector<TreeNode>& nodes = forest.trees[static_cast<size_t>(t)].nodes;
+    nodes.resize(static_cast<size_t>(num_nodes));
+    for (size_t n = 0; n < nodes.size(); ++n) {
+      TreeNode& node = nodes[n];
+      int is_leaf = 0;
+      if (!cursor.NextInt(&is_leaf) || !cursor.NextInt(&node.feature) ||
+          !cursor.NextDouble(&node.threshold) || !cursor.NextInt(&node.left) ||
+          !cursor.NextInt(&node.right)) {
         return InvalidArgumentError(
-            StrFormat("tree %lld node %lld: malformed",
-                      static_cast<long long>(t), static_cast<long long>(n)));
+            StrFormat("tree %lld node %zu: malformed",
+                      static_cast<long long>(t), n));
       }
       node.is_leaf = is_leaf != 0;
-      node.feature = static_cast<int>(feature);
-      node.threshold = threshold;
-      node.left = static_cast<int>(left);
-      node.right = static_cast<int>(right);
       if (node.is_leaf) {
         if (!cursor.NextDouble(&node.value)) {
           return InvalidArgumentError("leaf: missing value");
         }
       } else {
-        int64_t default_left = 0;
+        int default_left = 0;
         if (!cursor.NextInt(&default_left)) {
           return InvalidArgumentError("inner node: missing default_left");
         }
         node.default_left = default_left != 0;
       }
     }
-    forest.trees.push_back(std::move(tree));
   }
   if (!cursor.AtEnd()) {
     return InvalidArgumentError("trailing data after the last tree");

@@ -55,8 +55,11 @@ struct Forest {
   size_t NumNodes() const;
   size_t NumLeaves() const;
 
-  /// Text serialization ("t3gbt v1"). Numbers are printed with %.17g, so
-  /// save -> load round-trips are bit-exact.
+  /// Text serialization ("t3gbt v1"). Doubles are printed as %.17g would
+  /// print them (std::to_chars, general format, precision 17), which is
+  /// injective on finite doubles and -0.0; FromText's correctly rounded
+  /// parse inverts it, so save -> load round-trips are bit-exact (see
+  /// SameForest).
   ///
   ///   t3gbt v1
   ///   num_features 48
@@ -73,6 +76,14 @@ struct Forest {
   /// Parses ToText output and rejects invalid forests (see Validate).
   /// Tolerates a leading "t3model target <n>" line so the forest inside a
   /// T3 model file (data/model_*.txt) loads directly.
+  ///
+  /// Numbers parse with std::from_chars, independent of the C locale, and
+  /// each must fill its whole token. So a leading '+', a hex float
+  /// ("0x1p-1") and an integer outside its field's range (num_features,
+  /// feature, left and right are int) are InvalidArgument; strtod/strtoll
+  /// used to accept the first two and clamp or truncate the last. A tree or
+  /// node count larger than the rest of the text could encode is rejected
+  /// before anything is allocated.
   static Result<Forest> FromText(std::string_view text);
 
   /// FromText without the Validate gate: syntactic parse only. For tools
@@ -95,6 +106,17 @@ struct Forest {
   /// tests/analysis_test.cc.
   Status Validate() const;
 };
+
+/// True iff `a` and `b` agree on every field ToText writes: num_features,
+/// base_score by bits, and per node is_leaf, then for a leaf its value by
+/// bits, for an inner node feature, threshold by bits, left, right and
+/// default_left. Equal forests compute the same function bit for bit, so
+/// this linear check is the serving and cache round-trip proof
+/// (ToText -> FromText -> SameForest). It accepts a subset of what
+/// analysis::ForestDiff bounding the divergence at zero accepts: it also
+/// tells -0.0 from +0.0 and rejects structural rewrites that compute the
+/// same function.
+bool SameForest(const Forest& a, const Forest& b);
 
 /// How often each feature index appears as a split across the forest, a
 /// size-num_features histogram. The feature-importance proxy the ablation

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/forest_diff.h"
 #include "common/check.h"
 #include "common/string_util.h"
 #include "common/timer.h"
@@ -260,10 +259,9 @@ const T3Model& Workbench::GetModelLocked(const std::string& name,
     return result;
   }
 
-  // Bit-exactness proof for the cache we just wrote: reload it and
-  // statically bound max |trained(x) - cached(x)| over the whole feature
-  // space via ForestDiff. The text serializer is bit-exact, so the proven
-  // bound must be exactly zero — anything else means future runs would
+  // Bit-exactness proof for the cache we just wrote: reload it and require
+  // field-by-field bit equality with the trained forest. The text
+  // serializer is bit-exact, so any difference means future runs would
   // silently benchmark a model that diverges from the one just trained.
   Result<T3Model> reread = T3Model::LoadFromFile(cache_path);
   if (!reread.ok()) {
@@ -271,16 +269,13 @@ const T3Model& Workbench::GetModelLocked(const std::string& name,
                  cache_path.c_str(), reread.status().ToString().c_str());
     T3_CHECK(reread.ok());
   }
-  Result<ForestDiffBounds> drift =
-      ForestDiff(result.forest(), reread->forest());
-  T3_CHECK_OK(drift);
-  if (drift->MaxAbs() != 0.0) {
+  const bool same = SameForest(result.forest(), reread->forest());
+  if (!same) {
     std::fprintf(stderr,
-                 "Workbench: cached model %s drifts from the trained one by "
-                 "up to %.17g over the input space.\n",
-                 cache_path.c_str(), drift->MaxAbs());
-    T3_CHECK(drift->MaxAbs() == 0.0);
+                 "Workbench: cached model %s differs from the trained one.\n",
+                 cache_path.c_str());
   }
+  T3_CHECK(same);
   return result;
 }
 

@@ -54,7 +54,7 @@ std::vector<NamedModelConfig> NamedModelConfigs();
 /// Training is bit-deterministic per configuration: the same corpus and
 /// config produce byte-identical cache files regardless of thread count or
 /// process. Every freshly written cache is reloaded and proven bit-exact
-/// against the in-memory model via ForestDiff; a cache file the loader
+/// against the in-memory model via SameForest; a cache file the loader
 /// rejects (corrupt, truncated, wrong target) is discarded and the model
 /// retrained, never served.
 ///

@@ -39,6 +39,12 @@ struct PredictJob {
   bool one_query;
 };
 
+void LogSwap(const ServingModel& model) {
+  std::fprintf(stderr, "t3 server: hot-swapped to %s (version %u; %s)\n",
+               model.source.c_str(), model.version,
+               model.TimingsText().c_str());
+}
+
 }  // namespace
 
 /// Per-connection state, touched only by the owning worker's thread.
@@ -144,7 +150,8 @@ void PredictionServer::Stop() {
   listener_.Reset();
 }
 
-Result<uint32_t> PredictionServer::SwapFromFile(const std::string& path) {
+Result<std::shared_ptr<const ServingModel>> PredictionServer::SwapFromFile(
+    const std::string& path) {
   return registry_.SwapFromFile(path);
 }
 
@@ -257,14 +264,14 @@ void PredictionServer::HandleFrame(Worker* worker, Connection* conn,
             "swap request without a path and no default configured")));
         return;
       }
-      Result<uint32_t> version = SwapFromFile(path);
-      if (!version.ok()) {
-        reply(EncodeErrorResponse(version.status()));
+      Result<std::shared_ptr<const ServingModel>> swapped =
+          SwapFromFile(path);
+      if (!swapped.ok()) {
+        reply(EncodeErrorResponse(swapped.status()));
         return;
       }
-      std::fprintf(stderr, "t3 server: hot-swapped to %s (version %u)\n",
-                   path.c_str(), *version);
-      reply(EncodeSwapResponse(*version));
+      LogSwap(**swapped);
+      reply(EncodeSwapResponse((*swapped)->version));
       return;
     }
     case MessageType::kStats: {
@@ -359,13 +366,13 @@ void PredictionServer::ExecuteQueuedSwap() {
                  "configured; ignoring\n");
     return;
   }
-  Result<uint32_t> version = SwapFromFile(options_.default_swap_path);
-  if (version.ok()) {
-    std::fprintf(stderr, "t3 server: hot-swapped to %s (version %u)\n",
-                 options_.default_swap_path.c_str(), *version);
+  Result<std::shared_ptr<const ServingModel>> swapped =
+      SwapFromFile(options_.default_swap_path);
+  if (swapped.ok()) {
+    LogSwap(**swapped);
   } else {
     std::fprintf(stderr, "t3 server: hot swap failed: %s\n",
-                 version.status().ToString().c_str());
+                 swapped.status().ToString().c_str());
   }
 }
 

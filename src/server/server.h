@@ -100,9 +100,10 @@ class PredictionServer {
   void Stop();
 
   /// Hot-swaps to the model at `path`, re-proving serialization
-  /// bit-exactness before the atomic publish. Thread-safe; callable while
-  /// serving at full load.
-  Result<uint32_t> SwapFromFile(const std::string& path);
+  /// bit-exactness before the atomic publish, and returns the published
+  /// snapshot. Thread-safe; callable while serving at full load.
+  Result<std::shared_ptr<const ServingModel>> SwapFromFile(
+      const std::string& path);
 
   /// Signal-safe swap trigger: queues a swap to the options' default swap
   /// path, executed by a worker on its next loop iteration. The t3_serve

@@ -2,34 +2,40 @@
 
 #include <utility>
 
-#include "analysis/forest_diff.h"
 #include "common/check.h"
 #include "common/string_util.h"
+#include "common/timer.h"
 
 namespace t3 {
 
-Result<std::shared_ptr<const ServingModel>> MakeServingModel(
-    T3Model model, uint32_t version, std::string source) {
+namespace {
+
+Result<std::shared_ptr<const ServingModel>> Prepare(T3Model model,
+                                                    uint32_t version,
+                                                    std::string source,
+                                                    double load_ms) {
   // Re-prove the text-format round trip before this model can ever be
-  // published: serialize, reparse, and statically bound the divergence over
-  // the whole feature space. The serializer is %.17g-bit-exact, so anything
-  // but a proven zero means the artifact would not survive a cache
-  // write/reload cycle — refuse to serve it.
+  // published: serialize, reparse, and require field-by-field bit equality.
+  // The serializer is bit-exact, so any difference is a serializer bug and
+  // the artifact would not survive a cache write/reload cycle — refuse to
+  // serve it.
+  Stopwatch watch;
   Result<Forest> reparsed = Forest::FromText(model.forest().ToText());
   if (!reparsed.ok()) {
     return InternalError(StrFormat(
         "model %s fails its own serialization round trip: %s",
         source.c_str(), reparsed.status().ToString().c_str()));
   }
-  Result<ForestDiffBounds> drift = ForestDiff(model.forest(), *reparsed);
-  if (!drift.ok()) return drift.status();
-  if (drift->MaxAbs() != 0.0) {
+  if (!SameForest(model.forest(), *reparsed)) {
     return InternalError(StrFormat(
-        "model %s drifts from its serialized form by up to %.17g",
-        source.c_str(), drift->MaxAbs()));
+        "model %s differs from its reparsed serialized form",
+        source.c_str()));
   }
 
   auto serving = std::make_shared<ServingModel>();
+  serving->timings.load_ms = load_ms;
+  serving->timings.proof_ms = watch.ElapsedSeconds() * 1e3;
+  watch.Restart();
   serving->model = std::move(model);
   serving->version = version;
   serving->source = std::move(source);
@@ -41,14 +47,28 @@ Result<std::shared_ptr<const ServingModel>> MakeServingModel(
   }
   // Compile failure (non-x86-64, mmap denial) is not fatal: the flat
   // fallback is bit-identical, just slower.
+  serving->timings.compile_ms = watch.ElapsedSeconds() * 1e3;
   return std::shared_ptr<const ServingModel>(std::move(serving));
+}
+
+}  // namespace
+
+std::string ServingModel::TimingsText() const {
+  return StrFormat("load %.3g ms, proof %.3g ms, compile %.3g ms",
+                   timings.load_ms, timings.proof_ms, timings.compile_ms);
+}
+
+Result<std::shared_ptr<const ServingModel>> MakeServingModel(
+    T3Model model, uint32_t version, std::string source) {
+  return Prepare(std::move(model), version, std::move(source), 0.0);
 }
 
 Result<std::shared_ptr<const ServingModel>> LoadServingModel(
     const std::string& path, uint32_t version) {
+  const Stopwatch watch;
   Result<T3Model> model = T3Model::LoadFromFile(path);
   if (!model.ok()) return model.status();
-  return MakeServingModel(*std::move(model), version, path);
+  return Prepare(*std::move(model), version, path, watch.ElapsedSeconds() * 1e3);
 }
 
 ModelRegistry::ModelRegistry(std::shared_ptr<const ServingModel> initial) {
@@ -58,7 +78,8 @@ ModelRegistry::ModelRegistry(std::shared_ptr<const ServingModel> initial) {
   current_ = std::move(initial);
 }
 
-Result<uint32_t> ModelRegistry::SwapFromFile(const std::string& path) {
+Result<std::shared_ptr<const ServingModel>> ModelRegistry::SwapFromFile(
+    const std::string& path) {
   std::lock_guard<std::mutex> lock(swap_mu_);
   const std::shared_ptr<const ServingModel> serving = Current();
   const uint32_t version = next_version_.load(std::memory_order_relaxed);
@@ -74,9 +95,9 @@ Result<uint32_t> ModelRegistry::SwapFromFile(const std::string& path) {
   swaps_.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    current_ = *std::move(loaded);
+    current_ = *loaded;
   }
-  return version;
+  return loaded;
 }
 
 }  // namespace t3

@@ -29,6 +29,16 @@ struct ServingModel {
   uint32_t version = 0;
   std::string source;  ///< File path or a descriptive tag, for stats.
 
+  /// Wall time of each step that made this snapshot servable.
+  struct Timings {
+    double load_ms = 0.0;     ///< Read and parse; 0 for an in-memory model.
+    double proof_ms = 0.0;    ///< Text round trip and SameForest.
+    double compile_ms = 0.0;  ///< Flat evaluator and JIT, with its proofs.
+  };
+  Timings timings;
+  /// "load <x> ms, proof <y> ms, compile <z> ms", for log lines.
+  std::string TimingsText() const;
+
   /// The fastest available evaluator (compiled, else flat). Every
   /// ForestEvaluator is bit-identical to Forest::Predict, so the choice
   /// never changes results.
@@ -42,10 +52,10 @@ struct ServingModel {
 };
 
 /// Wraps `model` as a serving snapshot: re-proves text-format bit-exactness
-/// (serialize -> reparse -> ForestDiff must bound divergence at exactly
-/// zero — the same proof Workbench::GetModel runs on freshly written
-/// caches), then compiles the JIT evaluators. InternalError when the proof
-/// fails; a model that cannot be proven is never published.
+/// (serialize -> reparse -> SameForest, field-by-field bit equality — the
+/// same proof Workbench::GetModel runs on freshly written caches), then
+/// compiles the JIT evaluators. InternalError when the proof fails; a model
+/// that cannot be proven is never published.
 Result<std::shared_ptr<const ServingModel>> MakeServingModel(
     T3Model model, uint32_t version, std::string source);
 
@@ -84,9 +94,11 @@ class ModelRegistry {
 
   /// Loads `path`, re-proves bit-exactness, rejects a model whose feature
   /// count differs from the currently served one (in-flight requests were
-  /// validated against that width), assigns the next version, and
-  /// publishes. Serialized internally; concurrent swaps queue.
-  Result<uint32_t> SwapFromFile(const std::string& path);
+  /// validated against that width), assigns the next version, publishes,
+  /// and returns the published snapshot. Serialized internally; concurrent
+  /// swaps queue.
+  Result<std::shared_ptr<const ServingModel>> SwapFromFile(
+      const std::string& path);
 
   uint32_t num_swaps() const {
     return swaps_.load(std::memory_order_relaxed);

@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <map>
+#include <initializer_list>
+#include <unordered_map>
 #include <utility>
 
 #include "analysis/batch_equivalence_validator.h"
@@ -46,36 +47,45 @@ bool BatchJitSupported() { return T3_BATCH_JIT != 0; }
 
 namespace {
 
-/// Append-only machine-code buffer with rel32 patching.
+/// Append-only machine-code buffer with rel32 patching. Immediates are
+/// little-endian in x86-64 encodings, which is this (x86-64-only) code's
+/// host byte order, so they are copied in whole. The vector is kept sized
+/// to its headroom and `size_` marks the end of the code, so an append is a
+/// bounds check and a memcpy.
 class CodeBuffer {
  public:
-  void Emit8(uint8_t byte) { bytes_.push_back(byte); }
-
-  void Emit32(uint32_t value) {
-    for (int i = 0; i < 4; ++i) {
-      bytes_.push_back(static_cast<uint8_t>(value >> (8 * i)));
-    }
+  void Reserve(size_t bytes) {
+    if (bytes > bytes_.size()) bytes_.resize(bytes);
   }
 
-  void Emit64(uint64_t value) {
-    for (int i = 0; i < 8; ++i) {
-      bytes_.push_back(static_cast<uint8_t>(value >> (8 * i)));
-    }
+  void Emit(std::initializer_list<uint8_t> bytes) {
+    Append(bytes.begin(), bytes.size());
   }
+  void Emit8(uint8_t byte) { Append(&byte, sizeof(byte)); }
+  void Emit32(uint32_t value) { Append(&value, sizeof(value)); }
+  void Emit64(uint64_t value) { Append(&value, sizeof(value)); }
 
   void Patch32(size_t offset, uint32_t value) {
-    for (int i = 0; i < 4; ++i) {
-      bytes_[offset + static_cast<size_t>(i)] =
-          static_cast<uint8_t>(value >> (8 * i));
-    }
+    std::memcpy(bytes_.data() + offset, &value, sizeof(value));
   }
 
-  size_t size() const { return bytes_.size(); }
-  const uint8_t* data() const { return bytes_.data(); }
-  std::vector<uint8_t> TakeBytes() { return std::move(bytes_); }
+  size_t size() const { return size_; }
+  std::vector<uint8_t> TakeBytes() {
+    bytes_.resize(size_);
+    return std::move(bytes_);
+  }
 
  private:
+  void Append(const void* data, size_t size) {
+    if (bytes_.size() - size_ < size) {
+      bytes_.resize(std::max(2 * bytes_.size(), size_ + size));
+    }
+    std::memcpy(bytes_.data() + size_, data, size);
+    size_ += size;
+  }
+
   std::vector<uint8_t> bytes_;
+  size_t size_ = 0;
 };
 
 uint64_t DoubleBits(double value) {
@@ -108,7 +118,8 @@ uint64_t DoubleBits(double value) {
 ///   ret                               ; C3
 class TreeEmitter {
  public:
-  TreeEmitter(CodeBuffer* code, const Tree& tree) : code_(code), tree_(tree) {}
+  TreeEmitter(CodeBuffer* code, const Tree& tree)
+      : code_(code), tree_(tree), node_offsets_(tree.nodes.size(), 0) {}
 
   /// Returns the entry offset of the emitted tree function.
   size_t Emit() {
@@ -130,56 +141,35 @@ class TreeEmitter {
   };
 
   void EmitNode(int index) {
-    if (node_offsets_.size() < tree_.nodes.size()) {
-      node_offsets_.resize(tree_.nodes.size(), 0);
-    }
     node_offsets_[static_cast<size_t>(index)] = code_->size();
     const TreeNode& node = tree_.nodes[static_cast<size_t>(index)];
     if (node.is_leaf) {
-      code_->Emit8(0x48);  // mov rax, imm64
-      code_->Emit8(0xB8);
+      code_->Emit({0x48, 0xB8});  // mov rax, imm64
       code_->Emit64(DoubleBits(node.value));
-      code_->Emit8(0x66);  // movq xmm0, rax
-      code_->Emit8(0x48);
-      code_->Emit8(0x0F);
-      code_->Emit8(0x6E);
-      code_->Emit8(0xC0);
-      code_->Emit8(0xC3);  // ret
+      code_->Emit({0x66, 0x48, 0x0F, 0x6E, 0xC0,  // movq xmm0, rax
+                   0xC3});                        // ret
       return;
     }
 
-    code_->Emit8(0x48);  // mov rax, <threshold bits>
-    code_->Emit8(0xB8);
+    code_->Emit({0x48, 0xB8});  // mov rax, <threshold bits>
     code_->Emit64(DoubleBits(node.threshold));
-    code_->Emit8(0x66);  // movq xmm1, rax
-    code_->Emit8(0x48);
-    code_->Emit8(0x0F);
-    code_->Emit8(0x6E);
-    code_->Emit8(0xC8);
-
+    code_->Emit({0x66, 0x48, 0x0F, 0x6E, 0xC8,  // movq xmm1, rax
+                 0xF2, 0x0F, 0x10});            // movsd xmm0, [rdi + disp]
     const uint32_t disp = static_cast<uint32_t>(node.feature) * 8;
-    code_->Emit8(0xF2);  // movsd xmm0, [rdi + disp]
-    code_->Emit8(0x0F);
-    code_->Emit8(0x10);
     if (disp <= 127) {
-      code_->Emit8(0x47);  // modrm: mod=01 (disp8), reg=xmm0, rm=rdi
-      code_->Emit8(static_cast<uint8_t>(disp));
+      // modrm: mod=01 (disp8), reg=xmm0, rm=rdi
+      code_->Emit({0x47, static_cast<uint8_t>(disp)});
     } else {
       code_->Emit8(0x87);  // modrm: mod=10 (disp32), reg=xmm0, rm=rdi
       code_->Emit32(disp);
     }
 
-    code_->Emit8(0x66);  // ucomisd
-    code_->Emit8(0x0F);
-    code_->Emit8(0x2E);
     if (node.default_left) {
-      code_->Emit8(0xC1);  // ucomisd xmm0, xmm1  (x ? threshold)
-      code_->Emit8(0x0F);  // jb left
-      code_->Emit8(0x82);
+      code_->Emit({0x66, 0x0F, 0x2E, 0xC1,  // ucomisd xmm0, xmm1 (x ? threshold)
+                   0x0F, 0x82});            // jb left
     } else {
-      code_->Emit8(0xC8);  // ucomisd xmm1, xmm0  (threshold ? x)
-      code_->Emit8(0x0F);  // ja left
-      code_->Emit8(0x87);
+      code_->Emit({0x66, 0x0F, 0x2E, 0xC8,  // ucomisd xmm1, xmm0 (threshold ? x)
+                   0x0F, 0x87});            // ja left
     }
     fixups_.push_back(Fixup{code_->size(), node.left});
     code_->Emit32(0);  // rel32 patched later
@@ -259,6 +249,12 @@ class BatchForestEmitter {
   explicit BatchForestEmitter(const Forest& forest) : forest_(forest) {}
 
   BatchJitArtifact Emit() {
+    // Upper bound: a split emits 79 bytes, a leaf 25 plus its 8-byte pool
+    // constant, a tree's prologue and epilogue 68, and the pool alignment
+    // under 8.
+    const size_t num_nodes = forest_.NumNodes();
+    code_.Reserve(79 * num_nodes + 68 * forest_.trees.size() + 8);
+    constant_index_.reserve(num_nodes);
     BatchJitArtifact artifact;
     artifact.num_features = forest_.num_features;
     artifact.entries.reserve(forest_.trees.size());
@@ -301,30 +297,23 @@ class BatchForestEmitter {
   }
 
   void EmitRR(uint8_t opcode, uint8_t dst, uint8_t src1, uint8_t src2) {
-    code_.Emit8(0xC5);
-    code_.Emit8(VexByte1(src1));
-    code_.Emit8(opcode);
-    code_.Emit8(static_cast<uint8_t>(0xC0 | dst << 3 | src2));
+    code_.Emit({0xC5, VexByte1(src1), opcode,
+                static_cast<uint8_t>(0xC0 | dst << 3 | src2)});
   }
 
   /// Memory form with disp32: rm 4 = [rsp] (needs a SIB byte), 6 = [rsi],
   /// 7 = [rdi].
   void EmitMem(uint8_t opcode, uint8_t reg, uint8_t vvvv, uint8_t rm,
                uint32_t disp) {
-    code_.Emit8(0xC5);
-    code_.Emit8(VexByte1(vvvv));
-    code_.Emit8(opcode);
-    code_.Emit8(static_cast<uint8_t>(0x80 | reg << 3 | rm));
+    code_.Emit({0xC5, VexByte1(vvvv), opcode,
+                static_cast<uint8_t>(0x80 | reg << 3 | rm)});
     if (rm == 4) code_.Emit8(0x24);
     code_.Emit32(disp);
   }
 
   void EmitBroadcast(uint8_t dst, uint64_t bits) {
-    code_.Emit8(0xC4);  // vbroadcastsd ymm, [rip + disp32]
-    code_.Emit8(0xE2);
-    code_.Emit8(0x7D);
-    code_.Emit8(0x19);
-    code_.Emit8(static_cast<uint8_t>(0x05 | dst << 3));
+    code_.Emit({0xC4, 0xE2, 0x7D, 0x19,  // vbroadcastsd ymm, [rip + disp32]
+                static_cast<uint8_t>(0x05 | dst << 3)});
     fixups_.push_back(Fixup{code_.size(), Intern(bits)});
     code_.Emit32(0);  // Patched against the pool in Emit().
   }
@@ -356,9 +345,7 @@ class BatchForestEmitter {
     const uint32_t frame =
         max_inner_depth < 0 ? 0 : 64u * (static_cast<uint32_t>(max_inner_depth) + 1);
     if (frame != 0) {
-      code_.Emit8(0x48);  // sub rsp, imm32
-      code_.Emit8(0x81);
-      code_.Emit8(0xEC);
+      code_.Emit({0x48, 0x81, 0xEC});  // sub rsp, imm32
       code_.Emit32(frame);
     }
     EmitRR(0x57, kAcc0, kAcc0, kAcc0);  // vxorpd: accumulators = 0
@@ -373,15 +360,11 @@ class BatchForestEmitter {
     EmitMem(0x58, kAcc1, kAcc1, 6, 32);
     EmitMem(0x11, kAcc1, 0, 6, 32);
     if (frame != 0) {
-      code_.Emit8(0x48);  // add rsp, imm32
-      code_.Emit8(0x81);
-      code_.Emit8(0xC4);
+      code_.Emit({0x48, 0x81, 0xC4});  // add rsp, imm32
       code_.Emit32(frame);
     }
-    code_.Emit8(0xC5);  // vzeroupper
-    code_.Emit8(0xF8);
-    code_.Emit8(0x77);
-    code_.Emit8(0xC3);  // ret
+    code_.Emit({0xC5, 0xF8, 0x77,  // vzeroupper
+                0xC3});            // ret
   }
 
   void EmitNode(const Tree& tree, int index, int depth) {
@@ -417,7 +400,7 @@ class BatchForestEmitter {
   const Forest& forest_;
   CodeBuffer code_;
   std::vector<uint64_t> constants_;
-  std::map<uint64_t, size_t> constant_index_;
+  std::unordered_map<uint64_t, size_t> constant_index_;
   std::vector<Fixup> fixups_;
 };
 
@@ -455,6 +438,7 @@ Result<JitArtifact> EmitForestCode(const Forest& forest) {
   if (!valid.ok()) return valid;
 
   CodeBuffer code;
+  code.Reserve(33 * forest.NumNodes());  // A split's upper bound; a leaf 16.
   JitArtifact artifact;
   artifact.num_features = forest.num_features;
   artifact.entries.reserve(forest.trees.size());

@@ -1,5 +1,9 @@
+#include <cfloat>
 #include <cmath>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -151,6 +155,125 @@ TEST(ForestIoTest, RejectsMalformedText) {
   EXPECT_FALSE(Forest::FromText("t3gbt v1\nnum_features 2\nbase_score 0\n"
                                 "num_trees 1\ntree 1\n0 0 0.5 3 4 0\n")
                    .ok());
+  // Counts far beyond what the remaining bytes can encode are rejected
+  // before anything is allocated (they used to end in std::bad_alloc).
+  for (const char* text :
+       {"t3gbt v1\nnum_features 2\nbase_score 0\nnum_trees 100000000000\n",
+        "t3gbt v1\nnum_features 2\nbase_score 0\nnum_trees 1\n"
+        "tree 100000000000\n1 -1 0 -1 -1 0\n"}) {
+    const Result<Forest> forest = Forest::FromText(text);
+    ASSERT_FALSE(forest.ok()) << text;
+    EXPECT_EQ(forest.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+}
+
+// std::from_chars is stricter than the strtod/strtoll reader it replaced:
+// a leading '+' and a hex float used to parse, and strtoll clamped an
+// out-of-range integer to INT64_MAX. The parser now rejects each of them.
+TEST(ForestIoTest, NumbersMustBePlainDecimalInRange) {
+  const std::string head = "t3gbt v1\nnum_features 2\nbase_score ";
+  const std::string one_leaf = "\nnum_trees 1\ntree 1\n1 -1 0 -1 -1 ";
+  ASSERT_TRUE(Forest::FromText(head + "0.5" + one_leaf + "0.25\n").ok());
+  for (const std::string& text : {
+           head + "+0.5" + one_leaf + "0.25\n",   // leading '+'
+           head + "0.5" + one_leaf + "+0.25\n",
+           head + "0x1p-1" + one_leaf + "0.25\n",  // hex float
+           head + "0.5" + one_leaf + "0x1p-2\n",
+           std::string("t3gbt v1\nnum_features 99999999999999999999\n"
+                       "base_score 0.5") + one_leaf + "0.25\n",
+       }) {
+    const Result<Forest> forest = Forest::FromText(text);
+    ASSERT_FALSE(forest.ok()) << text;
+    EXPECT_EQ(forest.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+}
+
+namespace {
+
+Tree Stump(int feature, double threshold, double left, double right,
+           bool default_left) {
+  Tree tree;
+  tree.nodes.resize(3);
+  tree.nodes[0].feature = feature;
+  tree.nodes[0].threshold = threshold;
+  tree.nodes[0].left = 1;
+  tree.nodes[0].right = 2;
+  tree.nodes[0].default_left = default_left;
+  tree.nodes[1].is_leaf = true;
+  tree.nodes[1].value = left;
+  tree.nodes[2].is_leaf = true;
+  tree.nodes[2].value = right;
+  return tree;
+}
+
+// A forest whose every number sits at an edge of the double format.
+Forest EdgeValueForest() {
+  Forest forest;
+  forest.num_features = 3;
+  forest.base_score = -0.0;
+  forest.trees.push_back(Stump(0, 0.0, -0.0, 0.0, false));
+  forest.trees.push_back(Stump(1, -0.0, DBL_TRUE_MIN, -DBL_TRUE_MIN, true));
+  forest.trees.push_back(Stump(2, DBL_MIN, DBL_MAX, -DBL_MAX, false));
+  forest.trees.push_back(Stump(0, -DBL_MAX, -DBL_MIN, DBL_MIN, true));
+  // One-ulp neighbours of a threshold: the root splits at t, its children
+  // at the doubles just below and just above t.
+  const double t = 0.1;
+  Tree ulps = Stump(1, t, 0.0, 0.0, false);
+  ulps.nodes[1] = Stump(1, std::nextafter(t, -1.0), 1.0, 2.0, true).nodes[0];
+  ulps.nodes[1].left = 3;
+  ulps.nodes[1].right = 4;
+  ulps.nodes[2] = Stump(1, std::nextafter(t, 1.0), 3.0, 4.0, false).nodes[0];
+  ulps.nodes[2].left = 5;
+  ulps.nodes[2].right = 6;
+  for (const double value : {std::nextafter(1.0, 0.0), 1.0,
+                             std::nextafter(1.0, 2.0), 0.1}) {
+    TreeNode leaf;
+    leaf.is_leaf = true;
+    leaf.value = value;
+    ulps.nodes.push_back(leaf);
+  }
+  forest.trees.push_back(ulps);
+  return forest;
+}
+
+}  // namespace
+
+TEST(ForestIoTest, SameForestHoldsAcrossRoundTripOfEdgeValues) {
+  const Forest forest = EdgeValueForest();
+  ASSERT_TRUE(forest.Validate().ok()) << forest.Validate().ToString();
+  Result<Forest> reloaded = Forest::FromText(forest.ToText());
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_TRUE(SameForest(forest, *reloaded));
+  EXPECT_TRUE(SameForest(*reloaded, forest));
+  EXPECT_TRUE(std::signbit(reloaded->base_score));
+  EXPECT_EQ(reloaded->trees[1].nodes[1].value, DBL_TRUE_MIN);
+}
+
+TEST(ForestIoTest, SameForestRejectsEachSingleFieldChange) {
+  const Forest forest = EdgeValueForest();
+  ASSERT_TRUE(SameForest(forest, forest));
+
+  Forest ulp_leaf = forest;
+  double& value = ulp_leaf.trees[4].nodes[3].value;
+  value = std::nextafter(value, 2.0);
+  EXPECT_FALSE(SameForest(forest, ulp_leaf));
+
+  Forest zero_sign = forest;  // +0.0 leaf becomes -0.0; == cannot tell.
+  ASSERT_EQ(zero_sign.trees[0].nodes[2].value, 0.0);
+  zero_sign.trees[0].nodes[2].value = -0.0;
+  EXPECT_FALSE(SameForest(forest, zero_sign));
+
+  Forest nan_routing = forest;
+  nan_routing.trees[2].nodes[0].default_left = true;
+  EXPECT_FALSE(SameForest(forest, nan_routing));
+
+  Forest swapped = forest;
+  std::swap(swapped.trees[4].nodes[0].left, swapped.trees[4].nodes[0].right);
+  EXPECT_FALSE(SameForest(forest, swapped));
+
+  Forest fewer_trees = forest;
+  fewer_trees.trees.pop_back();
+  EXPECT_FALSE(SameForest(forest, fewer_trees));
 }
 
 TEST(ForestIoTest, EveryCheckedInFixtureRoundTripsBitExact) {
@@ -173,29 +296,32 @@ TEST(ForestIoTest, EveryCheckedInFixtureRoundTripsBitExact) {
     Result<Forest> reloaded = Forest::FromText(forest->ToText());
     ASSERT_TRUE(reloaded.ok()) << name << ": "
                                << reloaded.status().ToString();
-    // Text equality is the bit-exactness proof: every number is printed
-    // with %.17g, which is injective on doubles (distinguishes -0.0, and
-    // all values are finite past Validate).
+    // Text equality and field-by-field bit equality: the bit-exactness
+    // proof the server and the workbench cache run.
     EXPECT_EQ(reloaded->ToText(), forest->ToText()) << name;
+    EXPECT_TRUE(SameForest(*reloaded, *forest)) << name;
+  }
+}
 
-    // Belt and braces: structural field-by-field equality.
-    ASSERT_EQ(reloaded->num_features, forest->num_features) << name;
-    ASSERT_EQ(reloaded->base_score, forest->base_score) << name;
-    ASSERT_EQ(reloaded->trees.size(), forest->trees.size()) << name;
-    for (size_t t = 0; t < forest->trees.size(); ++t) {
-      const std::vector<TreeNode>& original = forest->trees[t].nodes;
-      const std::vector<TreeNode>& copy = reloaded->trees[t].nodes;
-      ASSERT_EQ(copy.size(), original.size()) << name << " tree " << t;
-      for (size_t n = 0; n < original.size(); ++n) {
-        ASSERT_EQ(copy[n].is_leaf, original[n].is_leaf);
-        ASSERT_EQ(copy[n].feature, original[n].feature);
-        ASSERT_EQ(copy[n].threshold, original[n].threshold);
-        ASSERT_EQ(copy[n].left, original[n].left);
-        ASSERT_EQ(copy[n].right, original[n].right);
-        ASSERT_EQ(copy[n].value, original[n].value);
-        ASSERT_EQ(copy[n].default_left, original[n].default_left);
-      }
-    }
+// ToText reproduces every tracked model file byte for byte after its
+// "t3model target <n>" header line, so the serializer has not drifted from
+// the text the fixtures were written with.
+TEST(ForestIoTest, ToTextMatchesEveryTrackedModelFileBody) {
+  for (const char* name :
+       {"model_ablation_per_pipeline.txt", "model_ablation_per_query.txt",
+        "model_autowlm_per_query.txt", "model_loo_airline.txt"}) {
+    const std::string path = std::string(T3_SOURCE_DIR) + "/data/" + name;
+    std::ifstream file(path, std::ios::binary);
+    ASSERT_TRUE(file) << path;
+    std::stringstream content;
+    content << file.rdbuf();
+    const std::string text = content.str();
+    ASSERT_EQ(text.rfind("t3model target ", 0), 0u) << name;
+    const std::string body = text.substr(text.find('\n') + 1);
+
+    Result<Forest> forest = Forest::FromText(text);
+    ASSERT_TRUE(forest.ok()) << name << ": " << forest.status().ToString();
+    EXPECT_TRUE(forest->ToText() == body) << name;
   }
 }
 

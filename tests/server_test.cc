@@ -596,6 +596,24 @@ TEST(PredictionServerTest, SwapRejectsFeatureCountMismatch) {
   (*server)->Stop();
 }
 
+TEST(ModelRegistryTest, SwapReturnsThePublishedSnapshotWithItsTimings) {
+  const std::string path = testing::TempDir() + "/t3_registry_model.txt";
+  ASSERT_TRUE(MakeRandomModel(41, 8, 5).SaveToFile(path).ok());
+
+  ModelRegistry registry(MakeTestServingModel(40, 8, 5));
+  EXPECT_EQ(registry.Current()->timings.load_ms, 0.0);  // Built in memory.
+  Result<std::shared_ptr<const ServingModel>> swapped =
+      registry.SwapFromFile(path);
+  ASSERT_TRUE(swapped.ok()) << swapped.status().ToString();
+  EXPECT_EQ(*swapped, registry.Current());
+  EXPECT_EQ((*swapped)->version, 2u);
+  EXPECT_EQ((*swapped)->source, path);
+  EXPECT_GT((*swapped)->timings.load_ms, 0.0);
+  EXPECT_GT((*swapped)->timings.proof_ms, 0.0);
+  EXPECT_GT((*swapped)->timings.compile_ms, 0.0);
+  EXPECT_NE((*swapped)->TimingsText().find(" ms, proof "), std::string::npos);
+}
+
 // --- Shutdown and stats ---
 
 TEST(PredictionServerTest, ProtocolShutdownStopsWait) {

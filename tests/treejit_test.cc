@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/cpu_features.h"
+#include "common/hash.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "gbt/forest.h"
@@ -519,6 +520,39 @@ TEST(BatchTest, FixtureModelsScalarAndDispatchedPathsAgree) {
           << fixture << " row " << i;
     }
   }
+}
+
+// Pins the emitted machine code itself: an FNV-1a hash over the code bytes,
+// tree entry offsets (and the batch pool start) of a checked-in fixture.
+// Emitter refactors must leave these bytes unchanged; a deliberate change
+// to the instruction grammar updates the golden values here.
+uint64_t HashArtifact(const std::vector<uint8_t>& code,
+                      const std::vector<size_t>& entries, size_t pool_begin) {
+  Fnv1a hash;
+  hash.U64(code.size());
+  hash.Bytes(code.data(), code.size());
+  hash.U64(entries.size());
+  for (const size_t entry : entries) hash.U64(entry);
+  hash.U64(pool_begin);
+  return hash.hash();
+}
+
+TEST(JitTest, EmittedCodeForFixtureIsPinned) {
+  if (!JitSupported()) GTEST_SKIP() << "JIT unsupported on this host";
+  Result<Forest> forest = Forest::LoadFromFile(
+      std::string(T3_SOURCE_DIR) + "/data/model_loo_airline.txt");
+  ASSERT_TRUE(forest.ok()) << forest.status().ToString();
+
+  Result<JitArtifact> scalar = EmitForestCode(*forest);
+  ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
+  EXPECT_EQ(HashArtifact(scalar->code, scalar->entries, 0),
+            0xb35dd2f893d526fcULL);
+
+  if (!BatchJitSupported()) return;
+  Result<BatchJitArtifact> batch = EmitForestBatchCode(*forest);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(HashArtifact(batch->code, batch->entries, batch->pool_begin),
+            0x5925aee2652d33f3ULL);
 }
 
 TEST(CpuFeaturesTest, DetectHonorsForceScalarEnv) {

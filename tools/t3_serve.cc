@@ -142,9 +142,10 @@ int Run(int argc, char** argv) {
   }
   if (args.check) {
     std::fprintf(stderr,
-                 "t3_serve: %s is servable (%d features, %zu trees)\n",
+                 "t3_serve: %s is servable (%d features, %zu trees; %s)\n",
                  args.model.c_str(), (*initial)->num_features(),
-                 (*initial)->model.forest().trees.size());
+                 (*initial)->model.forest().trees.size(),
+                 (*initial)->TimingsText().c_str());
     return 0;
   }
 
