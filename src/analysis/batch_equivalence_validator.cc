@@ -1,383 +1,21 @@
 #include "analysis/batch_equivalence_validator.h"
 
-#include <map>
-#include <string>
-#include <utility>
-
 #include "analysis/interval_domain.h"
 #include "analysis/translation_validator.h"
 #include "analysis/tree_lifter.h"
-#include "analysis/x86_decoder.h"
 #include "common/string_util.h"
 
 namespace t3 {
-namespace {
-
-// Register roles and vcmppd predicates of the batch emitter's grammar; must
-// stay in lockstep with treejit's BatchForestEmitter.
-constexpr uint8_t kAcc0 = 0;     // leaf-value accumulator, lanes 0-3
-constexpr uint8_t kAcc1 = 1;     // leaf-value accumulator, lanes 4-7
-constexpr uint8_t kConst = 2;    // broadcast pool constant
-constexpr uint8_t kCmp0 = 3;     // split compare result, lanes 0-3
-constexpr uint8_t kCmp1 = 4;     // split compare result, lanes 4-7
-constexpr uint8_t kMask0 = 5;    // live path mask, lanes 0-3
-constexpr uint8_t kMask1 = 6;    // live path mask, lanes 4-7
-constexpr uint8_t kScratch = 7;
-constexpr uint8_t kPredTrue = 0x0F;      // TRUE_UQ: all-ones mask init
-constexpr uint8_t kPredNanRight = 0x1E;  // GT_OQ: t > x, NaN -> fall/right
-constexpr uint8_t kPredNanLeft = 0x16;   // NLE_UQ: !(t <= x), NaN -> jump/left
-constexpr uint32_t kHalfBytes = 32;      // one ymm half: 4 lanes of 8 bytes
-constexpr uint32_t kFeatureStrideBytes = 64;  // 8 lanes per feature
-
-/// Parses one kernel region against the batch emitter's closed grammar and
-/// lifts it into a LiftedTree (jump_child = mask-true/left, fall_child =
-/// mask-false/right, cmp always `x < threshold`). Every deviation — a
-/// register out of role, a spill at the wrong depth, a missing resume load,
-/// a foreign predicate — fails the parse with the offending byte offset.
-class KernelParser {
- public:
-  KernelParser(const std::map<size_t, JitInstruction>& instructions,
-               const uint8_t* code, size_t size, size_t pool_begin,
-               size_t begin, size_t end, int tree_index,
-               AnalysisReport* report)
-      : instructions_(instructions),
-        code_(code),
-        size_(size),
-        pool_begin_(pool_begin),
-        begin_(begin),
-        end_(end),
-        tree_index_(tree_index),
-        report_(report) {}
-
-  bool Parse(LiftedTree* out) {
-    at_ = begin_;
-    const JitInstruction* instr = Peek();
-    if (instr == nullptr) return Fail("empty kernel region");
-    bool has_frame = false;
-    uint32_t frame = 0;
-    if (instr->op == JitOp::kSubRspImm32) {
-      has_frame = true;
-      frame = instr->disp;
-      Take();
-    }
-    if (!ExpectRR(JitOp::kVxorpd, kAcc0, kAcc0, kAcc0,
-                  "expected vxorpd zeroing accumulator ymm0") ||
-        !ExpectRR(JitOp::kVxorpd, kAcc1, kAcc1, kAcc1,
-                  "expected vxorpd zeroing accumulator ymm1") ||
-        !ExpectMaskInit(kMask0) || !ExpectMaskInit(kMask1)) {
-      return false;
-    }
-    if (!ParseBody(has_frame, out)) return false;
-    if (!ExpectAccAdd(kAcc0, 0) ||
-        !ExpectMem(JitOp::kVmovupdStoreRsi, kAcc0, 0,
-                   "expected vmovupd storing accumulator ymm0") ||
-        !ExpectAccAdd(kAcc1, kHalfBytes) ||
-        !ExpectMem(JitOp::kVmovupdStoreRsi, kAcc1, kHalfBytes,
-                   "expected vmovupd storing accumulator ymm1")) {
-      return false;
-    }
-    if (has_frame) {
-      const JitInstruction* add = Peek();
-      if (add == nullptr || add->op != JitOp::kAddRspImm32 ||
-          add->disp != frame) {
-        return Fail("expected add rsp matching the kernel's sub rsp");
-      }
-      Take();
-    }
-    const JitInstruction* vz = Peek();
-    if (vz == nullptr || vz->op != JitOp::kVzeroupper) {
-      return Fail("expected vzeroupper before ret");
-    }
-    Take();
-    const JitInstruction* ret = Peek();
-    if (ret == nullptr || ret->op != JitOp::kRet) return Fail("expected ret");
-    Take();
-    if (at_ != end_) return Fail("instructions after the kernel's ret");
-    return true;
-  }
-
- private:
-  struct Pending {
-    int node;
-    int depth;
-    bool parsed_left;
-  };
-
-  const JitInstruction* Peek() {
-    if (at_ >= end_) return nullptr;
-    const auto it = instructions_.find(at_);
-    return it == instructions_.end() ? nullptr : &it->second;
-  }
-
-  void Take() {
-    const JitInstruction* instr = Peek();
-    if (instr != nullptr) at_ += instr->length;
-  }
-
-  bool Fail(const char* what) {
-    report_->Add(Severity::kError, "unliftable-batch-code", tree_index_,
-                 static_cast<int>(at_),
-                 StrFormat("batch kernel diverges from the emitter grammar "
-                           "at byte offset %zu: %s",
-                           at_, what));
-    return false;
-  }
-
-  bool ExpectRR(JitOp op, uint8_t dst, uint8_t src1, uint8_t src2,
-                const char* what) {
-    const JitInstruction* instr = Peek();
-    if (instr == nullptr || instr->op != op || instr->dst != dst ||
-        instr->src1 != src1 || instr->src2 != src2) {
-      return Fail(what);
-    }
-    Take();
-    return true;
-  }
-
-  bool ExpectMem(JitOp op, uint8_t reg, uint32_t disp, const char* what) {
-    const JitInstruction* instr = Peek();
-    if (instr == nullptr || instr->op != op || instr->dst != reg ||
-        instr->disp != disp) {
-      return Fail(what);
-    }
-    Take();
-    return true;
-  }
-
-  bool ExpectMaskInit(uint8_t mask) {
-    const JitInstruction* instr = Peek();
-    if (instr == nullptr || instr->op != JitOp::kVcmppdRR ||
-        instr->dst != mask || instr->src1 != mask || instr->src2 != mask ||
-        instr->pred != kPredTrue) {
-      return Fail("expected vcmppd TRUE_UQ all-ones path-mask init");
-    }
-    Take();
-    return true;
-  }
-
-  bool ExpectAccAdd(uint8_t acc, uint32_t disp) {
-    const JitInstruction* instr = Peek();
-    if (instr == nullptr || instr->op != JitOp::kVaddpdRsiMem ||
-        instr->dst != acc || instr->src1 != acc || instr->disp != disp) {
-      return Fail("expected vaddpd accumulating into [rsi]");
-    }
-    Take();
-    return true;
-  }
-
-  bool ReadPoolConstant(const JitInstruction& broadcast, uint64_t* bits) {
-    const size_t target = broadcast.target;
-    if (target < pool_begin_ || target % 8 != 0 || target + 8 > size_) {
-      report_->Add(
-          Severity::kError, "bad-pool-ref", tree_index_,
-          static_cast<int>(broadcast.offset),
-          StrFormat("vbroadcastsd at byte offset %zu reads buffer offset "
-                    "%zu, outside the 8-byte-aligned constant pool in "
-                    "[%zu, %zu)",
-                    broadcast.offset, target, pool_begin_, size_));
-      return false;
-    }
-    uint64_t value = 0;
-    for (int i = 7; i >= 0; --i) {
-      value = value << 8 | code_[target + static_cast<size_t>(i)];
-    }
-    *bits = value;
-    return true;
-  }
-
-  /// Parses the node blocks. The pending stack mirrors the emitter's
-  /// recursion: a new node always belongs to the top pending split — its
-  /// left child before that split's resume loads were seen, its right child
-  /// after. Returns once the root's subtree is complete.
-  bool ParseBody(bool has_frame, LiftedTree* out) {
-    std::vector<Pending> pending;
-    for (;;) {
-      const JitInstruction* broadcast = Peek();
-      if (broadcast == nullptr || broadcast->op != JitOp::kVbroadcastsd ||
-          broadcast->dst != kConst) {
-        return Fail("expected vbroadcastsd of a pool constant into ymm2");
-      }
-      const size_t node_offset = broadcast->offset;
-      uint64_t bits = 0;
-      if (!ReadPoolConstant(*broadcast, &bits)) return false;
-      Take();
-      const int index = static_cast<int>(out->nodes.size());
-      out->nodes.emplace_back();
-      if (!pending.empty()) {
-        const Pending& parent = pending.back();
-        LiftedNode& parent_node =
-            out->nodes[static_cast<size_t>(parent.node)];
-        if (parent.parsed_left) {
-          parent_node.fall_child = index;
-        } else {
-          parent_node.jump_child = index;
-        }
-      }
-      const JitInstruction* next = Peek();
-      if (next == nullptr) return Fail("kernel region ends inside a node");
-      if (next->op == JitOp::kVcmppdRdiMem) {
-        // Split block.
-        if (!has_frame) {
-          return Fail("split node in a kernel without an rsp spill frame");
-        }
-        const JitInstruction cmp0 = *next;
-        if (cmp0.dst != kCmp0 || cmp0.src1 != kConst) {
-          return Fail("first-half split compare out of register role");
-        }
-        if (cmp0.pred != kPredNanRight && cmp0.pred != kPredNanLeft) {
-          return Fail("split compare uses a predicate other than "
-                      "GT_OQ/NLE_UQ");
-        }
-        if (cmp0.disp % kFeatureStrideBytes != 0) {
-          return Fail("split feature load not on a feature-column boundary");
-        }
-        Take();
-        next = Peek();
-        if (next == nullptr || next->op != JitOp::kVcmppdRdiMem ||
-            next->dst != kCmp1 || next->src1 != kConst ||
-            next->disp != cmp0.disp + kHalfBytes ||
-            next->pred != cmp0.pred) {
-          return Fail("second-half split compare does not mirror the first");
-        }
-        Take();
-        const int depth = static_cast<int>(pending.size());
-        const uint32_t spill =
-            kFeatureStrideBytes * static_cast<uint32_t>(depth);
-        if (!ExpectRR(JitOp::kVandnpd, kScratch, kCmp0, kMask0,
-                      "expected vandnpd computing right-path mask (lo)") ||
-            !ExpectMem(JitOp::kVmovupdStoreRsp, kScratch, spill,
-                       "expected right-path mask spill at 64*depth") ||
-            !ExpectRR(JitOp::kVandnpd, kScratch, kCmp1, kMask1,
-                      "expected vandnpd computing right-path mask (hi)") ||
-            !ExpectMem(JitOp::kVmovupdStoreRsp, kScratch, spill + kHalfBytes,
-                       "expected right-path mask spill at 64*depth+32") ||
-            !ExpectRR(JitOp::kVandpd, kMask0, kMask0, kCmp0,
-                      "expected vandpd narrowing path mask (lo)") ||
-            !ExpectRR(JitOp::kVandpd, kMask1, kMask1, kCmp1,
-                      "expected vandpd narrowing path mask (hi)")) {
-          return false;
-        }
-        LiftedNode& node = out->nodes[static_cast<size_t>(index)];
-        node.is_leaf = false;
-        node.offset = node_offset;
-        node.feature = static_cast<int>(cmp0.disp / kFeatureStrideBytes);
-        node.threshold_bits = bits;
-        node.cmp = LiftedNode::Cmp::kLt;
-        node.nan_jumps = cmp0.pred == kPredNanLeft;
-        pending.push_back(Pending{index, depth, false});
-        continue;  // The next node is this split's left child.
-      }
-      // Leaf block.
-      if (!ExpectRR(JitOp::kVandpd, kScratch, kMask0, kConst,
-                    "expected vandpd masking leaf value (lo)") ||
-          !ExpectRR(JitOp::kVorpd, kAcc0, kAcc0, kScratch,
-                    "expected vorpd accumulating leaf value (lo)") ||
-          !ExpectRR(JitOp::kVandpd, kScratch, kMask1, kConst,
-                    "expected vandpd masking leaf value (hi)") ||
-          !ExpectRR(JitOp::kVorpd, kAcc1, kAcc1, kScratch,
-                    "expected vorpd accumulating leaf value (hi)")) {
-        return false;
-      }
-      LiftedNode& leaf = out->nodes[static_cast<size_t>(index)];
-      leaf.is_leaf = true;
-      leaf.offset = node_offset;
-      leaf.value_bits = bits;
-      // Unwind splits whose right subtree just completed; the innermost
-      // split still missing its right child must resume its spilled masks.
-      while (!pending.empty() && pending.back().parsed_left) {
-        pending.pop_back();
-      }
-      if (pending.empty()) return true;
-      Pending& parent = pending.back();
-      const uint32_t spill =
-          kFeatureStrideBytes * static_cast<uint32_t>(parent.depth);
-      if (!ExpectMem(JitOp::kVmovupdLoadRsp, kMask0, spill,
-                     "expected path-mask resume load (lo)") ||
-          !ExpectMem(JitOp::kVmovupdLoadRsp, kMask1, spill + kHalfBytes,
-                     "expected path-mask resume load (hi)")) {
-        return false;
-      }
-      parent.parsed_left = true;
-      // The next node is that split's right child.
-    }
-  }
-
-  const std::map<size_t, JitInstruction>& instructions_;
-  const uint8_t* code_;
-  size_t size_;
-  size_t pool_begin_;
-  size_t begin_;
-  size_t end_;
-  int tree_index_;
-  AnalysisReport* report_;
-  size_t at_ = 0;
-};
-
-}  // namespace
 
 AnalysisReport BatchEquivalenceValidator::Validate(
     const Forest& forest, const uint8_t* code, size_t size,
     const std::vector<size_t>& entries, size_t pool_begin) const {
-  AnalysisReport report;
-  const Status valid = forest.Validate();
-  if (!valid.ok()) {
-    report.Add(Severity::kError, "invalid-forest", -1, -1,
-               StrFormat("IR side of the equivalence check is invalid: %s",
-                         valid.message().c_str()));
-    return report;
-  }
-  if (entries.size() != forest.trees.size()) {
-    report.Add(Severity::kError, "tree-count-mismatch", -1, -1,
-               StrFormat("%zu kernel regions for %zu IR trees",
-                         entries.size(), forest.trees.size()));
-    return report;
-  }
-  if (pool_begin > size) {
-    report.Add(Severity::kError, "bad-pool-ref", -1, -1,
-               StrFormat("constant pool begins at %zu, past the %zu-byte "
-                         "buffer",
-                         pool_begin, size));
-    return report;
-  }
-
-  // Only [0, pool_begin) is instructions; the pool is data and decoding
-  // into it would desynchronize on constant bytes.
-  const DecodedCode decoded = DecodeLinear(code, pool_begin);
-  if (!decoded.ok) {
-    report.Add(Severity::kError, "undecodable-batch-code", -1,
-               static_cast<int>(decoded.error_offset),
-               StrFormat("batch code is not whitelisted-decodable at byte "
-                         "offset %zu",
-                         decoded.error_offset));
-    return report;
-  }
-
-  for (size_t t = 0; t < forest.trees.size(); ++t) {
-    const int tree_index = static_cast<int>(t);
-    const size_t begin = entries[t];
-    const size_t end = t + 1 < entries.size() ? entries[t + 1] : pool_begin;
-    LiftedTree lifted;
-    KernelParser parser(decoded.instructions, code, size, pool_begin, begin,
-                        end, tree_index, &report);
-    if (!parser.Parse(&lifted)) continue;
-    bool features_ok = true;
-    for (const LiftedNode& node : lifted.nodes) {
-      if (node.is_leaf) continue;
-      if (node.feature < 0 || node.feature >= forest.num_features) {
-        report.Add(Severity::kError, "lifted-feature-oob", tree_index,
-                   static_cast<int>(node.offset),
-                   StrFormat("batch kernel loads feature column %d of a "
-                             "%d-feature block",
-                             node.feature, forest.num_features));
-        features_ok = false;
-      }
-    }
-    CheckLiftedTreeStructure(forest.trees[t], lifted, tree_index, &report);
-    if (features_ok) {
-      CheckLiftedTreeSemantics(forest.trees[t], lifted, forest.num_features,
-                               tree_index, &report);
-    }
-  }
+  AnalysisReport report = CheckEquivalencePreconditions(forest, entries.size());
+  if (report.HasErrors()) return report;
+  std::vector<LiftedTree> lifted;
+  report = TreeLifter().LiftBatchForest(code, size, entries, pool_begin,
+                                        forest.num_features, &lifted);
+  if (!report.HasErrors()) CheckLiftedForest(forest, lifted, &report);
   return report;
 }
 

@@ -13,30 +13,22 @@ namespace t3 {
 
 /// Batch-kernel equivalence validator: the static proof that the AVX batch
 /// kernels (treejit EmitForestBatchCode) compute exactly the scalar forest,
-/// per lane. The JitCodeAuditor's AuditBatch proves the kernels are *safe*
-/// (straight-line, in-bounds lane loads / spills / pool reads); this pass
-/// proves they are *correct*.
+/// per lane.
 ///
 /// Pipeline, per kernel region [entries[i], entries[i+1]):
-///  1. Decode the instruction stream ([0, pool_begin) only — the constant
-///     pool is data) with the shared x86 decoder
-///     (`undecodable-batch-code`).
-///  2. Parse the region against the batch emitter's closed grammar —
-///     prologue, masked split / leaf blocks with their exact register
-///     roles, spill discipline and epilogue — and lift it back into a
-///     decision tree (`unliftable-batch-code`): each vcmppd pair is a
-///     split with `x[disp/64] < threshold` semantics (predicate GT_OQ
-///     routes NaN to the fall/right side, NLE_UQ to the jump/left side),
-///     each broadcast-and-or block a leaf returning the pool constant's
-///     exact bits (`bad-pool-ref` when a broadcast reads outside the
-///     pool). Because the grammar fixes how masks are narrowed, spilled
-///     and resumed, any per-lane divergence from tree evaluation fails the
-///     parse.
-///  3. Prove the lifted tree equals IR tree i with the passes shared with
-///     the scalar TranslationValidator: bit-exact structural descent
-///     (CheckLiftedTreeStructure) and the per-cell interval-domain
-///     semantic proof (CheckLiftedTreeSemantics) — pointwise equality over
-///     every threshold-induced cell of the feature space, NaN included.
+///  1. TreeLifter::LiftBatchForest decodes [0, pool_begin) once (the
+///     constant pool is data), parses each region against the batch
+///     emitter's closed grammar and lifts it back into a decision tree.
+///     The lift is also the safety proof: straight-line control flow,
+///     in-bounds lane loads, spills, accumulator and pool accesses
+///     (analysis/tree_lifter.h). Because the grammar fixes how masks are
+///     narrowed, spilled and resumed, any per-lane divergence from tree
+///     evaluation fails the parse.
+///  2. Prove the lifted tree equals IR tree i with the passes shared with
+///     the scalar TranslationValidator (CheckLiftedForest): bit-exact
+///     structural descent and the per-cell interval-domain semantic proof
+///     — pointwise equality over every threshold-induced cell of the
+///     feature space, NaN included.
 ///
 /// Per-tree equivalence plus the kernels' fixed `acc += leaf` epilogue (one
 /// add per tree, in tree order, after the caller seeds base_score) gives
@@ -45,8 +37,8 @@ class BatchEquivalenceValidator {
  public:
   /// Validates emitted batch code (`code`/`size`, kernels at `entries`,
   /// constant pool from `pool_begin` rounded up to 8 bytes) against
-  /// `forest`. `invalid-forest` / `tree-count-mismatch` mirror the scalar
-  /// validator's preconditions.
+  /// `forest`: CheckEquivalencePreconditions, the batch lift, then
+  /// CheckLiftedForest.
   AnalysisReport Validate(const Forest& forest, const uint8_t* code,
                           size_t size, const std::vector<size_t>& entries,
                           size_t pool_begin) const;

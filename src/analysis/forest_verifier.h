@@ -16,8 +16,9 @@ struct VerifyOptions {
 };
 
 /// Static verifier over the loaded gbt::Forest IR — the front half of the
-/// compiled-tree trust chain (the JitCodeAuditor is the back half: it checks
-/// the machine code emitted *from* a forest this pass accepted).
+/// compiled-tree trust chain (the lifts in analysis/tree_lifter.h are the
+/// back half: they check the machine code emitted *from* a forest this pass
+/// accepted).
 ///
 /// Error-severity checks (a model failing any of these is rejected by
 /// Forest::FromText and by CompiledForest::Compile):

@@ -21,8 +21,8 @@ const char* SeverityName(Severity severity);
 /// One finding of a static-analysis pass, anchored to a location:
 ///  - ForestVerifier: `tree` / `node` index into the Forest IR (-1 when the
 ///    finding is forest-global, e.g. a bad feature count).
-///  - JitCodeAuditor: `tree` is the function region, `node` the byte offset
-///    of the offending instruction inside the code buffer.
+///  - TreeLifter and the validators: `tree` is the function region, `node`
+///    the byte offset of the offending instruction inside the code buffer.
 struct Diagnostic {
   Severity severity = Severity::kError;
   std::string check;    ///< Stable kebab-case check id, e.g. "dead-branch".

@@ -33,10 +33,8 @@ std::string WitnessText(const FeatureBox& box) {
   return out.empty() ? "any row" : out;
 }
 
-}  // namespace
-
-/// Reports every mismatch; descent stops below a shape or polarity mismatch
-/// where the correspondence is no longer defined.
+/// Structural pass: reports every mismatch; descent stops below a shape or
+/// polarity mismatch where the correspondence is no longer defined.
 void CheckLiftedTreeStructure(const Tree& tree, const LiftedTree& lifted,
                               int tree_index, AnalysisReport* report) {
   struct Frame {
@@ -106,8 +104,6 @@ void CheckLiftedTreeStructure(const Tree& tree, const LiftedTree& lifted,
   }
 }
 
-namespace {
-
 /// Refines `box` by a lifted node's predicate and pushes the feasible
 /// successor boxes onto `stack`. A NaN threshold (possible only in corrupt
 /// code) makes ucomisd unconditionally unordered, so every input — NaN or
@@ -141,11 +137,9 @@ void PushLiftedChildren(const LiftedNode& node, const FeatureBox& box,
   }
 }
 
-}  // namespace
-
-/// Reports the first offending cell with a concrete witness row, then stops
-/// (one flipped threshold byte shifts many cells; one witness per tree is
-/// the useful signal).
+/// Semantic pass: reports the first offending cell with a concrete witness
+/// row, then stops (one flipped threshold byte shifts many cells; one
+/// witness per tree is the useful signal).
 void CheckLiftedTreeSemantics(const Tree& tree, const LiftedTree& lifted,
                               int num_features, int tree_index,
                               AnalysisReport* report) {
@@ -180,51 +174,44 @@ void CheckLiftedTreeSemantics(const Tree& tree, const LiftedTree& lifted,
       });
 }
 
-AnalysisReport TranslationValidator::Validate(
-    const Forest& forest, const uint8_t* code, size_t size,
-    const std::vector<size_t>& entries) const {
+}  // namespace
+
+AnalysisReport CheckEquivalencePreconditions(const Forest& forest,
+                                             size_t num_regions) {
   AnalysisReport report;
   const Status valid = forest.Validate();
   if (!valid.ok()) {
     report.Add(Severity::kError, "invalid-forest", -1, -1,
                StrFormat("IR side of the equivalence check is invalid: %s",
                          valid.message().c_str()));
-    return report;
-  }
-  if (entries.size() != forest.trees.size()) {
+  } else if (num_regions != forest.trees.size()) {
     report.Add(Severity::kError, "tree-count-mismatch", -1, -1,
-               StrFormat("%zu code regions for %zu IR trees",
-                         entries.size(), forest.trees.size()));
-    return report;
+               StrFormat("%zu code regions for %zu IR trees", num_regions,
+                         forest.trees.size()));
   }
+  return report;
+}
 
-  std::vector<LiftedTree> lifted;
-  TreeLifter().LiftForest(code, size, entries, &lifted, &report);
-  if (report.HasErrors()) return report;
-
+void CheckLiftedForest(const Forest& forest,
+                       const std::vector<LiftedTree>& lifted,
+                       AnalysisReport* report) {
   for (size_t t = 0; t < forest.trees.size(); ++t) {
     const int tree_index = static_cast<int>(t);
-    // A lifted feature outside the row makes the box arithmetic (and the
-    // compiled load itself) meaningless; the auditor reports the same
-    // condition as oob-feature-load on its own pass.
-    bool features_ok = true;
-    for (const LiftedNode& node : lifted[t].nodes) {
-      if (node.is_leaf) continue;
-      if (node.feature < 0 || node.feature >= forest.num_features) {
-        report.Add(Severity::kError, "lifted-feature-oob", tree_index,
-                   static_cast<int>(node.offset),
-                   StrFormat("compiled node loads feature %d of a "
-                             "%d-feature row",
-                             node.feature, forest.num_features));
-        features_ok = false;
-      }
-    }
-    CheckLiftedTreeStructure(forest.trees[t], lifted[t], tree_index, &report);
-    if (features_ok) {
-      CheckLiftedTreeSemantics(forest.trees[t], lifted[t],
-                               forest.num_features, tree_index, &report);
-    }
+    CheckLiftedTreeStructure(forest.trees[t], lifted[t], tree_index, report);
+    CheckLiftedTreeSemantics(forest.trees[t], lifted[t], forest.num_features,
+                             tree_index, report);
   }
+}
+
+AnalysisReport TranslationValidator::Validate(
+    const Forest& forest, const uint8_t* code, size_t size,
+    const std::vector<size_t>& entries) const {
+  AnalysisReport report = CheckEquivalencePreconditions(forest, entries.size());
+  if (report.HasErrors()) return report;
+  std::vector<LiftedTree> lifted;
+  report = TreeLifter().LiftForest(code, size, entries, forest.num_features,
+                                   &lifted);
+  if (!report.HasErrors()) CheckLiftedForest(forest, lifted, &report);
   return report;
 }
 

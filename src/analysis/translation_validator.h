@@ -11,42 +11,34 @@
 
 namespace t3 {
 
-/// Structural pass shared by the scalar and batch validators: simultaneous
-/// descent of IR tree `tree` and lifted tree `lifted` under the emitters'
-/// common correspondence (IR left child = jump/mask-true child, IR right
-/// child = fallthrough/mask-false child). Bit-equal thresholds and leaf
-/// values, matching split feature and NaN routing. Checks:
-/// `shape-mismatch`, `feature-mismatch`, `threshold-mismatch`,
-/// `leaf-value-mismatch`, `nan-routing-mismatch`,
-/// `branch-polarity-mismatch` (all Error).
-void CheckLiftedTreeStructure(const Tree& tree, const LiftedTree& lifted,
-                              int tree_index, AnalysisReport* report);
+/// Preconditions both validators check before lifting: the IR side must
+/// pass Forest::Validate (`invalid-forest`) and have one tree per code
+/// region (`tree-count-mismatch`).
+AnalysisReport CheckEquivalencePreconditions(const Forest& forest,
+                                             size_t num_regions);
 
-/// Semantic pass shared by the scalar and batch validators: an
-/// interval-analysis proof (`semantic-mismatch`, Error) that `lifted` and
-/// `tree` agree as functions — for every leaf cell of the IR tree, every
-/// lifted leaf reachable under that cell returns the IR leaf's exact bits.
-/// Requires every lifted split feature in [0, num_features).
-void CheckLiftedTreeSemantics(const Tree& tree, const LiftedTree& lifted,
-                              int num_features, int tree_index,
-                              AnalysisReport* report);
+/// The equivalence proof both validators share once their lift passed:
+/// steps 2 and 3 of the TranslationValidator pipeline below, for each tree
+/// of `forest` against `lifted[i]` (one error-free lift per tree).
+void CheckLiftedForest(const Forest& forest,
+                       const std::vector<LiftedTree>& lifted,
+                       AnalysisReport* report);
 
 /// Translation validator: a static proof that the machine code TreeJit
-/// emitted computes exactly the forest it was emitted from. This closes the
-/// gap the JitCodeAuditor leaves open — the auditor proves the bytes are
-/// *safe* (contained control flow, in-bounds loads); this pass proves they
-/// are *correct*.
+/// emitted computes exactly the forest it was emitted from.
 ///
 /// Pipeline, per tree region [entries[i], entries[i+1]):
-///  1. Decode the bytes with the shared x86 decoder and lift them back into
-///     a decision tree (analysis/tree_lifter.h) — feature index, threshold
-///     bits, NaN-routing polarity, and leaf bits per path.
-///  2. Structural pass against gbt::Forest tree i: same shape under the
-///     emitter's node correspondence (IR left child = branch target, right
-///     child = fallthrough), bit-equal thresholds and leaf values, matching
-///     split feature and NaN routing. Checks: `shape-mismatch`,
-///     `feature-mismatch`, `threshold-mismatch`, `leaf-value-mismatch`,
-///     `nan-routing-mismatch`, `branch-polarity-mismatch` (all Error).
+///  1. TreeLifter::LiftForest decodes the bytes once and lifts them back
+///     into decision trees — feature index, threshold bits, NaN-routing
+///     polarity, and leaf bits per path. The lift is also the safety proof
+///     (contained control flow, in-bounds loads; analysis/tree_lifter.h).
+///  2. Structural pass against gbt::Forest tree i: simultaneous descent
+///     under the emitters' common correspondence (IR left child = branch
+///     target / mask-true child, right child = fallthrough / mask-false
+///     child), bit-equal thresholds and leaf values, matching split feature
+///     and NaN routing. Checks: `shape-mismatch`, `feature-mismatch`,
+///     `threshold-mismatch`, `leaf-value-mismatch`, `nan-routing-mismatch`,
+///     `branch-polarity-mismatch` (all Error).
 ///  3. Semantic pass (`semantic-mismatch`, Error): an interval-analysis
 ///     proof that the lifted tree and the IR tree agree as *functions*.
 ///     Descending the IR tree partitions the feature space into its leaf
@@ -65,9 +57,8 @@ void CheckLiftedTreeSemantics(const Tree& tree, const LiftedTree& lifted,
 class TranslationValidator {
  public:
   /// Validates emitted code (`code`/`size`, tree functions at `entries`)
-  /// against `forest`. The forest must pass Forest::Validate — a
-  /// `invalid-forest` error is reported otherwise. `tree-count-mismatch`
-  /// is reported when the region and tree counts differ.
+  /// against `forest`: CheckEquivalencePreconditions, the lift, then
+  /// CheckLiftedForest.
   AnalysisReport Validate(const Forest& forest, const uint8_t* code,
                           size_t size,
                           const std::vector<size_t>& entries) const;

@@ -1,30 +1,71 @@
 #include "analysis/tree_lifter.h"
 
+#include <algorithm>
+#include <map>
+#include <string>
+
 #include "common/string_util.h"
 
 namespace t3 {
 namespace {
 
+using Instructions = std::map<size_t, JitInstruction>;
+
+/// `bad-entry` unless the regions tile [0, end): entries ascend from 0 and
+/// each lies inside, so every instruction byte belongs to one region.
+bool CheckEntries(const std::vector<size_t>& entries, size_t end,
+                  AnalysisReport* report) {
+  if (entries.empty() && end != 0) {
+    report->Add(Severity::kError, "bad-entry", -1, -1,
+                StrFormat("no region owns the %zu code bytes", end));
+    return false;
+  }
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const bool in_order =
+        i == 0 ? entries[i] == 0 : entries[i] > entries[i - 1];
+    if (!in_order || entries[i] >= end) {
+      report->Add(Severity::kError, "bad-entry", static_cast<int>(i),
+                  static_cast<int>(entries[i]),
+                  StrFormat("entry offset %zu breaks the region table: "
+                            "entries must ascend from 0 inside the %zu "
+                            "code bytes",
+                            entries[i], end));
+      return false;
+    }
+  }
+  return true;
+}
+
+size_t RegionEnd(const std::vector<size_t>& entries, size_t i, size_t end) {
+  return i + 1 < entries.size() ? entries[i + 1] : end;
+}
+
+void ReportFeatureOob(int feature, int num_features, size_t offset,
+                      int tree_index, AnalysisReport* report) {
+  report->Add(Severity::kError, "lifted-feature-oob", tree_index,
+              static_cast<int>(offset),
+              StrFormat("compiled node at byte offset %zu loads feature %d "
+                        "of a %d-feature row",
+                        offset, feature, num_features));
+}
+
 /// The instruction starting exactly at `offset`, or nullptr when `offset`
 /// is past `end` or not an instruction boundary.
-const JitInstruction* At(const std::map<size_t, JitInstruction>& instructions,
-                         size_t offset, size_t end) {
+const JitInstruction* At(const Instructions& instructions, size_t offset,
+                         size_t end) {
   if (offset >= end) return nullptr;
   const auto it = instructions.find(offset);
   return it == instructions.end() ? nullptr : &it->second;
 }
 
-}  // namespace
-
-bool TreeLifter::LiftTree(
-    const std::map<size_t, JitInstruction>& instructions, size_t begin,
-    size_t end, int tree_index, LiftedTree* out,
-    AnalysisReport* report) const {
-  out->nodes.clear();
+/// Lifts one scalar region [begin, end) of the decoded buffer, appending
+/// any diagnostics with `tree_index` as location.
+void LiftScalarTree(const Instructions& instructions, size_t begin,
+                    size_t end, int num_features, int tree_index,
+                    LiftedTree* out, AnalysisReport* report) {
   const auto fail = [&](size_t offset, const std::string& message) {
     report->Add(Severity::kError, "unliftable-code", tree_index,
                 static_cast<int>(offset), message);
-    return false;
   };
 
   // Pass 1: group the region's instructions into node shapes, front to
@@ -93,6 +134,10 @@ bool TreeLifter::LiftTree(
       node.is_leaf = false;
       node.threshold_bits = head->imm;
       node.feature = static_cast<int>(load->disp / 8);
+      if (node.feature >= num_features) {
+        ReportFeatureOob(node.feature, num_features, load->offset,
+                         tree_index, report);
+      }
       node.cmp = threshold_first == jump_above ? LiftedNode::Cmp::kLt
                                                : LiftedNode::Cmp::kGt;
       node.nan_jumps = !jump_above;
@@ -105,15 +150,12 @@ bool TreeLifter::LiftTree(
     node_at[node.offset] = static_cast<int>(out->nodes.size());
     out->nodes.push_back(node);
   }
-  if (out->nodes.empty()) {
-    return fail(begin, "empty tree region");
-  }
 
   // Pass 2: link children. Fallthroughs point at the next group by
   // construction unless the region's last node is an inner node; jump
-  // targets must land on a lifted node boundary (an instruction boundary is
-  // not enough — jumping into the middle of a node's compare sequence has
-  // no tree meaning).
+  // targets must land on a lifted node boundary of this region (an
+  // instruction boundary is not enough — jumping into the middle of a
+  // node's compare sequence has no tree meaning).
   size_t inner = 0;
   for (LiftedNode& node : out->nodes) {
     if (node.is_leaf) continue;
@@ -137,8 +179,9 @@ bool TreeLifter::LiftTree(
   }
 
   // Pass 3: the lifted graph must be acyclic — cyclic machine code can
-  // loop forever, which no decision tree does. Iterative DFS, colors:
-  // 0 = unvisited, 1 = on the current path, 2 = done.
+  // loop forever, which no decision tree does — and every node must be
+  // reachable from the entry. Iterative DFS, colors: 0 = unvisited, 1 = on
+  // the current path, 2 = done.
   std::vector<char> color(out->nodes.size(), 0);
   std::vector<int> stack = {0};
   while (!stack.empty()) {
@@ -152,7 +195,7 @@ bool TreeLifter::LiftTree(
             report->Add(Severity::kError, "lifted-cycle", tree_index,
                         static_cast<int>(node.offset),
                         "branch creates a control-flow cycle");
-            return false;
+            return;
           }
           if (color[static_cast<size_t>(child)] == 0) stack.push_back(child);
         }
@@ -164,40 +207,391 @@ bool TreeLifter::LiftTree(
       stack.pop_back();
     }
   }
-  return true;
+  for (size_t i = 0; i < out->nodes.size(); ++i) {
+    if (color[i] != 0) continue;
+    report->Add(Severity::kError, "unreachable-node", tree_index,
+                static_cast<int>(out->nodes[i].offset),
+                StrFormat("node at byte offset %zu is unreachable from its "
+                          "tree entry",
+                          out->nodes[i].offset));
+  }
 }
 
-void TreeLifter::LiftForest(const uint8_t* code, size_t size,
-                            const std::vector<size_t>& entries,
-                            std::vector<LiftedTree>* out,
-                            AnalysisReport* report) const {
-  out->clear();
+// Register roles and vcmppd predicates of the batch emitter's grammar; must
+// stay in lockstep with treejit's BatchForestEmitter.
+constexpr uint8_t kAcc0 = 0;     // leaf-value accumulator, lanes 0-3
+constexpr uint8_t kAcc1 = 1;     // leaf-value accumulator, lanes 4-7
+constexpr uint8_t kConst = 2;    // broadcast pool constant
+constexpr uint8_t kCmp0 = 3;     // split compare result, lanes 0-3
+constexpr uint8_t kCmp1 = 4;     // split compare result, lanes 4-7
+constexpr uint8_t kMask0 = 5;    // live path mask, lanes 0-3
+constexpr uint8_t kMask1 = 6;    // live path mask, lanes 4-7
+constexpr uint8_t kScratch = 7;
+constexpr uint8_t kPredTrue = 0x0F;      // TRUE_UQ: all-ones mask init
+constexpr uint8_t kPredNanRight = 0x1E;  // GT_OQ: t > x, NaN -> fall/right
+constexpr uint8_t kPredNanLeft = 0x16;   // NLE_UQ: !(t <= x), NaN -> jump/left
+constexpr uint32_t kHalfBytes = 32;      // one ymm half: 4 lanes of 8 bytes
+constexpr uint32_t kFeatureStrideBytes = 64;  // 8 lanes per feature
+
+/// Parses one kernel region against the batch emitter's closed grammar and
+/// lifts it into a LiftedTree (jump_child = mask-true/left, fall_child =
+/// mask-false/right, cmp always `x < threshold`). Every deviation — a
+/// register out of role, a spill at the wrong depth, a missing resume load,
+/// a foreign predicate — fails the parse with the offending byte offset.
+class KernelParser {
+ public:
+  KernelParser(const Instructions& instructions, const uint8_t* code,
+               size_t size, size_t pool_begin, size_t begin, size_t end,
+               int num_features, int tree_index, AnalysisReport* report)
+      : instructions_(instructions),
+        code_(code),
+        size_(size),
+        pool_begin_(pool_begin),
+        begin_(begin),
+        end_(end),
+        num_features_(num_features),
+        tree_index_(tree_index),
+        report_(report) {}
+
+  bool Parse(LiftedTree* out) {
+    at_ = begin_;
+    const JitInstruction* instr = Peek();
+    if (instr == nullptr) {
+      return Fail("kernel entry is not an instruction boundary");
+    }
+    const bool has_frame = instr->op == JitOp::kSubRspImm32;
+    const uint32_t frame = has_frame ? instr->disp : 0;
+    if (has_frame) Take();
+    if (!ExpectRR(JitOp::kVxorpd, kAcc0, kAcc0, kAcc0,
+                  "expected vxorpd zeroing accumulator ymm0") ||
+        !ExpectRR(JitOp::kVxorpd, kAcc1, kAcc1, kAcc1,
+                  "expected vxorpd zeroing accumulator ymm1") ||
+        !ExpectMaskInit(kMask0) || !ExpectMaskInit(kMask1)) {
+      return false;
+    }
+    if (!ParseBody(out)) return false;
+    // A split at depth d spills to [rsp + 64d, rsp + 64d + 64), so the
+    // frame must hold the deepest split's slot, and be no larger: the CPU
+    // sign-extends the imm32, so a "larger" frame could move rsp up into
+    // the caller's frame.
+    const uint32_t needed =
+        kFeatureStrideBytes * static_cast<uint32_t>(max_depth_ + 1);
+    if (frame != needed || has_frame != (needed != 0)) {
+      report_->Add(Severity::kError, "bad-frame", tree_index_,
+                   static_cast<int>(begin_),
+                   StrFormat("kernel reserves a %u-byte frame but its "
+                             "deepest spill needs exactly %u bytes",
+                             frame, needed));
+      return false;
+    }
+    if (!ExpectAccAdd(kAcc0, 0) ||
+        !ExpectMem(JitOp::kVmovupdStoreRsi, kAcc0, 0,
+                   "expected vmovupd storing accumulator ymm0") ||
+        !ExpectAccAdd(kAcc1, kHalfBytes) ||
+        !ExpectMem(JitOp::kVmovupdStoreRsi, kAcc1, kHalfBytes,
+                   "expected vmovupd storing accumulator ymm1")) {
+      return false;
+    }
+    if (has_frame) {
+      const JitInstruction* add = Peek();
+      if (add == nullptr || add->op != JitOp::kAddRspImm32 ||
+          add->disp != frame) {
+        return Fail("expected add rsp matching the kernel's sub rsp");
+      }
+      Take();
+    }
+    const JitInstruction* vz = Peek();
+    if (vz == nullptr || vz->op != JitOp::kVzeroupper) {
+      return Fail("expected vzeroupper before ret");
+    }
+    Take();
+    const JitInstruction* ret = Peek();
+    if (ret == nullptr || ret->op != JitOp::kRet) return Fail("expected ret");
+    Take();
+    if (at_ != end_) return Fail("instructions after the kernel's ret");
+    return true;
+  }
+
+ private:
+  struct Pending {
+    int node;
+    int depth;
+    bool parsed_left;
+  };
+
+  const JitInstruction* Peek() { return At(instructions_, at_, end_); }
+
+  void Take() {
+    const JitInstruction* instr = Peek();
+    if (instr != nullptr) at_ += instr->length;
+  }
+
+  bool Fail(const char* what) {
+    report_->Add(Severity::kError, "unliftable-batch-code", tree_index_,
+                 static_cast<int>(at_),
+                 StrFormat("batch kernel diverges from the emitter grammar "
+                           "at byte offset %zu: %s",
+                           at_, what));
+    return false;
+  }
+
+  bool ExpectRR(JitOp op, uint8_t dst, uint8_t src1, uint8_t src2,
+                const char* what) {
+    const JitInstruction* instr = Peek();
+    if (instr == nullptr || instr->op != op || instr->dst != dst ||
+        instr->src1 != src1 || instr->src2 != src2) {
+      return Fail(what);
+    }
+    Take();
+    return true;
+  }
+
+  bool ExpectMem(JitOp op, uint8_t reg, uint32_t disp, const char* what) {
+    const JitInstruction* instr = Peek();
+    if (instr == nullptr || instr->op != op || instr->dst != reg ||
+        instr->disp != disp) {
+      return Fail(what);
+    }
+    Take();
+    return true;
+  }
+
+  bool ExpectMaskInit(uint8_t mask) {
+    const JitInstruction* instr = Peek();
+    if (instr == nullptr || instr->op != JitOp::kVcmppdRR ||
+        instr->dst != mask || instr->src1 != mask || instr->src2 != mask ||
+        instr->pred != kPredTrue) {
+      return Fail("expected vcmppd TRUE_UQ all-ones path-mask init");
+    }
+    Take();
+    return true;
+  }
+
+  bool ExpectAccAdd(uint8_t acc, uint32_t disp) {
+    const JitInstruction* instr = Peek();
+    if (instr == nullptr || instr->op != JitOp::kVaddpdRsiMem ||
+        instr->dst != acc || instr->src1 != acc || instr->disp != disp) {
+      return Fail("expected vaddpd accumulating into [rsi]");
+    }
+    Take();
+    return true;
+  }
+
+  bool ReadPoolConstant(const JitInstruction& broadcast, uint64_t* bits) {
+    // `target > size_ - 8`, not `target + 8 > size_`: the decoder marks a
+    // target before the buffer as SIZE_MAX, which must not wrap into range.
+    const size_t target = broadcast.target;
+    if (target < pool_begin_ || target % 8 != 0 || size_ < 8 ||
+        target > size_ - 8) {
+      report_->Add(
+          Severity::kError, "bad-pool-ref", tree_index_,
+          static_cast<int>(broadcast.offset),
+          StrFormat("vbroadcastsd at byte offset %zu reads buffer offset "
+                    "%zu, outside the 8-byte-aligned constant pool in "
+                    "[%zu, %zu)",
+                    broadcast.offset, target, pool_begin_, size_));
+      return false;
+    }
+    uint64_t value = 0;
+    for (int i = 7; i >= 0; --i) {
+      value = value << 8 | code_[target + static_cast<size_t>(i)];
+    }
+    *bits = value;
+    return true;
+  }
+
+  /// Parses the node blocks. The pending stack mirrors the emitter's
+  /// recursion: a new node always belongs to the top pending split — its
+  /// left child before that split's resume loads were seen, its right child
+  /// after. Returns once the root's subtree is complete.
+  bool ParseBody(LiftedTree* out) {
+    std::vector<Pending> pending;
+    for (;;) {
+      const JitInstruction* broadcast = Peek();
+      if (broadcast == nullptr || broadcast->op != JitOp::kVbroadcastsd ||
+          broadcast->dst != kConst) {
+        return Fail("expected vbroadcastsd of a pool constant into ymm2");
+      }
+      const size_t node_offset = broadcast->offset;
+      uint64_t bits = 0;
+      if (!ReadPoolConstant(*broadcast, &bits)) return false;
+      Take();
+      const int index = static_cast<int>(out->nodes.size());
+      out->nodes.emplace_back();
+      if (!pending.empty()) {
+        const Pending& parent = pending.back();
+        LiftedNode& parent_node =
+            out->nodes[static_cast<size_t>(parent.node)];
+        if (parent.parsed_left) {
+          parent_node.fall_child = index;
+        } else {
+          parent_node.jump_child = index;
+        }
+      }
+      const JitInstruction* next = Peek();
+      if (next == nullptr) return Fail("kernel region ends inside a node");
+      if (next->op == JitOp::kVcmppdRdiMem) {
+        // Split block.
+        const JitInstruction cmp0 = *next;
+        if (cmp0.dst != kCmp0 || cmp0.src1 != kConst) {
+          return Fail("first-half split compare out of register role");
+        }
+        if (cmp0.pred != kPredNanRight && cmp0.pred != kPredNanLeft) {
+          return Fail("split compare uses a predicate other than "
+                      "GT_OQ/NLE_UQ");
+        }
+        if (cmp0.disp % kFeatureStrideBytes != 0) {
+          return Fail("split feature load not on a feature-column boundary");
+        }
+        const int feature = static_cast<int>(cmp0.disp / kFeatureStrideBytes);
+        if (feature >= num_features_) {
+          ReportFeatureOob(feature, num_features_, cmp0.offset, tree_index_,
+                           report_);
+        }
+        Take();
+        next = Peek();
+        if (next == nullptr || next->op != JitOp::kVcmppdRdiMem ||
+            next->dst != kCmp1 || next->src1 != kConst ||
+            next->disp != cmp0.disp + kHalfBytes ||
+            next->pred != cmp0.pred) {
+          return Fail("second-half split compare does not mirror the first");
+        }
+        Take();
+        const int depth = static_cast<int>(pending.size());
+        max_depth_ = std::max(max_depth_, depth);
+        const uint32_t spill =
+            kFeatureStrideBytes * static_cast<uint32_t>(depth);
+        if (!ExpectRR(JitOp::kVandnpd, kScratch, kCmp0, kMask0,
+                      "expected vandnpd computing right-path mask (lo)") ||
+            !ExpectMem(JitOp::kVmovupdStoreRsp, kScratch, spill,
+                       "expected right-path mask spill at 64*depth") ||
+            !ExpectRR(JitOp::kVandnpd, kScratch, kCmp1, kMask1,
+                      "expected vandnpd computing right-path mask (hi)") ||
+            !ExpectMem(JitOp::kVmovupdStoreRsp, kScratch, spill + kHalfBytes,
+                       "expected right-path mask spill at 64*depth+32") ||
+            !ExpectRR(JitOp::kVandpd, kMask0, kMask0, kCmp0,
+                      "expected vandpd narrowing path mask (lo)") ||
+            !ExpectRR(JitOp::kVandpd, kMask1, kMask1, kCmp1,
+                      "expected vandpd narrowing path mask (hi)")) {
+          return false;
+        }
+        LiftedNode& node = out->nodes[static_cast<size_t>(index)];
+        node.is_leaf = false;
+        node.offset = node_offset;
+        node.feature = feature;
+        node.threshold_bits = bits;
+        node.cmp = LiftedNode::Cmp::kLt;
+        node.nan_jumps = cmp0.pred == kPredNanLeft;
+        pending.push_back(Pending{index, depth, false});
+        continue;  // The next node is this split's left child.
+      }
+      // Leaf block.
+      if (!ExpectRR(JitOp::kVandpd, kScratch, kMask0, kConst,
+                    "expected vandpd masking leaf value (lo)") ||
+          !ExpectRR(JitOp::kVorpd, kAcc0, kAcc0, kScratch,
+                    "expected vorpd accumulating leaf value (lo)") ||
+          !ExpectRR(JitOp::kVandpd, kScratch, kMask1, kConst,
+                    "expected vandpd masking leaf value (hi)") ||
+          !ExpectRR(JitOp::kVorpd, kAcc1, kAcc1, kScratch,
+                    "expected vorpd accumulating leaf value (hi)")) {
+        return false;
+      }
+      LiftedNode& leaf = out->nodes[static_cast<size_t>(index)];
+      leaf.is_leaf = true;
+      leaf.offset = node_offset;
+      leaf.value_bits = bits;
+      // Unwind splits whose right subtree just completed; the innermost
+      // split still missing its right child must resume its spilled masks.
+      while (!pending.empty() && pending.back().parsed_left) {
+        pending.pop_back();
+      }
+      if (pending.empty()) return true;
+      Pending& parent = pending.back();
+      const uint32_t spill =
+          kFeatureStrideBytes * static_cast<uint32_t>(parent.depth);
+      if (!ExpectMem(JitOp::kVmovupdLoadRsp, kMask0, spill,
+                     "expected path-mask resume load (lo)") ||
+          !ExpectMem(JitOp::kVmovupdLoadRsp, kMask1, spill + kHalfBytes,
+                     "expected path-mask resume load (hi)")) {
+        return false;
+      }
+      parent.parsed_left = true;
+      // The next node is that split's right child.
+    }
+  }
+
+  const Instructions& instructions_;
+  const uint8_t* code_;
+  size_t size_;
+  size_t pool_begin_;
+  size_t begin_;
+  size_t end_;
+  int num_features_;
+  int tree_index_;
+  AnalysisReport* report_;
+  size_t at_ = 0;
+  int max_depth_ = -1;  // Deepest split seen; -1 while there is none.
+};
+
+}  // namespace
+
+AnalysisReport TreeLifter::LiftForest(const uint8_t* code, size_t size,
+                                      const std::vector<size_t>& entries,
+                                      int num_features,
+                                      std::vector<LiftedTree>* out) const {
+  AnalysisReport report;
+  out->assign(entries.size(), LiftedTree{});
+  if (!CheckEntries(entries, size, &report)) return report;
   const DecodedCode decoded = DecodeLinear(code, size);
   if (!decoded.ok) {
-    report->Add(Severity::kError, "undecodable-code", -1,
-                static_cast<int>(decoded.error_offset),
-                StrFormat("byte 0x%02X at offset %zu is not in the emitter "
-                          "whitelist",
-                          code[decoded.error_offset], decoded.error_offset));
-    return;
+    report.Add(Severity::kError, "undecodable-code", -1,
+               static_cast<int>(decoded.error_offset),
+               StrFormat("byte 0x%02X at offset %zu is not in the emitter "
+                         "whitelist",
+                         code[decoded.error_offset], decoded.error_offset));
+    return report;
   }
   for (size_t i = 0; i < entries.size(); ++i) {
-    const size_t begin = entries[i];
-    const size_t end = i + 1 < entries.size() ? entries[i + 1] : size;
-    if (begin >= end || end > size) {
-      report->Add(Severity::kError, "unliftable-code", static_cast<int>(i),
-                  static_cast<int>(begin),
-                  StrFormat("region [%zu, %zu) is empty or out of bounds",
-                            begin, end));
-      return;
-    }
-    LiftedTree tree;
-    if (!LiftTree(decoded.instructions, begin, end, static_cast<int>(i),
-                  &tree, report)) {
-      return;
-    }
-    out->push_back(std::move(tree));
+    LiftScalarTree(decoded.instructions, entries[i],
+                   RegionEnd(entries, i, size), num_features,
+                   static_cast<int>(i), &(*out)[i], &report);
   }
+  return report;
+}
+
+AnalysisReport TreeLifter::LiftBatchForest(const uint8_t* code, size_t size,
+                                           const std::vector<size_t>& entries,
+                                           size_t pool_begin,
+                                           int num_features,
+                                           std::vector<LiftedTree>* out) const {
+  AnalysisReport report;
+  out->assign(entries.size(), LiftedTree{});
+  if (pool_begin > size) {
+    report.Add(Severity::kError, "bad-pool-ref", -1, -1,
+               StrFormat("constant pool begins at %zu, past the %zu-byte "
+                         "buffer",
+                         pool_begin, size));
+    return report;
+  }
+  if (!CheckEntries(entries, pool_begin, &report)) return report;
+  // Only [0, pool_begin) is instructions; the pool is data and decoding
+  // into it would desynchronize on constant bytes.
+  const DecodedCode decoded = DecodeLinear(code, pool_begin);
+  if (!decoded.ok) {
+    report.Add(Severity::kError, "undecodable-batch-code", -1,
+               static_cast<int>(decoded.error_offset),
+               StrFormat("batch code is not whitelisted-decodable at byte "
+                         "offset %zu",
+                         decoded.error_offset));
+    return report;
+  }
+  for (size_t i = 0; i < entries.size(); ++i) {
+    KernelParser(decoded.instructions, code, size, pool_begin, entries[i],
+                 RegionEnd(entries, i, pool_begin), num_features,
+                 static_cast<int>(i), &report)
+        .Parse(&(*out)[i]);
+  }
+  return report;
 }
 
 }  // namespace t3

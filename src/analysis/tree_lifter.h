@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "analysis/report.h"
@@ -28,6 +27,8 @@ namespace t3 {
 /// lifter models the full semantics so a corrupted buffer (e.g. a swapped
 /// branch-polarity byte) lifts to *what the bytes actually compute* and is
 /// then caught as an equivalence error, not hidden behind a parse failure.
+/// Batch kernels lift with jump_child = mask-true (left) and fall_child =
+/// mask-false (right), always as `x < threshold`.
 struct LiftedNode {
   enum class Cmp { kLt, kGt };
 
@@ -43,45 +44,84 @@ struct LiftedNode {
 };
 
 /// One tree function lifted from its code region. Node 0 is the entry.
-/// The node graph is guaranteed acyclic (the lifter rejects cycles), but it
-/// may be a DAG in corrupt code — consumers must not assume a tree.
+/// The node graph is guaranteed acyclic with every node reachable from node
+/// 0 (the lifts reject both), but it may be a DAG in corrupt code —
+/// consumers must not assume a tree.
 struct LiftedTree {
   std::vector<LiftedNode> nodes;
 };
 
-/// Lifts every tree region of an emitted buffer back into decision trees.
+/// The lift is the only reader of emitted machine code, and it is the whole
+/// safety proof: an artifact is safe to map executable iff its lift reports
+/// no Error. Each lift decodes its buffer once with the shared whitelist
+/// decoder (analysis/x86_decoder.h) and parses every region
+/// [entries[i], entries[i+1]) against its emitter's closed grammar, so an
+/// instruction outside the grammar, a register out of role or a byte no
+/// grammar rule owns fails the lift. On top of the grammar, both lifts
+/// enforce (all Error):
 ///
-/// Consumes the shared decoder's instruction stream (the same one
-/// JitCodeAuditor audits) and pattern-matches the emitter's two node
-/// shapes — leaf: `mov rax, bits; movq xmm0, rax; ret`; inner: `mov rax,
-/// bits; movq xmm1, rax; movsd xmm0, [rdi+8k]; ucomisd; jcc` — grouping the
-/// region's instructions into nodes and linking jump targets and
-/// fallthroughs. Diagnostics (all Error severity):
+///  - `bad-entry`: the regions tile the instruction bytes — entries ascend
+///    from offset 0 and each lies inside them, so every byte belongs to
+///    exactly one region.
+///  - `lifted-feature-oob`: every feature load reads inside the caller's
+///    `num_features`-wide row (scalar) or block (batch).
 ///
-///  - `undecodable-code`: the buffer does not linearly decode.
-///  - `unliftable-code`: a region's instructions do not group into the two
-///    node shapes (e.g. a stray compare, a branch into the middle of a
-///    node, or a region not starting with `mov rax`).
-///  - `lifted-cycle`: a branch creates a control-flow cycle — the machine
-///    code can loop forever, which no decision tree does.
+/// The two grammars stay separate on purpose: the scalar one is branches
+/// and fall-throughs, the batch one straight-line masks, and a shared
+/// lifter would have to branch on which emitter it serves at every node.
 ///
-/// Lifting is pure byte inspection and runs on any host.
+/// The lifts prove safety only; the validators (translation_validator.h,
+/// batch_equivalence_validator.h) prove the lifted trees equal the forest.
+/// Both are pure byte inspection and run on any host.
 class TreeLifter {
  public:
-  /// Lifts all regions ([entries[i], entries[i+1]), last closed by `size`).
-  /// On success `out` has one LiftedTree per entry. Any diagnostic means
-  /// the corresponding tree (and possibly later ones) is missing from
-  /// `out`; callers must check `report->HasErrors()` first.
-  void LiftForest(const uint8_t* code, size_t size,
-                  const std::vector<size_t>& entries,
-                  std::vector<LiftedTree>* out, AnalysisReport* report) const;
+  /// Lifts the scalar tree functions (treejit EmitForestCode), regions
+  /// closed by `size`. Node shapes — leaf: `mov rax, bits; movq xmm0, rax;
+  /// ret`; inner: `mov rax, bits; movq xmm1, rax; movsd xmm0, [rdi+8k];
+  /// ucomisd; jcc`. Beyond the shared checks:
+  ///
+  ///  - `undecodable-code`: the buffer does not linearly decode.
+  ///  - `unliftable-code`: a region does not group into the two node
+  ///    shapes, a branch does not land on a node start in its own region,
+  ///    a feature load is not 8-byte aligned, or the last node falls
+  ///    through past the region's end.
+  ///  - `lifted-cycle`: a branch creates a control-flow cycle — the machine
+  ///    code can loop forever, which no decision tree does.
+  ///  - `unreachable-node`: a node no path from the region entry reaches.
+  ///    The emitter never produces one.
+  ///
+  /// `out` gets one LiftedTree per entry; it is meaningful only when the
+  /// returned report has no Error.
+  AnalysisReport LiftForest(const uint8_t* code, size_t size,
+                            const std::vector<size_t>& entries,
+                            int num_features,
+                            std::vector<LiftedTree>* out) const;
 
-  /// Lifts one region [begin, end) of an already-decoded buffer. Returns
-  /// false (with diagnostics appended, `tree_index` as location) on any
-  /// lift failure.
-  bool LiftTree(const std::map<size_t, JitInstruction>& instructions,
-                size_t begin, size_t end, int tree_index, LiftedTree* out,
-                AnalysisReport* report) const;
+  /// Lifts the AVX batch kernels (treejit EmitForestBatchCode): kernels at
+  /// `entries`, the constant pool from `pool_begin` rounded up to 8 bytes
+  /// to `size`. Only [0, pool_begin) is decoded. Each region is parsed
+  /// against the batch emitter's grammar — prologue, masked split / leaf
+  /// blocks with their exact register roles, spill discipline and the
+  /// `acc += leaf` epilogue into [rsi], [rsi + 32] — so a branch, a scalar
+  /// instruction or an accumulator access anywhere else fails the parse.
+  /// Each vcmppd pair lifts to a split on `x[disp/64] < threshold` (GT_OQ
+  /// routes NaN right, NLE_UQ left), each broadcast-and-or block to a leaf
+  /// returning the pool constant's exact bits. Beyond the shared checks:
+  ///
+  ///  - `undecodable-batch-code`: [0, pool_begin) does not linearly decode.
+  ///  - `unliftable-batch-code`: a region diverges from the grammar.
+  ///  - `bad-frame`: a split at depth d spills its masks to
+  ///    [rsp + 64d, rsp + 64d + 64), so the `sub rsp` frame must be exactly
+  ///    64 * (deepest split depth + 1) bytes, and absent without splits:
+  ///    every spill lies inside it, and it is a positive multiple of 32.
+  ///  - `bad-pool-ref`: the pool starts past the buffer, or a broadcast
+  ///    reads anything but an aligned 8-byte constant inside the pool.
+  ///
+  /// `out` is as for LiftForest.
+  AnalysisReport LiftBatchForest(const uint8_t* code, size_t size,
+                                 const std::vector<size_t>& entries,
+                                 size_t pool_begin, int num_features,
+                                 std::vector<LiftedTree>* out) const;
 };
 
 }  // namespace t3

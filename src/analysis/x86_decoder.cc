@@ -1,9 +1,26 @@
 #include "analysis/x86_decoder.h"
 
 #include <initializer_list>
+#include <limits>
 
 namespace t3 {
 namespace {
+
+/// Where a rip-relative operand or branch whose target lies before the
+/// buffer points: the largest offset, which no range check written as
+/// `target > size - n` can accept. A small past-the-end value would not do:
+/// batch code is decoded with `size` = the pool start, so `size + 1` can be
+/// an aligned pool slot.
+constexpr size_t kWildTarget = std::numeric_limits<size_t>::max();
+
+/// Absolute buffer offset of `rel`, measured from the end of an instruction
+/// of `length` bytes at `offset`, in signed 64-bit so a wild rel32 cannot
+/// wrap back into the buffer.
+size_t RelativeTarget(size_t offset, size_t length, uint32_t rel) {
+  const int64_t target = static_cast<int64_t>(offset + length) +
+                         static_cast<int32_t>(rel);
+  return target < 0 ? kWildTarget : static_cast<size_t>(target);
+}
 
 bool Match(const uint8_t* code, size_t size, size_t offset,
            std::initializer_list<uint8_t> bytes) {
@@ -26,10 +43,6 @@ uint64_t Read64(const uint8_t* code, size_t offset) {
   return static_cast<uint64_t>(Read32(code, offset)) |
          static_cast<uint64_t>(Read32(code, offset + 4)) << 32;
 }
-
-}  // namespace
-
-namespace {
 
 /// Decodes the VEX-encoded batch-kernel vocabulary: 2-byte-VEX ymm ops with
 /// pp=01 plus the one 3-byte-VEX op (vbroadcastsd) and the rsp frame
@@ -63,11 +76,7 @@ bool DecodeBatchInstruction(const uint8_t* code, size_t size, size_t offset,
     out->length = 9;
     out->dst = (modrm >> 3) & 7;
     out->disp = read32(offset + 5);
-    // Same signed-math clamp as the jcc targets: rip points past the
-    // instruction, and a wild disp32 must not wrap back into the buffer.
-    const int64_t target = static_cast<int64_t>(offset) + 9 +
-                           static_cast<int32_t>(out->disp);
-    out->target = target < 0 ? size + 1 : static_cast<size_t>(target);
+    out->target = RelativeTarget(offset, 9, out->disp);  // rip = next insn.
     return true;
   }
   if (size - offset < 4 || code[offset] != 0xC5) return false;
@@ -190,7 +199,8 @@ bool DecodeInstruction(const uint8_t* code, size_t size, size_t offset,
     if (size - offset < 5) return false;
     out->op = JitOp::kLoadFeature8;
     out->length = 5;
-    out->disp = code[offset + 4];
+    // disp8 is signed: 0x80-0xFF reach below rdi.
+    out->disp = static_cast<uint32_t>(static_cast<int8_t>(code[offset + 4]));
     return true;
   }
   if (Match(code, size, offset, {0xF2, 0x0F, 0x10, 0x87})) {
@@ -215,13 +225,7 @@ bool DecodeInstruction(const uint8_t* code, size_t size, size_t offset,
     if (size - offset < 6) return false;
     out->op = code[offset + 1] == 0x87 ? JitOp::kJa : JitOp::kJb;
     out->length = 6;
-    const int32_t rel = static_cast<int32_t>(Read32(code, offset + 2));
-    // Target relative to the end of the instruction; computed in signed
-    // 64-bit so a wild rel32 cannot wrap back into the buffer.
-    const int64_t target = static_cast<int64_t>(offset) + 6 + rel;
-    // A negative target is clamped past the buffer so every later
-    // range check fails it.
-    out->target = target < 0 ? size + 1 : static_cast<size_t>(target);
+    out->target = RelativeTarget(offset, 6, Read32(code, offset + 2));
     return true;
   }
   return DecodeBatchInstruction(code, size, offset, out);

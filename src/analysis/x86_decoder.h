@@ -7,9 +7,9 @@
 
 namespace t3 {
 
-/// The instruction vocabulary TreeJit emits — nothing else may appear in an
-/// audited buffer. Shared by every machine-code analysis pass
-/// (JitCodeAuditor, TreeLifter) and by their tests.
+/// The instruction vocabulary TreeJit emits — nothing else may appear in a
+/// proven buffer. Shared by the scalar and batch lifts
+/// (analysis/tree_lifter.h) and by their tests.
 enum class JitOp {
   kMovRaxImm64,     ///< 48 B8 imm64            mov rax, <bits>
   kMovqXmm0Rax,     ///< 66 48 0F 6E C0         movq xmm0, rax
@@ -48,9 +48,12 @@ struct JitInstruction {
   size_t offset = 0;  ///< Byte offset in the code buffer.
   size_t length = 0;  ///< Encoded length in bytes.
   size_t target = 0;  ///< Branch destination (kJa / kJb) or the absolute
-                      ///  buffer offset a kVbroadcastsd rip operand reads.
+                      ///  buffer offset a kVbroadcastsd rip operand reads;
+                      ///  SIZE_MAX when it lies before the buffer.
   uint32_t disp = 0;  ///< Memory displacement (feature loads, vector memory
-                      ///  forms) or the imm32 of kSubRspImm32/kAddRspImm32.
+                      ///  forms) or the imm32 of kSubRspImm32/kAddRspImm32,
+                      ///  sign-extended to 32 bits as the CPU applies it:
+                      ///  a negative value reads as >= 2^31.
   uint64_t imm = 0;   ///< Immediate bits (kMovRaxImm64 only).
   uint8_t dst = 0;    ///< Vector ops: modrm.reg ymm register — the
                       ///  destination, or the stored source for stores.
@@ -62,7 +65,7 @@ struct JitInstruction {
 
 /// Decodes one instruction at `offset` against the emitter whitelist; false
 /// when the bytes match nothing in it. Pure byte inspection — works on any
-/// host, including non-x86-64 builds auditing serialized buffers.
+/// host, including non-x86-64 builds proving serialized buffers.
 bool DecodeInstruction(const uint8_t* code, size_t size, size_t offset,
                        JitInstruction* out);
 

@@ -8,8 +8,8 @@
 #include <utility>
 
 #include "analysis/batch_equivalence_validator.h"
-#include "analysis/jit_auditor.h"
 #include "analysis/translation_validator.h"
+#include "analysis/tree_lifter.h"
 #include "common/cpu_features.h"
 #include "common/string_util.h"
 
@@ -431,6 +431,13 @@ Status MapExecutable(const std::vector<uint8_t>& code, void** memory_out,
   return Status::OK();
 }
 
+/// InternalError naming `what` when a pre-mapping proof found an Error.
+Status ProofStatus(const char* what, const AnalysisReport& report) {
+  if (!report.HasErrors()) return Status::OK();
+  return InternalError(StrFormat("JIT proof rejected %s: %s", what,
+                                 report.ToStatus().message().c_str()));
+}
+
 }  // namespace
 
 Result<JitArtifact> EmitForestCode(const Forest& forest) {
@@ -465,36 +472,23 @@ Result<std::unique_ptr<CompiledForest>> CompiledForest::Compile(
   Result<JitArtifact> artifact = EmitForestCode(forest);
   if (!artifact.ok()) return artifact.status();
 
-  if (options.audit) {
-    // Static proof over the exact bytes about to be mapped executable: only
-    // whitelisted instructions, branch targets on instruction boundaries
-    // inside the tree's own code, feature loads inside the row. An audit
-    // failure is an emitter bug, never a property of the (already
-    // validated) forest.
-    const AnalysisReport report = JitCodeAuditor().Audit(
-        artifact->code.data(), artifact->code.size(), artifact->entries,
-        artifact->num_features);
-    if (report.HasErrors()) {
-      return InternalError(
-          StrFormat("JIT audit rejected emitted code: %s",
-                    report.ToStatus().message().c_str()));
-    }
-  }
-
-  if (options.validate_translation) {
-    // Static equivalence proof over the same bytes: lift the emitted code
-    // back into decision trees and show they compute exactly `forest`
-    // (bit-equal thresholds/leaves, identical NaN routing, pointwise-equal
-    // outputs over every threshold-induced cell). A failure is an emitter
-    // bug — the forest itself was already validated.
-    const AnalysisReport equivalence = TranslationValidator().Validate(
-        forest, artifact->code.data(), artifact->code.size(),
-        artifact->entries);
-    if (equivalence.HasErrors()) {
-      return InternalError(
-          StrFormat("translation validation rejected emitted code: %s",
-                    equivalence.ToStatus().message().c_str()));
-    }
+  // Static proof over the exact bytes about to be mapped executable: the
+  // lift alone (safety), or the lift plus the equivalence proof against
+  // `forest` (bit-equal thresholds/leaves, identical NaN routing,
+  // pointwise-equal outputs over every threshold-induced cell).
+  if (options.validate_translation || options.audit) {
+    std::vector<LiftedTree> lifted;
+    const AnalysisReport report =
+        options.validate_translation
+            ? TranslationValidator().Validate(forest, artifact->code.data(),
+                                              artifact->code.size(),
+                                              artifact->entries)
+            : TreeLifter().LiftForest(artifact->code.data(),
+                                      artifact->code.size(),
+                                      artifact->entries,
+                                      artifact->num_features, &lifted);
+    Status proven = ProofStatus("emitted tree code", report);
+    if (!proven.ok()) return proven;
   }
 
   std::unique_ptr<CompiledForest> compiled(new CompiledForest());
@@ -514,32 +508,22 @@ Result<std::unique_ptr<CompiledForest>> CompiledForest::Compile(
     Result<BatchJitArtifact> batch = EmitForestBatchCode(forest);
     if (!batch.ok()) return batch.status();
 
-    if (options.audit) {
-      // Same pre-mapping discipline as the scalar code: prove every lane
-      // load, spill slot and pool reference in bounds and the control flow
-      // straight-line before any byte becomes executable.
-      const AnalysisReport report = JitCodeAuditor().AuditBatch(
-          batch->code.data(), batch->code.size(), batch->entries,
-          batch->pool_begin, batch->num_features);
-      if (report.HasErrors()) {
-        return InternalError(
-            StrFormat("batch JIT audit rejected emitted code: %s",
-                      report.ToStatus().message().c_str()));
-      }
-    }
-
-    if (options.validate_batch) {
-      // Lift each vector kernel back into a decision tree and prove it
-      // computes the source forest (structure + per-cell semantics), per
-      // lane — the batch analogue of validate_translation.
-      const AnalysisReport equivalence = BatchEquivalenceValidator().Validate(
-          forest, batch->code.data(), batch->code.size(), batch->entries,
-          batch->pool_begin);
-      if (equivalence.HasErrors()) {
-        return InternalError(
-            StrFormat("batch equivalence validation rejected emitted code: %s",
-                      equivalence.ToStatus().message().c_str()));
-      }
+    // Same pre-mapping discipline as the scalar code: the lift proves
+    // every lane load, spill slot and pool reference in bounds and the
+    // control flow straight-line; validate_batch also proves each kernel
+    // computes its tree, per lane.
+    if (options.validate_batch || options.audit) {
+      std::vector<LiftedTree> lifted;
+      const AnalysisReport report =
+          options.validate_batch
+              ? BatchEquivalenceValidator().Validate(
+                    forest, batch->code.data(), batch->code.size(),
+                    batch->entries, batch->pool_begin)
+              : TreeLifter().LiftBatchForest(
+                    batch->code.data(), batch->code.size(), batch->entries,
+                    batch->pool_begin, batch->num_features, &lifted);
+      Status proven = ProofStatus("emitted batch kernels", report);
+      if (!proven.ok()) return proven;
     }
 
     Status batch_mapped = MapExecutable(batch->code, &compiled->batch_code_,
@@ -649,8 +633,8 @@ void CompiledForest::PredictBatch(const double* rows, size_t num_rows,
 
 // Portability guard: on non-x86-64 hosts (or without mmap) compilation
 // reports Unavailable and callers fall back to FlatEvaluator /
-// InterpretedEvaluator. (The JitCodeAuditor itself is pure byte
-// inspection and still works on serialized buffers everywhere.)
+// InterpretedEvaluator. (The lifts and validators are pure byte inspection
+// and still work on serialized buffers everywhere.)
 
 Result<JitArtifact> EmitForestCode(const Forest& forest) {
   Status valid = forest.Validate();

@@ -12,8 +12,8 @@ namespace t3 {
 
 /// Machine code emitted for a forest, before it is mapped executable: the
 /// raw bytes plus each tree function's entry offset. Exposed separately
-/// from Compile so the JitCodeAuditor (src/analysis) and tests can inspect
-/// the exact bytes that would run.
+/// from Compile so the lifts and validators (src/analysis) and tests can
+/// inspect the exact bytes that would run.
 struct JitArtifact {
   std::vector<uint8_t> code;
   std::vector<size_t> entries;  ///< One per tree, ascending, [0] == 0.
@@ -34,8 +34,8 @@ Result<JitArtifact> EmitForestCode(const Forest& forest);
 /// 4-lane ymm halves, accumulating `acc[lane] += leaf_value(lane)` — the
 /// same per-tree addend, in the same order, as the scalar path. The code is
 /// straight-line (branch-free) masked evaluation; see EmitForestBatchCode
-/// in jit.cc for the exact instruction grammar, which the analysis passes
-/// (JitCodeAuditor::AuditBatch, BatchEquivalenceValidator) re-check.
+/// in jit.cc for the exact instruction grammar, which the batch lift
+/// (TreeLifter::LiftBatchForest) re-parses.
 ///
 /// `pool_begin` is the first byte past the last kernel's ret; the
 /// vbroadcastsd constant pool starts at the next 8-byte boundary and runs
@@ -58,24 +58,28 @@ Result<BatchJitArtifact> EmitForestBatchCode(const Forest& forest);
 /// common/cpu_features.h).
 bool BatchJitSupported();
 
-/// Knobs for CompiledForest::Compile.
+/// Knobs for CompiledForest::Compile. Nothing is mapped executable before
+/// its proof passed; each artifact is decoded and lifted once however many
+/// of the proof knobs are set. A failed proof is an emitter bug (the forest
+/// was already validated) and makes Compile return InternalError.
 struct JitCompileOptions {
-  /// Run the JitCodeAuditor over the emitted bytes before mapping them
-  /// executable; Compile fails with InternalError when the audit finds an
-  /// Error. On by default in debug builds; release callers opt in (the
-  /// audit is a few linear passes over the code — cheap, but not free on
+  /// Lift the emitted scalar code and, with enable_batch, the batch
+  /// kernels before mapping them (analysis/tree_lifter.h): whitelisted
+  /// instructions in the emitter's grammar, control flow contained in each
+  /// tree's region, every node reachable, feature loads, spills and pool
+  /// reads in bounds. On by default in debug builds; release callers opt
+  /// in (a lift is one linear pass over the code — cheap, but not free on
   /// the model-reload path).
 #ifdef NDEBUG
   bool audit = false;
 #else
   bool audit = true;
 #endif
-  /// Run the TranslationValidator over the emitted bytes: lift them back
-  /// into decision trees and prove structural + semantic equivalence to the
-  /// source forest (see analysis/translation_validator.h). Compile fails
-  /// with InternalError on any inequivalence. On by default in debug
-  /// builds; release callers opt in (cost is roughly one interval walk per
-  /// leaf — heavier than the audit, still well under a model load).
+  /// Lift the scalar code and prove it equal to the source forest:
+  /// structural and per-cell semantic equivalence (see
+  /// analysis/translation_validator.h). Implies the `audit` lift. On by
+  /// default in debug builds; release callers opt in (cost is roughly one
+  /// interval walk per leaf, still well under a model load).
 #ifdef NDEBUG
   bool validate_translation = false;
 #else
@@ -85,13 +89,11 @@ struct JitCompileOptions {
   /// is false). Off pins PredictBatch to the portable per-row path — the
   /// scalar reference the dispatch tests compare against.
   bool enable_batch = true;
-  /// Run the batch-kernel analysis stack over the emitted batch code before
-  /// mapping it: JitCodeAuditor::AuditBatch (lane-load bounds, frame
-  /// discipline, straight-line control flow) and BatchEquivalenceValidator
-  /// (lift the kernel back to a tree, prove it equals the forest per cell),
-  /// plus an exhaustive per-cell differential check of the mapped kernels
-  /// against the scalar path. Same debug-on contract as
-  /// validate_translation.
+  /// Lift the batch kernels and prove each equals its tree per lane
+  /// (analysis/batch_equivalence_validator.h), then run an exhaustive
+  /// per-cell differential check of the mapped kernels against the scalar
+  /// path. Implies the `audit` lift of the batch code. Same debug-on
+  /// contract as validate_translation.
 #ifdef NDEBUG
   bool validate_batch = false;
 #else

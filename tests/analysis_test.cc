@@ -1,12 +1,14 @@
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "analysis/forest_verifier.h"
-#include "analysis/jit_auditor.h"
+#include "analysis/tree_lifter.h"
+#include "analysis/x86_decoder.h"
 #include "common/random.h"
 #include "gbt/forest.h"
 #include "gbt/trainer.h"
@@ -346,8 +348,8 @@ TEST(AnalysisReportTest, SeveritiesCountsAndStatus) {
 }
 
 // ---------------------------------------------------------------------------
-// JitCodeAuditor. Emission needs x86-64; the audits themselves are pure
-// byte inspection.
+// The scalar lift's safety obligations (TreeLifter::LiftForest). Emission
+// needs x86-64; the lift itself is pure byte inspection.
 
 /// A randomized, structurally valid forest: every tree is built root-down
 /// with contiguous child indices, features spanning both the disp8
@@ -387,7 +389,7 @@ Forest RandomValidForest(Rng* rng) {
   return forest;
 }
 
-TEST(JitCodeAuditorTest, PassesOnHundredRandomForests) {
+TEST(ScalarLiftTest, PassesOnHundredRandomForests) {
   if (!JitSupported()) GTEST_SKIP() << "no x86-64 emitter on this host";
   Rng rng(2025);
   for (int i = 0; i < 100; ++i) {
@@ -395,15 +397,16 @@ TEST(JitCodeAuditorTest, PassesOnHundredRandomForests) {
     ASSERT_TRUE(forest.Validate().ok()) << "sweep " << i;
     Result<JitArtifact> artifact = EmitForestCode(forest);
     ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
-    const AnalysisReport report =
-        JitCodeAuditor().Audit(artifact->code.data(), artifact->code.size(),
-                               artifact->entries, artifact->num_features);
+    std::vector<LiftedTree> lifted;
+    const AnalysisReport report = TreeLifter().LiftForest(
+        artifact->code.data(), artifact->code.size(), artifact->entries,
+        artifact->num_features, &lifted);
     EXPECT_FALSE(report.HasErrors())
         << "sweep " << i << ":\n" << report.ToString();
   }
 }
 
-TEST(JitCodeAuditorTest, DecodesEveryEmittedOpcode) {
+TEST(X86DecoderTest, DecodesEveryEmittedOpcode) {
   if (!JitSupported()) GTEST_SKIP() << "no x86-64 emitter on this host";
   // Feature 20 forces the disp32 load; feature 2 the disp8 load; mixed
   // default_left covers both ucomisd/jcc orientations.
@@ -434,7 +437,9 @@ TEST(JitCodeAuditorTest, DecodesEveryEmittedOpcode) {
   }
 }
 
-class JitCodeAuditorCorruptionTest : public ::testing::Test {
+/// Each case corrupts one safety obligation of a clean two-tree buffer and
+/// asserts the diagnostic the lift rejects it with.
+class ScalarLiftCorruptionTest : public ::testing::Test {
  protected:
   void SetUp() override {
     if (!JitSupported()) GTEST_SKIP() << "no x86-64 emitter on this host";
@@ -448,10 +453,15 @@ class JitCodeAuditorCorruptionTest : public ::testing::Test {
     artifact_ = *std::move(artifact);
   }
 
-  AnalysisReport Audit() const {
-    return JitCodeAuditor().Audit(artifact_.code.data(),
-                                  artifact_.code.size(), artifact_.entries,
-                                  artifact_.num_features);
+  AnalysisReport Lift(const std::vector<size_t>& entries) const {
+    return Lift(artifact_.code, entries);
+  }
+  AnalysisReport Lift() const { return Lift(artifact_.entries); }
+  AnalysisReport Lift(const std::vector<uint8_t>& code,
+                      const std::vector<size_t>& entries) const {
+    std::vector<LiftedTree> lifted;
+    return TreeLifter().LiftForest(code.data(), code.size(), entries,
+                                   artifact_.num_features, &lifted);
   }
 
   /// Offset of the first instruction of kind `op`, or npos.
@@ -467,123 +477,153 @@ class JitCodeAuditorCorruptionTest : public ::testing::Test {
     return std::string::npos;
   }
 
+  /// The 16 bytes of a leaf returning 9.0: mov rax; movq xmm0, rax; ret.
+  static std::vector<uint8_t> LeafBytes() {
+    Result<JitArtifact> leaf = EmitForestCode(OneTreeForest({Leaf(9.0)}));
+    EXPECT_TRUE(leaf.ok());
+    return leaf->code;
+  }
+
+  void PatchRel32(size_t at, int64_t rel) {
+    for (int i = 0; i < 4; ++i) {
+      artifact_.code[at + static_cast<size_t>(i)] =
+          static_cast<uint8_t>(static_cast<uint64_t>(rel) >> (8 * i));
+    }
+  }
+
   JitArtifact artifact_;
 };
 
-TEST_F(JitCodeAuditorCorruptionTest, CleanBufferPasses) {
-  EXPECT_FALSE(Audit().HasErrors()) << Audit().ToString();
+TEST_F(ScalarLiftCorruptionTest, CleanBufferPasses) {
+  EXPECT_FALSE(Lift().HasErrors()) << Lift().ToString();
 }
 
-TEST_F(JitCodeAuditorCorruptionTest, ByteFlipInOpcodeIsRejected) {
+TEST_F(ScalarLiftCorruptionTest, ByteFlipInOpcodeIsRejected) {
   // 0xC3 ret -> 0xC2 ret imm16 is not in the whitelist.
   const size_t ret = FindOp(JitOp::kRet);
   ASSERT_NE(ret, std::string::npos);
   artifact_.code[ret] = 0xC2;
-  EXPECT_TRUE(Audit().HasErrors());
+  EXPECT_TRUE(HasError(Lift(), "undecodable-code")) << Lift().ToString();
 }
 
-TEST_F(JitCodeAuditorCorruptionTest, BranchRetargetedMidInstructionIsRejected) {
+TEST_F(ScalarLiftCorruptionTest, BranchRetargetedMidInstructionIsRejected) {
   const size_t branch = FindOp(JitOp::kJa);
   ASSERT_NE(branch, std::string::npos);
   // rel32 currently lands on a boundary; nudge it one byte forward.
   artifact_.code[branch + 2] = static_cast<uint8_t>(artifact_.code[branch + 2] + 1);
-  const AnalysisReport report = Audit();
-  EXPECT_TRUE(report.HasErrors());
-  bool found = false;
-  for (const Diagnostic& d : report.diagnostics()) {
-    found = found || d.check == "bad-branch-target";
-  }
-  EXPECT_TRUE(found) << report.ToString();
+  EXPECT_TRUE(HasError(Lift(), "unliftable-code")) << Lift().ToString();
 }
 
-TEST_F(JitCodeAuditorCorruptionTest, BranchOutOfRegionIsRejected) {
+TEST_F(ScalarLiftCorruptionTest, BranchOutOfRegionIsRejected) {
   // Retarget the first tree's first branch to the second tree's entry —
-  // a valid instruction boundary, but outside the branch's own region.
+  // a node boundary, but outside the branch's own region.
   const size_t branch = FindOp(JitOp::kJa);
   ASSERT_NE(branch, std::string::npos);
   ASSERT_EQ(artifact_.entries.size(), 2u);
-  const int64_t rel = static_cast<int64_t>(artifact_.entries[1]) -
-                      (static_cast<int64_t>(branch) + 6);
-  for (int i = 0; i < 4; ++i) {
-    artifact_.code[branch + 2 + static_cast<size_t>(i)] =
-        static_cast<uint8_t>(static_cast<uint64_t>(rel) >> (8 * i));
-  }
-  const AnalysisReport report = Audit();
-  bool found = false;
-  for (const Diagnostic& d : report.diagnostics()) {
-    found = found || d.check == "bad-branch-target";
-  }
-  EXPECT_TRUE(found) << report.ToString();
+  PatchRel32(branch + 2, static_cast<int64_t>(artifact_.entries[1]) -
+                             (static_cast<int64_t>(branch) + 6));
+  EXPECT_TRUE(HasError(Lift(), "unliftable-code")) << Lift().ToString();
 }
 
-TEST_F(JitCodeAuditorCorruptionTest, OutOfBoundsFeatureLoadIsRejected) {
+TEST_F(ScalarLiftCorruptionTest, BranchBeforeBufferIsRejected) {
+  const size_t branch = FindOp(JitOp::kJa);
+  ASSERT_NE(branch, std::string::npos);
+  PatchRel32(branch + 2, -static_cast<int64_t>(branch) - 6 - 16);
+  EXPECT_TRUE(HasError(Lift(), "unliftable-code")) << Lift().ToString();
+}
+
+TEST_F(ScalarLiftCorruptionTest, OutOfBoundsFeatureLoadIsRejected) {
   // Patch the disp32 load (feature 20 of 32) to read feature 64.
   const size_t load = FindOp(JitOp::kLoadFeature32);
   ASSERT_NE(load, std::string::npos);
-  const uint32_t disp = 64 * 8;
-  for (int i = 0; i < 4; ++i) {
-    artifact_.code[load + 4 + static_cast<size_t>(i)] =
-        static_cast<uint8_t>(disp >> (8 * i));
-  }
-  const AnalysisReport report = Audit();
-  bool found = false;
-  for (const Diagnostic& d : report.diagnostics()) {
-    found = found || d.check == "oob-feature-load";
-  }
-  EXPECT_TRUE(found) << report.ToString();
+  PatchRel32(load + 4, 64 * 8);
+  EXPECT_TRUE(HasError(Lift(), "lifted-feature-oob")) << Lift().ToString();
 }
 
-TEST_F(JitCodeAuditorCorruptionTest, MisalignedFeatureLoadIsRejected) {
+TEST_F(ScalarLiftCorruptionTest, NegativeDisp8FeatureLoadIsRejected) {
+  // disp8 0x90 is -112 to the CPU: a load 14 features *below* the row. Read
+  // unsigned it would pass as feature 18 of 32.
+  const size_t load = FindOp(JitOp::kLoadFeature8);
+  ASSERT_NE(load, std::string::npos);
+  artifact_.code[load + 4] = 0x90;
+  EXPECT_TRUE(HasError(Lift(), "lifted-feature-oob")) << Lift().ToString();
+}
+
+TEST_F(ScalarLiftCorruptionTest, MisalignedFeatureLoadIsRejected) {
   const size_t load = FindOp(JitOp::kLoadFeature8);
   ASSERT_NE(load, std::string::npos);
   artifact_.code[load + 4] = 13;  // Not a multiple of 8.
-  const AnalysisReport report = Audit();
-  EXPECT_TRUE(report.HasErrors()) << report.ToString();
+  EXPECT_TRUE(HasError(Lift(), "unliftable-code")) << Lift().ToString();
 }
 
-TEST_F(JitCodeAuditorCorruptionTest, BadEntriesAreRejected) {
+TEST_F(ScalarLiftCorruptionTest, BadEntriesAreRejected) {
   // Entry past the buffer.
   std::vector<size_t> entries = artifact_.entries;
   entries.push_back(artifact_.code.size() + 100);
-  EXPECT_TRUE(JitCodeAuditor()
-                  .Audit(artifact_.code.data(), artifact_.code.size(),
-                         entries, artifact_.num_features)
-                  .HasErrors());
+  EXPECT_TRUE(HasError(Lift(entries), "bad-entry"));
+  // Entries out of order.
+  EXPECT_TRUE(HasError(Lift({artifact_.entries[1], 0}), "bad-entry"));
   // Entry mid-instruction (offset 1 is inside the first mov imm64).
-  EXPECT_TRUE(JitCodeAuditor()
-                  .Audit(artifact_.code.data(), artifact_.code.size(),
-                         {0, 1}, artifact_.num_features)
-                  .HasErrors());
-  // Empty entries.
-  EXPECT_TRUE(JitCodeAuditor()
-                  .Audit(artifact_.code.data(), artifact_.code.size(), {},
-                         artifact_.num_features)
-                  .HasErrors());
+  EXPECT_TRUE(HasError(Lift({0, 1}), "unliftable-code"));
+  // No region owns the bytes.
+  EXPECT_TRUE(HasError(Lift({}), "bad-entry"));
 }
 
-TEST_F(JitCodeAuditorCorruptionTest, TruncatedBufferIsRejected) {
-  // Chop the final ret: the last path now falls off the end.
-  const AnalysisReport report = JitCodeAuditor().Audit(
-      artifact_.code.data(), artifact_.code.size() - 1, artifact_.entries,
-      artifact_.num_features);
-  EXPECT_TRUE(report.HasErrors());
+TEST_F(ScalarLiftCorruptionTest, FirstEntryNotAtOffsetZeroIsRejected) {
+  // A dead leaf prepended at offset 0 and the region table shifted past it:
+  // every region still lifts and proves equal to its tree, but bytes
+  // [0, 16) belong to no region.
+  std::vector<uint8_t> code = LeafBytes();
+  ASSERT_EQ(code.size(), 16u);
+  code.insert(code.end(), artifact_.code.begin(), artifact_.code.end());
+  EXPECT_TRUE(HasError(Lift(code, {16, artifact_.entries[1] + 16}),
+                       "bad-entry"));
 }
 
-// Compile(audit=on) is the production wiring of the auditor: it must stay
+TEST_F(ScalarLiftCorruptionTest, DeadTrailingLeafIsRejected) {
+  // A leaf appended to the last region: it lifts as a node, but no path
+  // from the region entry reaches it.
+  const std::vector<uint8_t> leaf = LeafBytes();
+  artifact_.code.insert(artifact_.code.end(), leaf.begin(), leaf.end());
+  EXPECT_TRUE(HasError(Lift(), "unreachable-node")) << Lift().ToString();
+}
+
+TEST_F(ScalarLiftCorruptionTest, TruncatedBufferIsRejected) {
+  // Chop the final ret: the last leaf is no longer closed, so its path
+  // would fall off the end of the region.
+  artifact_.code.pop_back();
+  EXPECT_TRUE(HasError(Lift(), "unliftable-code")) << Lift().ToString();
+}
+
+TEST_F(ScalarLiftCorruptionTest, TruncatedInstructionIsRejected) {
+  // Chop into the final movq: the buffer ends mid-instruction.
+  artifact_.code.resize(artifact_.code.size() - 3);
+  EXPECT_TRUE(HasError(Lift(), "undecodable-code")) << Lift().ToString();
+}
+
+// Compile's production wiring of the proofs: with only `audit` set it
+// lifts both artifacts without the equivalence proofs, and must stay
 // invisible for healthy forests (bit-identical predictions, no failures).
-TEST(JitAuditWiringTest, AuditedCompileMatchesInterpreter) {
+TEST(JitProofWiringTest, LiftOnlyCompileMatchesInterpreter) {
   if (!JitSupported()) GTEST_SKIP() << "no x86-64 emitter on this host";
   Rng rng(99);
   const Forest forest = RandomValidForest(&rng);
   JitCompileOptions options;
   options.audit = true;
+  options.validate_translation = false;
+  options.validate_batch = false;
   Result<std::unique_ptr<CompiledForest>> compiled =
       CompiledForest::Compile(forest, options);
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-  std::vector<double> row(static_cast<size_t>(forest.num_features));
-  for (int i = 0; i < 200; ++i) {
-    for (double& v : row) v = rng.UniformDouble(-150, 150);
-    ASSERT_EQ((*compiled)->Predict(row.data()), forest.Predict(row.data()));
+  const size_t num_features = static_cast<size_t>(forest.num_features);
+  std::vector<double> rows(200 * num_features);
+  for (double& v : rows) v = rng.UniformDouble(-150, 150);
+  std::vector<double> batch(200);
+  (*compiled)->PredictBatch(rows.data(), 200, num_features, batch.data());
+  for (size_t i = 0; i < 200; ++i) {
+    const double want = forest.Predict(rows.data() + i * num_features);
+    ASSERT_EQ((*compiled)->Predict(rows.data() + i * num_features), want);
+    ASSERT_EQ(batch[i], want);
   }
 }
 

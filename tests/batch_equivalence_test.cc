@@ -1,11 +1,14 @@
-// Tests of the batch-kernel analysis stack: JitCodeAuditor::AuditBatch
-// (safety) and BatchEquivalenceValidator (semantics) over the bytes
-// EmitForestBatchCode produces, plus the BatchDifferentialCheck dynamic
-// fallback. The adversarial core is the byte-flip battery: every single-bit
-// and whole-byte corruption of the emitted code (pad bytes excluded — they
-// are never read) must be rejected by the audit or the validator.
+// Tests of the batch-kernel analysis stack over the bytes
+// EmitForestBatchCode produces: the batch lift (TreeLifter::LiftBatchForest,
+// the safety proof), BatchEquivalenceValidator (lift + equivalence) and the
+// BatchDifferentialCheck dynamic fallback. The adversarial core is the
+// byte-flip battery: every single-bit and whole-byte corruption of the
+// emitted code (pad bytes excluded — they are never read) must be rejected
+// by the validator alone.
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,8 +16,9 @@
 #include <gtest/gtest.h>
 
 #include "analysis/batch_equivalence_validator.h"
-#include "analysis/jit_auditor.h"
 #include "analysis/report.h"
+#include "analysis/tree_lifter.h"
+#include "analysis/x86_decoder.h"
 #include "common/random.h"
 #include "gbt/forest.h"
 #include "treejit/jit.h"
@@ -57,17 +61,39 @@ Forest MakeRandomForest(Rng* rng, int num_features, int num_trees,
   return forest;
 }
 
-// Audit + validate one artifact against its forest; returns the merged
-// report so callers can assert clean or corrupted as appropriate.
+// Lift + validate one artifact against its forest, the whole proof
+// CompiledForest::Compile runs before mapping batch kernels.
 AnalysisReport AnalyzeBatch(const Forest& forest,
                             const BatchJitArtifact& artifact) {
-  AnalysisReport report = JitCodeAuditor().AuditBatch(
-      artifact.code.data(), artifact.code.size(), artifact.entries,
-      artifact.pool_begin, forest.num_features);
-  report.Merge(BatchEquivalenceValidator().Validate(
+  return BatchEquivalenceValidator().Validate(
       forest, artifact.code.data(), artifact.code.size(), artifact.entries,
-      artifact.pool_begin));
-  return report;
+      artifact.pool_begin);
+}
+
+AnalysisReport LiftBatch(const BatchJitArtifact& artifact) {
+  std::vector<LiftedTree> lifted;
+  return TreeLifter().LiftBatchForest(
+      artifact.code.data(), artifact.code.size(), artifact.entries,
+      artifact.pool_begin, artifact.num_features, &lifted);
+}
+
+bool HasError(const AnalysisReport& report, const std::string& check) {
+  for (const Diagnostic& d : report.diagnostics()) {
+    if (d.check == check && d.severity == Severity::kError) return true;
+  }
+  return false;
+}
+
+/// A random forest whose batch code ends at `pool_begin % 8 == 7`, so the
+/// first aligned pool slot is `pool_begin + 1`: the offset a decoder that
+/// clamps wild rip-relative targets to "one past the instructions" would
+/// produce.
+Forest ForestWithPoolBeginOneBeforeAlignment(Rng* rng) {
+  for (;;) {
+    Forest forest = MakeRandomForest(rng, 4, 3, 2);
+    Result<BatchJitArtifact> artifact = EmitForestBatchCode(forest);
+    if (artifact.ok() && artifact->pool_begin % 8 == 7) return forest;
+  }
 }
 
 TEST(BatchEquivalenceTest, CleanOnRandomForests) {
@@ -123,8 +149,10 @@ TEST(BatchEquivalenceTest, ByteFlipBatteryDetectsEveryCorruption) {
     GTEST_SKIP() << "batch JIT not supported in this build";
   }
   Rng rng(4097);
-  for (int trial = 0; trial < 3; ++trial) {
-    const Forest forest = MakeRandomForest(&rng, 4, 2, 3);
+  for (int trial = 0; trial < 4; ++trial) {
+    const Forest forest = trial < 3
+                              ? MakeRandomForest(&rng, 4, 2, 3)
+                              : ForestWithPoolBeginOneBeforeAlignment(&rng);
     ASSERT_TRUE(forest.Validate().ok());
     Result<BatchJitArtifact> artifact = EmitForestBatchCode(forest);
     ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
@@ -142,7 +170,7 @@ TEST(BatchEquivalenceTest, ByteFlipBatteryDetectsEveryCorruption) {
         ASSERT_TRUE(report.HasErrors())
             << "trial " << trial << ": flip of byte " << offset << " (mask 0x"
             << std::hex << static_cast<int>(mask)
-            << ") slipped past the audit and the validator";
+            << ") slipped past the validator";
       }
     }
   }
@@ -183,9 +211,9 @@ TEST(BatchEquivalenceTest, ValidatorRejectsWrongForest) {
   EXPECT_EQ(report.diagnostics()[0].check, "tree-count-mismatch");
 }
 
-// The two emitters' vocabularies are disjoint: batch code inside a scalar
-// audit and scalar code inside a batch audit are both layout errors, so a
-// linker or cache mix-up of the two buffers cannot pass either audit.
+// The two emitters' grammars are disjoint: batch code lifted as scalar
+// tree code and scalar code lifted as batch kernels both fail their lift,
+// so a linker or cache mix-up of the two buffers cannot pass either proof.
 TEST(BatchEquivalenceTest, VocabularySeparationBetweenScalarAndBatch) {
   if (!BatchJitSupported()) {
     GTEST_SKIP() << "batch JIT not supported in this build";
@@ -197,21 +225,21 @@ TEST(BatchEquivalenceTest, VocabularySeparationBetweenScalarAndBatch) {
   ASSERT_TRUE(scalar.ok());
   ASSERT_TRUE(batch.ok());
 
-  const JitCodeAuditor auditor;
-  // Scalar bytes audited as batch kernels.
-  EXPECT_TRUE(auditor
-                  .AuditBatch(scalar->code.data(), scalar->code.size(),
-                              scalar->entries, scalar->code.size(),
-                              forest.num_features)
-                  .HasErrors());
-  // Batch bytes audited as scalar tree code.
-  EXPECT_TRUE(auditor
-                  .Audit(batch->code.data(), batch->pool_begin, batch->entries,
-                         forest.num_features)
-                  .HasErrors());
+  std::vector<LiftedTree> lifted;
+  // Scalar bytes lifted as batch kernels.
+  EXPECT_TRUE(HasError(
+      TreeLifter().LiftBatchForest(scalar->code.data(), scalar->code.size(),
+                                   scalar->entries, scalar->code.size(),
+                                   forest.num_features, &lifted),
+      "unliftable-batch-code"));
+  // Batch bytes lifted as scalar tree code.
+  EXPECT_TRUE(HasError(
+      TreeLifter().LiftForest(batch->code.data(), batch->pool_begin,
+                              batch->entries, forest.num_features, &lifted),
+      "unliftable-code"));
 }
 
-TEST(BatchEquivalenceTest, AuditBatchRejectsBadPoolBounds) {
+TEST(BatchEquivalenceTest, LiftRejectsBadPoolBounds) {
   if (!BatchJitSupported()) {
     GTEST_SKIP() << "batch JIT not supported in this build";
   }
@@ -219,11 +247,179 @@ TEST(BatchEquivalenceTest, AuditBatchRejectsBadPoolBounds) {
   const Forest forest = MakeRandomForest(&rng, 3, 1, 3);
   Result<BatchJitArtifact> artifact = EmitForestBatchCode(forest);
   ASSERT_TRUE(artifact.ok());
-  const AnalysisReport report = JitCodeAuditor().AuditBatch(
-      artifact->code.data(), artifact->code.size(), artifact->entries,
-      /*pool_begin=*/artifact->code.size() + 8, forest.num_features);
+  artifact->pool_begin = artifact->code.size() + 8;
+  const AnalysisReport report = LiftBatch(*artifact);
   ASSERT_TRUE(report.HasErrors());
   EXPECT_EQ(report.diagnostics()[0].check, "bad-pool-ref");
+}
+
+// A broadcast whose disp32 points before the buffer must be a pool error
+// even when the instructions end one byte short of an 8-byte boundary:
+// there, "one past the instructions" is exactly the first pool constant,
+// which the first broadcast of the first kernel legitimately reads.
+TEST(BatchEquivalenceTest, WildBroadcastBeforeAlignedPoolIsRejected) {
+  if (!BatchJitSupported()) {
+    GTEST_SKIP() << "batch JIT not supported in this build";
+  }
+  Rng rng(4242);
+  const Forest forest = ForestWithPoolBeginOneBeforeAlignment(&rng);
+  Result<BatchJitArtifact> artifact = EmitForestBatchCode(forest);
+  ASSERT_TRUE(artifact.ok());
+  ASSERT_EQ(artifact->pool_begin % 8, 7u);
+  const DecodedCode decoded =
+      DecodeLinear(artifact->code.data(), artifact->pool_begin);
+  ASSERT_TRUE(decoded.ok);
+  size_t broadcast = 0;
+  while (decoded.instructions.at(broadcast).op != JitOp::kVbroadcastsd) {
+    broadcast += decoded.instructions.at(broadcast).length;
+  }
+  // The top byte of the disp32: the operand now reads ~16 MiB before the
+  // buffer.
+  artifact->code[broadcast + 8] ^= 0xFF;
+  EXPECT_TRUE(HasError(AnalyzeBatch(forest, *artifact), "bad-pool-ref"))
+      << AnalyzeBatch(forest, *artifact).ToString();
+}
+
+/// Each case corrupts one batch safety obligation the emitter grammar
+/// alone does not pin, and asserts the lift's diagnostic. The forest has
+/// splits at depths 0 and 1, so its frame is 128 bytes.
+class BatchLiftCorruptionTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!BatchJitSupported()) {
+      GTEST_SKIP() << "batch JIT not supported in this build";
+    }
+    Forest forest;
+    forest.num_features = 3;
+    Tree tree;
+    tree.nodes.resize(5);
+    tree.nodes[0].feature = 2;
+    tree.nodes[0].threshold = 0.5;
+    tree.nodes[0].left = 1;
+    tree.nodes[0].right = 2;
+    tree.nodes[1].is_leaf = true;
+    tree.nodes[1].value = 1.0;
+    tree.nodes[2].feature = 1;
+    tree.nodes[2].threshold = -0.5;
+    tree.nodes[2].left = 3;
+    tree.nodes[2].right = 4;
+    tree.nodes[3].is_leaf = true;
+    tree.nodes[3].value = 2.0;
+    tree.nodes[4].is_leaf = true;
+    tree.nodes[4].value = 3.0;
+    forest.trees.push_back(tree);
+    ASSERT_TRUE(forest.Validate().ok());
+    Result<BatchJitArtifact> artifact = EmitForestBatchCode(forest);
+    ASSERT_TRUE(artifact.ok());
+    artifact_ = *std::move(artifact);
+    ASSERT_FALSE(LiftBatch(artifact_).HasErrors());
+  }
+
+  /// Offsets of every instruction of kind `op`, in order.
+  std::vector<size_t> AllOps(JitOp op) const {
+    const DecodedCode decoded =
+        DecodeLinear(artifact_.code.data(), artifact_.pool_begin);
+    EXPECT_TRUE(decoded.ok);
+    std::vector<size_t> offsets;
+    for (const auto& [at, instruction] : decoded.instructions) {
+      if (instruction.op == op) offsets.push_back(at);
+    }
+    return offsets;
+  }
+
+  void Patch32(size_t at, uint32_t value) {
+    for (int i = 0; i < 4; ++i) {
+      artifact_.code[at + static_cast<size_t>(i)] =
+          static_cast<uint8_t>(value >> (8 * i));
+    }
+  }
+
+  /// Rewrites the imm32 of the kernel's `sub rsp` and `add rsp` together,
+  /// keeping them balanced.
+  void SetFrame(uint32_t frame) {
+    for (const JitOp op : {JitOp::kSubRspImm32, JitOp::kAddRspImm32}) {
+      const std::vector<size_t> at = AllOps(op);
+      ASSERT_EQ(at.size(), 1u);
+      Patch32(at[0] + 3, frame);
+    }
+  }
+
+  BatchJitArtifact artifact_;
+};
+
+TEST_F(BatchLiftCorruptionTest, MisSizedFrameIsRejected) {
+  // 64: the depth-1 split spills to [rsp + 64, rsp + 128), beyond the
+  // frame. 136 and 192: larger than the spills need. 0xFFFFFF80: sub rsp,
+  // -128 to the CPU, a "frame" above rsp.
+  for (const uint32_t frame :
+       {uint32_t{64}, uint32_t{136}, uint32_t{192}, uint32_t{0xFFFFFF80}}) {
+    SetFrame(frame);
+    EXPECT_TRUE(HasError(LiftBatch(artifact_), "bad-frame"))
+        << "frame " << frame << ": " << LiftBatch(artifact_).ToString();
+  }
+}
+
+TEST_F(BatchLiftCorruptionTest, UnbalancedFrameIsRejected) {
+  const std::vector<size_t> adds = AllOps(JitOp::kAddRspImm32);
+  ASSERT_EQ(adds.size(), 1u);
+  Patch32(adds[0] + 3, 64);  // sub rsp, 128 ... add rsp, 64.
+  EXPECT_TRUE(HasError(LiftBatch(artifact_), "unliftable-batch-code"))
+      << LiftBatch(artifact_).ToString();
+}
+
+TEST_F(BatchLiftCorruptionTest, UnknownOpcodeIsRejected) {
+  artifact_.code[0] = 0x90;  // nop is not in the whitelist.
+  EXPECT_TRUE(HasError(LiftBatch(artifact_), "undecodable-batch-code"))
+      << LiftBatch(artifact_).ToString();
+}
+
+TEST_F(BatchLiftCorruptionTest, OutOfBoundsLaneLoadIsRejected) {
+  // Both halves of the root compare now read feature column 3 of 3.
+  const std::vector<size_t> loads = AllOps(JitOp::kVcmppdRdiMem);
+  ASSERT_GE(loads.size(), 2u);
+  Patch32(loads[0] + 4, 3 * 64);
+  Patch32(loads[1] + 4, 3 * 64 + 32);
+  EXPECT_TRUE(HasError(LiftBatch(artifact_), "lifted-feature-oob"))
+      << LiftBatch(artifact_).ToString();
+}
+
+TEST_F(BatchLiftCorruptionTest, BranchInKernelIsRejected) {
+  // Overwrite the first 9-byte mask spill with `jb +0; vzeroupper`: every
+  // byte still decodes, but the grammar has no slot for a branch.
+  const std::vector<size_t> spills = AllOps(JitOp::kVmovupdStoreRsp);
+  ASSERT_FALSE(spills.empty());
+  const uint8_t jb_vzeroupper[] = {0x0F, 0x82, 0, 0, 0, 0, 0xC5, 0xF8, 0x77};
+  std::copy(std::begin(jb_vzeroupper), std::end(jb_vzeroupper),
+            artifact_.code.begin() + static_cast<long>(spills[0]));
+  EXPECT_TRUE(HasError(LiftBatch(artifact_), "unliftable-batch-code"))
+      << LiftBatch(artifact_).ToString();
+}
+
+TEST_F(BatchLiftCorruptionTest, ScalarInstructionInKernelIsRejected) {
+  // vandpd (4 bytes) -> ucomisd xmm1, xmm0 (4 bytes).
+  const std::vector<size_t> ands = AllOps(JitOp::kVandpd);
+  ASSERT_FALSE(ands.empty());
+  const uint8_t ucomisd[] = {0x66, 0x0F, 0x2E, 0xC8};
+  std::copy(std::begin(ucomisd), std::end(ucomisd),
+            artifact_.code.begin() + static_cast<long>(ands[0]));
+  EXPECT_TRUE(HasError(LiftBatch(artifact_), "unliftable-batch-code"))
+      << LiftBatch(artifact_).ToString();
+}
+
+TEST_F(BatchLiftCorruptionTest, AccumulatorStoreOutsideOutputBlockIsRejected) {
+  // The hi-half store [rsi + 32] -> [rsi + 64], one past the 8 doubles.
+  const std::vector<size_t> stores = AllOps(JitOp::kVmovupdStoreRsi);
+  ASSERT_EQ(stores.size(), 2u);
+  Patch32(stores[1] + 4, 64);
+  EXPECT_TRUE(HasError(LiftBatch(artifact_), "unliftable-batch-code"))
+      << LiftBatch(artifact_).ToString();
+}
+
+TEST_F(BatchLiftCorruptionTest, BadEntriesAreRejected) {
+  artifact_.entries = {8};
+  EXPECT_TRUE(HasError(LiftBatch(artifact_), "bad-entry"));
+  artifact_.entries = {0, artifact_.pool_begin};
+  EXPECT_TRUE(HasError(LiftBatch(artifact_), "bad-entry"));
 }
 
 // BatchDifferentialCheck is host-independent: it exercises whatever batched
@@ -259,9 +455,8 @@ TEST(BatchEquivalenceTest, DifferentialCheckDetectsMismatch) {
   EXPECT_EQ(report.diagnostics()[0].check, "batch-differential-mismatch");
 }
 
-// End to end: Compile with the whole batch analysis stack forced on (the
-// release defaults leave it off) accepts every random forest, and the
-// compiled batch path matches the reference on a mixed batch.
+// End to end: Compile with every proof forced on (the release defaults
+// leave them off) accepts every random forest.
 TEST(BatchEquivalenceTest, CompileWithFullValidationSucceeds) {
   if (!BatchJitSupported()) {
     GTEST_SKIP() << "batch JIT not supported in this build";

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -345,6 +346,35 @@ TEST_F(MutationTest, UnknownOpcodeFailsTheLift) {
   EXPECT_TRUE(HasError(report, "undecodable-code"));
 }
 
+// Every injected corruption of the emitted bytes must be detected by the
+// validator alone — the lift is the only safety proof Compile runs. Two
+// mutations per offset, mirroring the batch battery: a single-bit flip
+// (offset-dependent bit, so every bit position is exercised across the
+// buffer) and a whole-byte flip.
+TEST_F(TranslationValidatorTest, ByteFlipBatteryDetectsEveryCorruption) {
+  Rng rng(8086);
+  for (int trial = 0; trial < 4; ++trial) {
+    Forest forest = RandomForest(&rng);
+    forest.trees.resize(std::min<size_t>(forest.trees.size(), 2));
+    ASSERT_TRUE(forest.Validate().ok());
+    Result<JitArtifact> artifact = EmitForestCode(forest);
+    ASSERT_TRUE(artifact.ok());
+    const JitArtifact& clean = *artifact;
+    ASSERT_FALSE(Validate(forest, clean).HasErrors());
+    for (size_t offset = 0; offset < clean.code.size(); ++offset) {
+      for (const uint8_t mask :
+           {static_cast<uint8_t>(1u << (offset % 8)), uint8_t{0xFF}}) {
+        JitArtifact corrupt = clean;
+        corrupt.code[offset] ^= mask;
+        ASSERT_TRUE(Validate(forest, corrupt).HasErrors())
+            << "trial " << trial << ": flip of byte " << offset << " (mask 0x"
+            << std::hex << static_cast<int>(mask)
+            << ") slipped past the validator";
+      }
+    }
+  }
+}
+
 // The lifter models all four ucomisd/jcc combinations; a swapped polarity
 // on a NaN-routing-left node yields kGt semantics that differ from the IR
 // at x == threshold and on NaN — exactly what the semantic witness shows.
@@ -366,10 +396,10 @@ TEST_F(TranslationValidatorTest, LiftedSemanticsMatchExecutionOnMutants) {
     }
   }
   ASSERT_TRUE(swapped);
-  AnalysisReport report;
   std::vector<LiftedTree> lifted;
-  TreeLifter().LiftForest(mutated.code.data(), mutated.code.size(),
-                          mutated.entries, &lifted, &report);
+  const AnalysisReport report =
+      TreeLifter().LiftForest(mutated.code.data(), mutated.code.size(),
+                              mutated.entries, forest.num_features, &lifted);
   ASSERT_FALSE(report.HasErrors()) << report.ToString();
   ASSERT_EQ(lifted.size(), 1u);
   const LiftedNode& root = lifted[0].nodes[0];

@@ -9,23 +9,25 @@
 //   1. parse                  — ParseTextUnvalidated (no early-reject gate,
 //                               so every finding is reported),
 //   2. forest-verifier        — ForestVerifier over the forest IR,
-//   3. jit-audit              — JitCodeAuditor over the exact bytes the
-//                               tree JIT would map executable,
-//   4. translation-validation — TranslationValidator: lift the emitted code
-//                               back into decision trees and prove it
-//                               computes the forest (bit-equal constants,
-//                               identical NaN routing, equal outputs over
-//                               every threshold-induced input cell),
-//   5. batch-equivalence      — JitCodeAuditor::AuditBatch +
-//                               BatchEquivalenceValidator over the AVX
-//                               batch kernels: lane loads / spills / pool
-//                               reads in bounds, straight-line control
-//                               flow, and a per-lane lift-and-prove that
-//                               the masked kernels compute the same forest.
-//   Passes 3-4 need the x86-64 emitter (pass 5 additionally a build with
-//   batch kernels enabled) and run only when the forest IR is error-free
-//   (the emitter's preconditions are exactly the verifier's Error checks);
-//   they are reported as "skipped" otherwise. Models over
+//   3. translation-validation — TranslationValidator over the exact bytes
+//                               the tree JIT would map executable: lift
+//                               them back into decision trees (which
+//                               proves them safe: whitelisted grammar,
+//                               contained control flow, in-bounds loads)
+//                               and prove they compute the forest
+//                               (bit-equal constants, identical NaN
+//                               routing, equal outputs over every
+//                               threshold-induced input cell),
+//   4. batch-equivalence      — BatchEquivalenceValidator over the AVX
+//                               batch kernels: the batch lift (lane loads /
+//                               spills / pool reads in bounds, straight-
+//                               line control flow) and a per-lane proof
+//                               that the masked kernels compute the same
+//                               forest.
+//   Pass 3 needs the x86-64 emitter (pass 4 additionally a build with
+//   batch kernels enabled); both run only when the forest IR is error-free
+//   (the emitter's preconditions are exactly the verifier's Error checks)
+//   and are reported as "skipped" otherwise. Models over
 //   the 48-feature registry space additionally get an informational
 //   dead-feature report (registry features the forest never splits on).
 //
@@ -68,7 +70,6 @@
 #include "analysis/corpus_auditor.h"
 #include "analysis/feature_auditor.h"
 #include "analysis/forest_verifier.h"
-#include "analysis/jit_auditor.h"
 #include "analysis/plan_verifier.h"
 #include "analysis/translation_validator.h"
 #include "cli_util.h"
@@ -129,14 +130,12 @@ void LintModel(const std::string& content, FileResult* result) {
   result->kind = "model";
   result->passes = {{"parse"},
                     {"forest-verifier"},
-                    {"jit-audit"},
                     {"translation-validation"},
                     {"batch-equivalence"}};
   PassResult& parse = result->passes[0];
   PassResult& verify = result->passes[1];
-  PassResult& audit = result->passes[2];
-  PassResult& translate = result->passes[3];
-  PassResult& batch = result->passes[4];
+  PassResult& translate = result->passes[2];
+  PassResult& batch = result->passes[3];
 
   t3::Result<t3::Forest> forest = t3::Forest::ParseTextUnvalidated(content);
   if (!forest.ok()) {
@@ -161,18 +160,11 @@ void LintModel(const std::string& content, FileResult* result) {
 
   t3::Result<t3::JitArtifact> artifact = t3::EmitForestCode(*forest);
   if (!artifact.ok()) {
-    audit.state = PassState::kFailed;
+    translate.state = PassState::kFailed;
     result->report.Add(t3::Severity::kError, "jit-emit", -1, -1,
                        artifact.status().message());
     return;
   }
-  const t3::AnalysisReport audit_report = t3::JitCodeAuditor().Audit(
-      artifact->code.data(), artifact->code.size(), artifact->entries,
-      artifact->num_features);
-  audit.state =
-      audit_report.HasErrors() ? PassState::kFailed : PassState::kOk;
-  result->report.Merge(audit_report);
-
   const t3::AnalysisReport equivalence =
       t3::TranslationValidator().Validate(*forest, artifact->code.data(),
                                           artifact->code.size(),
@@ -182,7 +174,7 @@ void LintModel(const std::string& content, FileResult* result) {
   result->report.Merge(equivalence);
 
   // Stays "skipped" on builds without the batch emitter (non-x86-64 or
-  // -DT3_DISABLE_AVX2=ON) — the same contract as passes 3-4 off x86-64.
+  // -DT3_DISABLE_AVX2=ON) — the same contract as pass 3 off x86-64.
   if (!t3::BatchJitSupported()) return;
   t3::Result<t3::BatchJitArtifact> batch_artifact =
       t3::EmitForestBatchCode(*forest);
@@ -192,13 +184,10 @@ void LintModel(const std::string& content, FileResult* result) {
                        batch_artifact.status().message());
     return;
   }
-  t3::AnalysisReport batch_report = t3::JitCodeAuditor().AuditBatch(
-      batch_artifact->code.data(), batch_artifact->code.size(),
-      batch_artifact->entries, batch_artifact->pool_begin,
-      batch_artifact->num_features);
-  batch_report.Merge(t3::BatchEquivalenceValidator().Validate(
-      *forest, batch_artifact->code.data(), batch_artifact->code.size(),
-      batch_artifact->entries, batch_artifact->pool_begin));
+  const t3::AnalysisReport batch_report =
+      t3::BatchEquivalenceValidator().Validate(
+          *forest, batch_artifact->code.data(), batch_artifact->code.size(),
+          batch_artifact->entries, batch_artifact->pool_begin);
   batch.state =
       batch_report.HasErrors() ? PassState::kFailed : PassState::kOk;
   result->report.Merge(batch_report);
