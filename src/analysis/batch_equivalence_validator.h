@@ -19,8 +19,9 @@ namespace t3 {
 ///  1. TreeLifter::LiftBatchForest decodes [0, pool_begin) once (the
 ///     constant pool is data), parses each region against the batch
 ///     emitter's closed grammar and lifts it back into a decision tree.
-///     The lift is also the safety proof: straight-line control flow,
-///     in-bounds lane loads, spills, accumulator and pool accesses
+///     The lift is also the safety proof: no branch but the dead-subtree
+///     guards, each jumping exactly over one split child; in-bounds lane
+///     loads, spills, accumulator and pool accesses
 ///     (analysis/tree_lifter.h). Because the grammar fixes how masks are
 ///     narrowed, spilled and resumed, any per-lane divergence from tree
 ///     evaluation fails the parse.

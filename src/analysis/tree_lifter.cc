@@ -1,15 +1,12 @@
 #include "analysis/tree_lifter.h"
 
 #include <algorithm>
-#include <map>
 #include <string>
 
 #include "common/string_util.h"
 
 namespace t3 {
 namespace {
-
-using Instructions = std::map<size_t, JitInstruction>;
 
 /// `bad-entry` unless the regions tile [0, end): entries ascend from 0 and
 /// each lies inside, so every instruction byte belongs to one region.
@@ -51,16 +48,24 @@ void ReportFeatureOob(int feature, int num_features, size_t offset,
 
 /// The instruction starting exactly at `offset`, or nullptr when `offset`
 /// is past `end` or not an instruction boundary.
-const JitInstruction* At(const Instructions& instructions, size_t offset,
+const JitInstruction* At(const DecodedCode& decoded, size_t offset,
                          size_t end) {
-  if (offset >= end) return nullptr;
-  const auto it = instructions.find(offset);
-  return it == instructions.end() ? nullptr : &it->second;
+  return offset < end ? decoded.At(offset) : nullptr;
+}
+
+/// Index of the lifted node starting exactly at `offset`, or -1. Nodes are
+/// lifted front to back, so `nodes` is ordered by offset.
+int NodeAt(const std::vector<LiftedNode>& nodes, size_t offset) {
+  const auto it = std::lower_bound(
+      nodes.begin(), nodes.end(), offset,
+      [](const LiftedNode& node, size_t at) { return node.offset < at; });
+  if (it == nodes.end() || it->offset != offset) return -1;
+  return static_cast<int>(it - nodes.begin());
 }
 
 /// Lifts one scalar region [begin, end) of the decoded buffer, appending
 /// any diagnostics with `tree_index` as location.
-void LiftScalarTree(const Instructions& instructions, size_t begin,
+void LiftScalarTree(const DecodedCode& decoded, size_t begin,
                     size_t end, int num_features, int tree_index,
                     LiftedTree* out, AnalysisReport* report) {
   const auto fail = [&](size_t offset, const std::string& message) {
@@ -71,12 +76,11 @@ void LiftScalarTree(const Instructions& instructions, size_t begin,
   // Pass 1: group the region's instructions into node shapes, front to
   // back. Every node starts with `mov rax, imm64`; the following
   // instruction discriminates leaf from inner node.
-  std::map<size_t, int> node_at;     // Group start offset -> node index.
   std::vector<size_t> jump_targets;  // Per inner node.
   std::vector<size_t> fall_offsets;  // Per inner node.
   size_t at = begin;
   while (at < end) {
-    const JitInstruction* head = At(instructions, at, end);
+    const JitInstruction* head = At(decoded, at, end);
     if (head == nullptr) {
       return fail(at, "node start is not an instruction boundary");
     }
@@ -85,14 +89,14 @@ void LiftScalarTree(const Instructions& instructions, size_t begin,
     }
     LiftedNode node;
     node.offset = at;
-    const JitInstruction* select = At(instructions, at + head->length, end);
+    const JitInstruction* select = At(decoded, at + head->length, end);
     if (select == nullptr) {
       return fail(at, "truncated node after mov rax, imm64");
     }
     if (select->op == JitOp::kMovqXmm0Rax) {
       // Leaf: mov rax, value; movq xmm0, rax; ret.
       const JitInstruction* ret =
-          At(instructions, select->offset + select->length, end);
+          At(decoded, select->offset + select->length, end);
       if (ret == nullptr || ret->op != JitOp::kRet) {
         return fail(at, "leaf shape not closed by ret");
       }
@@ -103,7 +107,7 @@ void LiftScalarTree(const Instructions& instructions, size_t begin,
       // Inner: mov rax, threshold; movq xmm1, rax; movsd xmm0, [rdi+8k];
       // ucomisd; jcc.
       const JitInstruction* load =
-          At(instructions, select->offset + select->length, end);
+          At(decoded, select->offset + select->length, end);
       if (load == nullptr || (load->op != JitOp::kLoadFeature8 &&
                               load->op != JitOp::kLoadFeature32)) {
         return fail(at, "inner node missing its feature load");
@@ -115,13 +119,13 @@ void LiftScalarTree(const Instructions& instructions, size_t begin,
                               load->disp));
       }
       const JitInstruction* compare =
-          At(instructions, load->offset + load->length, end);
+          At(decoded, load->offset + load->length, end);
       if (compare == nullptr || (compare->op != JitOp::kUcomisdXmm1Xmm0 &&
                                  compare->op != JitOp::kUcomisdXmm0Xmm1)) {
         return fail(at, "inner node missing its ucomisd");
       }
       const JitInstruction* branch =
-          At(instructions, compare->offset + compare->length, end);
+          At(decoded, compare->offset + compare->length, end);
       if (branch == nullptr ||
           (branch->op != JitOp::kJa && branch->op != JitOp::kJb)) {
         return fail(at, "inner node missing its conditional branch");
@@ -147,7 +151,6 @@ void LiftScalarTree(const Instructions& instructions, size_t begin,
     } else {
       return fail(at, "mov rax, imm64 followed by neither movq form");
     }
-    node_at[node.offset] = static_cast<int>(out->nodes.size());
     out->nodes.push_back(node);
   }
 
@@ -162,20 +165,18 @@ void LiftScalarTree(const Instructions& instructions, size_t begin,
     const size_t target = jump_targets[inner];
     const size_t fall = fall_offsets[inner];
     ++inner;
-    const auto jump_it = node_at.find(target);
-    if (jump_it == node_at.end()) {
+    node.jump_child = NodeAt(out->nodes, target);
+    if (node.jump_child < 0) {
       return fail(node.offset,
                   StrFormat("branch to offset %zu, which is not a lifted "
                             "node boundary",
                             target));
     }
-    node.jump_child = jump_it->second;
-    const auto fall_it = node_at.find(fall);
-    if (fall_it == node_at.end()) {
+    node.fall_child = NodeAt(out->nodes, fall);
+    if (node.fall_child < 0) {
       return fail(node.offset,
                   "inner node falls through past the end of its region");
     }
-    node.fall_child = fall_it->second;
   }
 
   // Pass 3: the lifted graph must be acyclic — cyclic machine code can
@@ -238,12 +239,16 @@ constexpr uint32_t kFeatureStrideBytes = 64;  // 8 lanes per feature
 /// mask-false/right, cmp always `x < threshold`). Every deviation — a
 /// register out of role, a spill at the wrong depth, a missing resume load,
 /// a foreign predicate — fails the parse with the offending byte offset.
+/// The dead-subtree guards are part of the grammar: every split child, and
+/// no other node, is preceded by exactly `vorpd ymm7, ymm5, ymm6; vptest
+/// ymm7, ymm7; jz <end of that child>`, and anything else fails as
+/// `bad-guard`.
 class KernelParser {
  public:
-  KernelParser(const Instructions& instructions, const uint8_t* code,
+  KernelParser(const DecodedCode& decoded, const uint8_t* code,
                size_t size, size_t pool_begin, size_t begin, size_t end,
                int num_features, int tree_index, AnalysisReport* report)
-      : instructions_(instructions),
+      : decoded_(decoded),
         code_(code),
         size_(size),
         pool_begin_(pool_begin),
@@ -313,13 +318,19 @@ class KernelParser {
   }
 
  private:
+  /// A split whose subtree is still being parsed.
   struct Pending {
     int node;
     int depth;
     bool parsed_left;
+    /// The guard before this split (absent only at the root): its offset
+    /// and its jz target, which must be the end of the split's subtree.
+    bool guarded;
+    size_t guard_offset;
+    size_t guard_target;
   };
 
-  const JitInstruction* Peek() { return At(instructions_, at_, end_); }
+  const JitInstruction* Peek() { return At(decoded_, at_, end_); }
 
   void Take() {
     const JitInstruction* instr = Peek();
@@ -333,6 +344,55 @@ class KernelParser {
                            "at byte offset %zu: %s",
                            at_, what));
     return false;
+  }
+
+  bool FailGuard(size_t offset, const std::string& what) {
+    report_->Add(Severity::kError, "bad-guard", tree_index_,
+                 static_cast<int>(offset),
+                 StrFormat("dead-subtree guard at byte offset %zu: %s",
+                           offset, what.c_str()));
+    return false;
+  }
+
+  /// Parses the guard `vorpd ymm7, ymm5, ymm6; vptest ymm7, ymm7; jz rel32`
+  /// at the current offset, whose first instruction is a vorpd, and returns
+  /// the jz target. It skips the next node when both path masks are zero,
+  /// so it must test exactly those two registers.
+  bool ParseGuard(size_t* target) {
+    const size_t guard = at_;
+    const JitInstruction* merge = Peek();
+    if (merge->dst != kScratch || merge->src1 != kMask0 ||
+        merge->src2 != kMask1) {
+      return FailGuard(guard, StrFormat("ORs ymm%d|ymm%d into ymm%d, not "
+                                        "the path masks ymm5|ymm6 into ymm7",
+                                        merge->src1, merge->src2, merge->dst));
+    }
+    Take();
+    const JitInstruction* test = Peek();
+    if (test == nullptr || test->op != JitOp::kVptest ||
+        test->dst != kScratch || test->src2 != kScratch) {
+      return FailGuard(guard, "not followed by vptest ymm7, ymm7");
+    }
+    Take();
+    const JitInstruction* jump = Peek();
+    if (jump == nullptr || jump->op != JitOp::kJz) {
+      return FailGuard(guard, "not closed by jz");
+    }
+    *target = jump->target;
+    Take();
+    return true;
+  }
+
+  /// A guarded split's subtree ends at the current offset: its guard must
+  /// jump exactly here. That keeps the jump forward and inside the region,
+  /// and it skips nothing but the subtree, whose spills only go to deeper
+  /// slots that nothing after it reads.
+  bool CheckGuardTarget(const Pending& split) {
+    if (!split.guarded || split.guard_target == at_) return true;
+    return FailGuard(split.guard_offset,
+                     StrFormat("jz lands at byte offset %zu, but the split "
+                               "child it guards ends at %zu",
+                               split.guard_target, at_));
   }
 
   bool ExpectRR(JitOp op, uint8_t dst, uint8_t src1, uint8_t src2,
@@ -407,6 +467,12 @@ class KernelParser {
   bool ParseBody(LiftedTree* out) {
     std::vector<Pending> pending;
     for (;;) {
+      const size_t guard_offset = at_;
+      const JitInstruction* head = Peek();
+      const bool guarded = !pending.empty() && head != nullptr &&
+                           head->op == JitOp::kVorpd;
+      size_t guard_target = 0;
+      if (guarded && !ParseGuard(&guard_target)) return false;
       const JitInstruction* broadcast = Peek();
       if (broadcast == nullptr || broadcast->op != JitOp::kVbroadcastsd ||
           broadcast->dst != kConst) {
@@ -432,6 +498,9 @@ class KernelParser {
       if (next == nullptr) return Fail("kernel region ends inside a node");
       if (next->op == JitOp::kVcmppdRdiMem) {
         // Split block.
+        if (!pending.empty() && !guarded) {
+          return FailGuard(node_offset, "split child has no guard");
+        }
         const JitInstruction cmp0 = *next;
         if (cmp0.dst != kCmp0 || cmp0.src1 != kConst) {
           return Fail("first-half split compare out of register role");
@@ -482,10 +551,14 @@ class KernelParser {
         node.threshold_bits = bits;
         node.cmp = LiftedNode::Cmp::kLt;
         node.nan_jumps = cmp0.pred == kPredNanLeft;
-        pending.push_back(Pending{index, depth, false});
+        pending.push_back(
+            Pending{index, depth, false, guarded, guard_offset, guard_target});
         continue;  // The next node is this split's left child.
       }
       // Leaf block.
+      if (guarded) {
+        return FailGuard(guard_offset, "guards a leaf child");
+      }
       if (!ExpectRR(JitOp::kVandpd, kScratch, kMask0, kConst,
                     "expected vandpd masking leaf value (lo)") ||
           !ExpectRR(JitOp::kVorpd, kAcc0, kAcc0, kScratch,
@@ -503,6 +576,7 @@ class KernelParser {
       // Unwind splits whose right subtree just completed; the innermost
       // split still missing its right child must resume its spilled masks.
       while (!pending.empty() && pending.back().parsed_left) {
+        if (!CheckGuardTarget(pending.back())) return false;
         pending.pop_back();
       }
       if (pending.empty()) return true;
@@ -520,7 +594,7 @@ class KernelParser {
     }
   }
 
-  const Instructions& instructions_;
+  const DecodedCode& decoded_;
   const uint8_t* code_;
   size_t size_;
   size_t pool_begin_;
@@ -552,7 +626,7 @@ AnalysisReport TreeLifter::LiftForest(const uint8_t* code, size_t size,
     return report;
   }
   for (size_t i = 0; i < entries.size(); ++i) {
-    LiftScalarTree(decoded.instructions, entries[i],
+    LiftScalarTree(decoded, entries[i],
                    RegionEnd(entries, i, size), num_features,
                    static_cast<int>(i), &(*out)[i], &report);
   }
@@ -586,7 +660,7 @@ AnalysisReport TreeLifter::LiftBatchForest(const uint8_t* code, size_t size,
     return report;
   }
   for (size_t i = 0; i < entries.size(); ++i) {
-    KernelParser(decoded.instructions, code, size, pool_begin, entries[i],
+    KernelParser(decoded, code, size, pool_begin, entries[i],
                  RegionEnd(entries, i, pool_begin), num_features,
                  static_cast<int>(i), &report)
         .Parse(&(*out)[i]);

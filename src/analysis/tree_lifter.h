@@ -67,8 +67,9 @@ struct LiftedTree {
 ///    `num_features`-wide row (scalar) or block (batch).
 ///
 /// The two grammars stay separate on purpose: the scalar one is branches
-/// and fall-throughs, the batch one straight-line masks, and a shared
-/// lifter would have to branch on which emitter it serves at every node.
+/// and fall-throughs, the batch one masks with forward-only guards that
+/// skip whole subtrees, and a shared lifter would have to branch on which
+/// emitter it serves at every node.
 ///
 /// The lifts prove safety only; the validators (translation_validator.h,
 /// batch_equivalence_validator.h) prove the lifted trees equal the forest.
@@ -102,8 +103,15 @@ class TreeLifter {
   /// to `size`. Only [0, pool_begin) is decoded. Each region is parsed
   /// against the batch emitter's grammar — prologue, masked split / leaf
   /// blocks with their exact register roles, spill discipline and the
-  /// `acc += leaf` epilogue into [rsi], [rsi + 32] — so a branch, a scalar
-  /// instruction or an accumulator access anywhere else fails the parse.
+  /// `acc += leaf` epilogue into [rsi], [rsi + 32] — so a scalar
+  /// instruction, an accumulator access anywhere else or a branch other
+  /// than a guard fails the parse. A guard, `vorpd ymm7, ymm5, ymm6;
+  /// vptest ymm7, ymm7; jz`, precedes every split child and nothing else;
+  /// it skips the child when both path masks are zero, which the masked
+  /// semantics already make a no-op (its leaves OR zero, its spills are
+  /// deeper slots nothing reads after it, and the instruction at its end
+  /// is a resume load or the epilogue, after which every register it
+  /// wrote is dead). The lifted tree has no trace of the guards.
   /// Each vcmppd pair lifts to a split on `x[disp/64] < threshold` (GT_OQ
   /// routes NaN right, NLE_UQ left), each broadcast-and-or block to a leaf
   /// returning the pool constant's exact bits. Beyond the shared checks:
@@ -116,6 +124,10 @@ class TreeLifter {
   ///    every spill lies inside it, and it is a positive multiple of 32.
   ///  - `bad-pool-ref`: the pool starts past the buffer, or a broadcast
   ///    reads anything but an aligned 8-byte constant inside the pool.
+  ///  - `bad-guard`: a guard tests anything but ymm5|ymm6 through ymm7,
+  ///    precedes a leaf, is missing before a split child, or its jz does
+  ///    not land exactly at the end of the child it guards (so every
+  ///    branch is forward and stays inside its region).
   ///
   /// `out` is as for LiftForest.
   AnalysisReport LiftBatchForest(const uint8_t* code, size_t size,

@@ -45,12 +45,31 @@ uint64_t Read64(const uint8_t* code, size_t offset) {
 }
 
 /// Decodes the VEX-encoded batch-kernel vocabulary: 2-byte-VEX ymm ops with
-/// pp=01 plus the one 3-byte-VEX op (vbroadcastsd) and the rsp frame
-/// bookkeeping around them. Kept separate from the scalar whitelist so the
-/// scalar emitter's tight matching above stays byte-for-byte unchanged.
+/// pp=01 plus the two 3-byte-VEX ops (vbroadcastsd, vptest), the rsp frame
+/// bookkeeping around them and the jz of the dead-subtree guards. Kept
+/// separate from the scalar whitelist so the scalar emitter's tight matching
+/// above stays byte-for-byte unchanged.
 bool DecodeBatchInstruction(const uint8_t* code, size_t size, size_t offset,
                             JitInstruction* out) {
   const auto read32 = [code](size_t at) { return Read32(code, at); };
+  if (Match(code, size, offset, {0x0F, 0x84})) {
+    if (size - offset < 6) return false;
+    out->op = JitOp::kJz;
+    out->length = 6;
+    out->target = RelativeTarget(offset, 6, read32(offset + 2));
+    return true;
+  }
+  if (Match(code, size, offset, {0xC4, 0xE2, 0x7D, 0x17})) {
+    // vptest ymm, ymm — register form only (mod=11), vvvv unused (1111).
+    if (size - offset < 5) return false;
+    const uint8_t modrm = code[offset + 4];
+    if (modrm >> 6 != 3) return false;
+    out->op = JitOp::kVptest;
+    out->length = 5;
+    out->dst = (modrm >> 3) & 7;
+    out->src2 = modrm & 7;
+    return true;
+  }
   if (size - offset >= 3 && code[offset] == 0x48 && code[offset + 1] == 0x81 &&
       (code[offset + 2] == 0xEC || code[offset + 2] == 0xC4)) {
     if (size - offset < 7) return false;
@@ -233,6 +252,9 @@ bool DecodeInstruction(const uint8_t* code, size_t size, size_t offset,
 
 DecodedCode DecodeLinear(const uint8_t* code, size_t size) {
   DecodedCode decoded;
+  // Emitted instructions average 5-7 bytes in both grammars.
+  decoded.instructions.reserve(size / 5 + 1);
+  decoded.index_at.assign(size, DecodedCode::kNoInstruction);
   size_t offset = 0;
   while (offset < size) {
     JitInstruction instruction;
@@ -241,7 +263,9 @@ DecodedCode DecodeLinear(const uint8_t* code, size_t size) {
       decoded.error_offset = offset;
       return decoded;
     }
-    decoded.instructions[offset] = instruction;
+    decoded.index_at[offset] =
+        static_cast<uint32_t>(decoded.instructions.size());
+    decoded.instructions.push_back(instruction);
     offset += instruction.length;
   }
   decoded.ok = true;

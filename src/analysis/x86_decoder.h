@@ -3,7 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
+#include <vector>
 
 namespace t3 {
 
@@ -22,8 +22,9 @@ enum class JitOp {
   kJb,              ///< 0F 82 rel32            jb <target>
   kRet,             ///< C3                     ret
   // --- AVX vocabulary of the batch kernels (EmitForestBatchCode). Every
-  // VEX-encoded op the batch emitter produces uses ymm0-ymm7 with the
-  // 2-byte VEX prefix, L=1 (256-bit) and pp=01 (0x66); each memory form is
+  // VEX-encoded op the batch emitter produces uses ymm0-ymm7 with L=1
+  // (256-bit) and pp=01 (0x66), through the 2-byte VEX prefix except for
+  // the two 0F38-map ops (vbroadcastsd, vptest); each memory form is
   // pinned to the single base register the emitter uses for it, always
   // with a disp32 — any other encoding of the same mnemonic is rejected.
   kSubRspImm32,     ///< 48 81 EC imm32         sub rsp, imm32
@@ -40,6 +41,8 @@ enum class JitOp {
   kVmovupdLoadRsp,  ///< C5 FD 10 /r            vmovupd ymm, [rsp+disp32]
   kVmovupdStoreRsp, ///< C5 FD 11 /r            vmovupd [rsp+disp32], ymm
   kVmovupdStoreRsi, ///< C5 FD 11 /r            vmovupd [rsi+disp32], ymm
+  kVptest,          ///< C4 E2 7D 17 /r         vptest ymm, ymm
+  kJz,              ///< 0F 84 rel32            jz <target>
 };
 
 /// One decoded instruction of an emitted code buffer.
@@ -47,7 +50,7 @@ struct JitInstruction {
   JitOp op;
   size_t offset = 0;  ///< Byte offset in the code buffer.
   size_t length = 0;  ///< Encoded length in bytes.
-  size_t target = 0;  ///< Branch destination (kJa / kJb) or the absolute
+  size_t target = 0;  ///< Branch destination (kJa / kJb / kJz) or the absolute
                       ///  buffer offset a kVbroadcastsd rip operand reads;
                       ///  SIZE_MAX when it lies before the buffer.
   uint32_t disp = 0;  ///< Memory displacement (feature loads, vector memory
@@ -59,7 +62,8 @@ struct JitInstruction {
                       ///  destination, or the stored source for stores.
   uint8_t src1 = 0;   ///< Vector ops: first-source (VEX.vvvv) ymm register;
                       ///  0 for ops whose vvvv slot is unused.
-  uint8_t src2 = 0;   ///< Vector reg-reg ops: second-source ymm register.
+  uint8_t src2 = 0;   ///< Vector reg-reg ops: second-source ymm register
+                      ///  (kVptest: the modrm.rm operand).
   uint8_t pred = 0;   ///< kVcmppd*: comparison predicate immediate.
 };
 
@@ -72,11 +76,24 @@ bool DecodeInstruction(const uint8_t* code, size_t size, size_t offset,
 /// A whole buffer decoded front to back. On failure `instructions` holds
 /// everything decoded before the stream desynchronized at `error_offset`.
 struct DecodedCode {
-  /// Instructions keyed by byte offset; the key set doubles as the set of
-  /// valid instruction boundaries (branch targets, tree entries).
-  std::map<size_t, JitInstruction> instructions;
+  /// Instructions in offset order; they tile the decoded bytes.
+  std::vector<JitInstruction> instructions;
   bool ok = false;
   size_t error_offset = 0;  ///< First undecodable offset (when !ok).
+
+  /// The instruction starting exactly at `offset`, or nullptr when `offset`
+  /// is not an instruction boundary (branch targets, tree entries and node
+  /// starts are all checked this way). O(1).
+  const JitInstruction* At(size_t offset) const {
+    if (offset >= index_at.size()) return nullptr;
+    const uint32_t index = index_at[offset];
+    return index == kNoInstruction ? nullptr : &instructions[index];
+  }
+
+  static constexpr uint32_t kNoInstruction = UINT32_MAX;
+  /// Per decoded byte: the index of the instruction starting there, or
+  /// kNoInstruction inside an instruction.
+  std::vector<uint32_t> index_at;
 };
 
 /// Linearly decodes `size` bytes starting at offset 0. Every byte must

@@ -1,5 +1,6 @@
 #include "server/protocol.h"
 
+#include <bit>
 #include <cstring>
 
 #include "common/string_util.h"
@@ -13,11 +14,23 @@ void PutU32(std::vector<uint8_t>* out, uint32_t value) {
   }
 }
 
-void PutF64(std::vector<uint8_t>* out, double value) {
-  uint64_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  for (int shift = 0; shift < 64; shift += 8) {
-    out->push_back(static_cast<uint8_t>(bits >> shift));
+/// Appends `values` as little-endian IEEE-754 bit patterns: one memcpy on a
+/// little-endian host, a byte loop elsewhere.
+void PutF64s(std::vector<uint8_t>* out, const std::vector<double>& values) {
+  if (values.empty()) return;
+  const size_t at = out->size();
+  out->resize(at + 8 * values.size());
+  uint8_t* dst = out->data() + at;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(dst, values.data(), 8 * values.size());
+  } else {
+    for (const double value : values) {
+      uint64_t bits;
+      std::memcpy(&bits, &value, sizeof(bits));
+      for (int shift = 0; shift < 64; shift += 8) {
+        *dst++ = static_cast<uint8_t>(bits >> shift);
+      }
+    }
   }
 }
 
@@ -50,13 +63,21 @@ class PayloadReader {
     return Status::OK();
   }
 
+  /// Appends `count` little-endian doubles: one memcpy on a little-endian
+  /// host, a byte loop elsewhere.
   Status ReadF64s(size_t count, std::vector<double>* out) {
     if ((size_ - pos_) / 8 < count) return Truncated("doubles");
-    out->reserve(out->size() + count);
-    for (size_t i = 0; i < count; ++i) {
-      out->push_back(GetF64(data_ + pos_));
-      pos_ += 8;
+    if (count == 0) return Status::OK();
+    const size_t at = out->size();
+    out->resize(at + count);
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(out->data() + at, data_ + pos_, 8 * count);
+    } else {
+      for (size_t i = 0; i < count; ++i) {
+        (*out)[at + i] = GetF64(data_ + pos_ + 8 * i);
+      }
     }
+    pos_ += 8 * count;
     return Status::OK();
   }
 
@@ -186,10 +207,8 @@ Frame EncodePredictRows(const PredictRowsRequest& request) {
   PutU32(&frame.payload, request.num_features);
   frame.payload.reserve(frame.payload.size() +
                         8 * (request.rows.size() + num_rows));
-  for (const double value : request.rows) PutF64(&frame.payload, value);
-  for (const double card : request.input_cardinalities) {
-    PutF64(&frame.payload, card);
-  }
+  PutF64s(&frame.payload, request.rows);
+  PutF64s(&frame.payload, request.input_cardinalities);
   return frame;
 }
 
@@ -232,9 +251,7 @@ Frame EncodePredictResponse(const PredictResponse& response) {
   PutU32(&frame.payload, response.model_version);
   PutU32(&frame.payload,
          static_cast<uint32_t>(response.predictions.size()));
-  for (const double value : response.predictions) {
-    PutF64(&frame.payload, value);
-  }
+  PutF64s(&frame.payload, response.predictions);
   return frame;
 }
 

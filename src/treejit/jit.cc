@@ -186,8 +186,8 @@ class TreeEmitter {
 
 #if T3_BATCH_JIT
 
-/// Emits the whole forest's batch kernels: one straight-line (branch-free)
-/// masked-evaluation function per tree,
+/// Emits the whole forest's batch kernels: one masked-evaluation function
+/// per tree, straight-line except for the forward dead-subtree guards,
 ///
 ///   void f(const double* block /* rdi */, double* acc /* rsi */)
 ///
@@ -230,6 +230,22 @@ class TreeEmitter {
 ///   vmovupd ymm6, [rsp + 64*d + 32]
 ///   <right child at depth d+1>
 ///
+/// Child that is a split (a leaf child has no guard; it is cheaper to run
+/// than to test):
+///
+///   vorpd   ymm7, ymm5, ymm6                  ; any lane still on this path?
+///   vptest  ymm7, ymm7
+///   jz      <end of the child>                ; no: skip the whole subtree
+///   <split child at depth d+1>
+///
+/// Skipping a child whose path masks are all zero changes nothing the
+/// masked code would have computed: its leaves would OR zero into
+/// ymm0/ymm1, its spills go only to the deeper [rsp + 64*(d+1)...] slots
+/// that nothing reads after it, and every register it leaves behind is
+/// dead, because the instruction at its end is either a resume load or the
+/// epilogue. The batch lift checks each guard tests exactly ymm5|ymm6 and
+/// jumps exactly to its child's end.
+///
 /// Leaf (the path masks of a tree's leaves are disjoint and cover all-ones,
 /// so OR-ing the masked broadcast accumulates each lane's unique leaf value
 /// bit-exactly — no FP arithmetic is involved in the selection):
@@ -249,11 +265,11 @@ class BatchForestEmitter {
   explicit BatchForestEmitter(const Forest& forest) : forest_(forest) {}
 
   BatchJitArtifact Emit() {
-    // Upper bound: a split emits 79 bytes, a leaf 25 plus its 8-byte pool
-    // constant, a tree's prologue and epilogue 68, and the pool alignment
-    // under 8.
+    // Upper bound: a split emits 79 bytes plus a 15-byte guard, a leaf 25
+    // plus its 8-byte pool constant, a tree's prologue and epilogue 68, and
+    // the pool alignment under 8.
     const size_t num_nodes = forest_.NumNodes();
-    code_.Reserve(79 * num_nodes + 68 * forest_.trees.size() + 8);
+    code_.Reserve(94 * num_nodes + 68 * forest_.trees.size() + 8);
     constant_index_.reserve(num_nodes);
     BatchJitArtifact artifact;
     artifact.num_features = forest_.num_features;
@@ -391,10 +407,26 @@ class BatchForestEmitter {
     EmitMem(0x11, kScratch, 0, 4, spill + 32);
     EmitRR(0x54, kMask0, kMask0, kCmp0);  // vandpd: narrow to left paths
     EmitRR(0x54, kMask1, kMask1, kCmp1);
-    EmitNode(tree, node.left, depth + 1);
+    EmitChild(tree, node.left, depth + 1);
     EmitMem(0x10, kMask0, 0, 4, spill);  // vmovupd: resume right paths
     EmitMem(0x10, kMask1, 0, 4, spill + 32);
-    EmitNode(tree, node.right, depth + 1);
+    EmitChild(tree, node.right, depth + 1);
+  }
+
+  /// A split child behind its dead-subtree guard; a leaf child as is.
+  void EmitChild(const Tree& tree, int index, int depth) {
+    if (tree.nodes[static_cast<size_t>(index)].is_leaf) {
+      EmitNode(tree, index, depth);
+      return;
+    }
+    EmitRR(0x56, kScratch, kMask0, kMask1);  // vorpd ymm7, ymm5, ymm6
+    code_.Emit({0xC4, 0xE2, 0x7D, 0x17,      // vptest ymm7, ymm7
+                static_cast<uint8_t>(0xC0 | kScratch << 3 | kScratch),
+                0x0F, 0x84});  // jz rel32
+    const size_t rel = code_.size();
+    code_.Emit32(0);
+    EmitNode(tree, index, depth);
+    code_.Patch32(rel, static_cast<uint32_t>(code_.size() - (rel + 4)));
   }
 
   const Forest& forest_;
@@ -509,9 +541,9 @@ Result<std::unique_ptr<CompiledForest>> CompiledForest::Compile(
     if (!batch.ok()) return batch.status();
 
     // Same pre-mapping discipline as the scalar code: the lift proves
-    // every lane load, spill slot and pool reference in bounds and the
-    // control flow straight-line; validate_batch also proves each kernel
-    // computes its tree, per lane.
+    // every lane load, spill slot and pool reference in bounds and every
+    // branch a guard that skips exactly one dead subtree; validate_batch
+    // also proves each kernel computes its tree, per lane.
     if (options.validate_batch || options.audit) {
       std::vector<LiftedTree> lifted;
       const AnalysisReport report =

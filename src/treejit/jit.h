@@ -33,8 +33,10 @@ Result<JitArtifact> EmitForestCode(const Forest& forest);
 /// (`block[64*f + 8*lane]` bytes, i.e. feature f of lane `lane`) as two
 /// 4-lane ymm halves, accumulating `acc[lane] += leaf_value(lane)` — the
 /// same per-tree addend, in the same order, as the scalar path. The code is
-/// straight-line (branch-free) masked evaluation; see EmitForestBatchCode
-/// in jit.cc for the exact instruction grammar, which the batch lift
+/// masked evaluation, straight-line except for one forward guard before each
+/// split child that skips the child's subtree when no lane is on its path
+/// (a no-op for the masked semantics); see EmitForestBatchCode in jit.cc
+/// for the exact instruction grammar, which the batch lift
 /// (TreeLifter::LiftBatchForest) re-parses.
 ///
 /// `pool_begin` is the first byte past the last kernel's ret; the

@@ -270,8 +270,8 @@ TEST(BatchEquivalenceTest, WildBroadcastBeforeAlignedPoolIsRejected) {
       DecodeLinear(artifact->code.data(), artifact->pool_begin);
   ASSERT_TRUE(decoded.ok);
   size_t broadcast = 0;
-  while (decoded.instructions.at(broadcast).op != JitOp::kVbroadcastsd) {
-    broadcast += decoded.instructions.at(broadcast).length;
+  while (decoded.At(broadcast)->op != JitOp::kVbroadcastsd) {
+    broadcast += decoded.At(broadcast)->length;
   }
   // The top byte of the disp32: the operand now reads ~16 MiB before the
   // buffer.
@@ -282,7 +282,8 @@ TEST(BatchEquivalenceTest, WildBroadcastBeforeAlignedPoolIsRejected) {
 
 /// Each case corrupts one batch safety obligation the emitter grammar
 /// alone does not pin, and asserts the lift's diagnostic. The forest has
-/// splits at depths 0 and 1, so its frame is 128 bytes.
+/// splits at depths 0 and 1, so its frame is 128 bytes; node 1 is a leaf
+/// child and node 2 a split child, the one node behind a dead-subtree guard.
 class BatchLiftCorruptionTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -321,8 +322,8 @@ class BatchLiftCorruptionTest : public ::testing::Test {
         DecodeLinear(artifact_.code.data(), artifact_.pool_begin);
     EXPECT_TRUE(decoded.ok);
     std::vector<size_t> offsets;
-    for (const auto& [at, instruction] : decoded.instructions) {
-      if (instruction.op == op) offsets.push_back(at);
+    for (const JitInstruction& instruction : decoded.instructions) {
+      if (instruction.op == op) offsets.push_back(instruction.offset);
     }
     return offsets;
   }
@@ -332,6 +333,59 @@ class BatchLiftCorruptionTest : public ::testing::Test {
       artifact_.code[at + static_cast<size_t>(i)] =
           static_cast<uint8_t>(value >> (8 * i));
     }
+  }
+
+  /// Offset of the fixture's one guard: `vorpd ymm7, ymm5, ymm6` (4 bytes),
+  /// `vptest ymm7, ymm7` (5), `jz rel32` (6).
+  size_t Guard() const {
+    const std::vector<size_t> tests = AllOps(JitOp::kVptest);
+    EXPECT_EQ(tests.size(), 1u);
+    return tests.empty() ? 0 : tests[0] - 4;
+  }
+
+  /// Replaces `erase` bytes at `at` with `insert` and relinks the code the
+  /// way the emitter lays it out: the pool moves with the end of the code,
+  /// and every broadcast and every jz outside the replaced bytes keeps its
+  /// target.
+  void Splice(size_t at, size_t erase, const std::vector<uint8_t>& insert) {
+    const std::vector<uint8_t>& old = artifact_.code;
+    const DecodedCode decoded = DecodeLinear(old.data(), artifact_.pool_begin);
+    ASSERT_TRUE(decoded.ok);
+    const auto moved = [&](size_t offset) {
+      return offset < at + erase ? offset : offset - erase + insert.size();
+    };
+    const size_t old_pool = (artifact_.pool_begin + 7) & ~size_t{7};
+    std::vector<uint8_t> code(old.begin(), old.begin() + static_cast<long>(at));
+    code.insert(code.end(), insert.begin(), insert.end());
+    code.insert(code.end(), old.begin() + static_cast<long>(at + erase),
+                old.begin() + static_cast<long>(artifact_.pool_begin));
+    const size_t pool_begin = code.size();
+    while (code.size() % 8 != 0) code.push_back(0);
+    const size_t pool = code.size();
+    code.insert(code.end(), old.begin() + static_cast<long>(old_pool),
+                old.end());
+    for (const JitInstruction& instruction : decoded.instructions) {
+      if (instruction.offset >= at && instruction.offset < at + erase) {
+        continue;
+      }
+      const size_t from = moved(instruction.offset);
+      size_t target = 0;
+      if (instruction.op == JitOp::kVbroadcastsd) {
+        target = instruction.target - old_pool + pool;
+      } else if (instruction.op == JitOp::kJz) {
+        target = moved(instruction.target);
+      } else {
+        continue;
+      }
+      const size_t end = from + instruction.length;
+      const uint32_t rel = static_cast<uint32_t>(target - end);
+      for (int i = 0; i < 4; ++i) {
+        code[end - 4 + static_cast<size_t>(i)] =
+            static_cast<uint8_t>(rel >> (8 * i));
+      }
+    }
+    artifact_.code = std::move(code);
+    artifact_.pool_begin = pool_begin;
   }
 
   /// Rewrites the imm32 of the kernel's `sub rsp` and `add rsp` together,
@@ -412,6 +466,79 @@ TEST_F(BatchLiftCorruptionTest, AccumulatorStoreOutsideOutputBlockIsRejected) {
   ASSERT_EQ(stores.size(), 2u);
   Patch32(stores[1] + 4, 64);
   EXPECT_TRUE(HasError(LiftBatch(artifact_), "unliftable-batch-code"))
+      << LiftBatch(artifact_).ToString();
+}
+
+TEST_F(BatchLiftCorruptionTest, GuardJumpingOffItsChildsEndIsRejected) {
+  const size_t jz = Guard() + 9;
+  const DecodedCode decoded =
+      DecodeLinear(artifact_.code.data(), artifact_.pool_begin);
+  ASSERT_TRUE(decoded.ok);
+  const size_t child_end = decoded.At(jz)->target;
+  ASSERT_NE(decoded.At(child_end), nullptr);
+  size_t last = 0;  // The child's last instruction.
+  for (const JitInstruction& instruction : decoded.instructions) {
+    if (instruction.offset + instruction.length == child_end) {
+      last = instruction.offset;
+    }
+  }
+  const size_t one_late = child_end + decoded.At(child_end)->length;
+  for (const size_t target : {last, one_late}) {
+    Patch32(jz + 2, static_cast<uint32_t>(target - (jz + 6)));
+    EXPECT_TRUE(HasError(LiftBatch(artifact_), "bad-guard"))
+        << "jz to " << target << ", child ends at " << child_end << ": "
+        << LiftBatch(artifact_).ToString();
+  }
+}
+
+TEST_F(BatchLiftCorruptionTest, GuardTestingOtherRegistersIsRejected) {
+  const size_t guard = Guard();
+  const std::vector<uint8_t> clean(
+      artifact_.code.begin() + static_cast<long>(guard),
+      artifact_.code.begin() + static_cast<long>(guard + 9));
+  // vorpd ymm7, ymm3, ymm4 / vorpd ymm7, ymm5, ymm5 / vorpd ymm0, ymm5,
+  // ymm6 (into an accumulator) / vptest ymm7, ymm5.
+  const std::vector<std::vector<uint8_t>> guards = {
+      {0xC5, 0xE5, 0x56, 0xFC, 0xC4, 0xE2, 0x7D, 0x17, 0xFF},
+      {0xC5, 0xD5, 0x56, 0xFD, 0xC4, 0xE2, 0x7D, 0x17, 0xFF},
+      {0xC5, 0xD5, 0x56, 0xC6, 0xC4, 0xE2, 0x7D, 0x17, 0xFF},
+      {0xC5, 0xD5, 0x56, 0xFE, 0xC4, 0xE2, 0x7D, 0x17, 0xFD},
+  };
+  ASSERT_EQ(clean, std::vector<uint8_t>({0xC5, 0xD5, 0x56, 0xFE, 0xC4, 0xE2,
+                                         0x7D, 0x17, 0xFF}));
+  for (const std::vector<uint8_t>& bytes : guards) {
+    std::copy(bytes.begin(), bytes.end(),
+              artifact_.code.begin() + static_cast<long>(guard));
+    EXPECT_TRUE(HasError(LiftBatch(artifact_), "bad-guard"))
+        << LiftBatch(artifact_).ToString();
+  }
+}
+
+TEST_F(BatchLiftCorruptionTest, GuardBeforeLeafChildIsRejected) {
+  // Node 1, the root's left child, is a leaf: its block starts with the
+  // second broadcast and is 25 bytes long. A guard that skips exactly that
+  // block is still not in the grammar.
+  const std::vector<size_t> broadcasts = AllOps(JitOp::kVbroadcastsd);
+  ASSERT_GE(broadcasts.size(), 2u);
+  Splice(broadcasts[1], 0,
+         {0xC5, 0xD5, 0x56, 0xFE, 0xC4, 0xE2, 0x7D, 0x17, 0xFF, 0x0F, 0x84,
+          25, 0, 0, 0});
+  EXPECT_TRUE(HasError(LiftBatch(artifact_), "bad-guard"))
+      << LiftBatch(artifact_).ToString();
+}
+
+TEST_F(BatchLiftCorruptionTest, SplitChildWithoutGuardIsRejected) {
+  const size_t guard = Guard();
+  const std::vector<uint8_t> bytes(
+      artifact_.code.begin() + static_cast<long>(guard),
+      artifact_.code.begin() + static_cast<long>(guard + 15));
+  Splice(guard, 15, {});
+  EXPECT_TRUE(HasError(LiftBatch(artifact_), "bad-guard"))
+      << LiftBatch(artifact_).ToString();
+  // Splicing the guard back in restores a clean lift, so the rejection
+  // above is the missing guard and not the relinking.
+  Splice(guard, 0, bytes);
+  EXPECT_FALSE(LiftBatch(artifact_).HasErrors())
       << LiftBatch(artifact_).ToString();
 }
 

@@ -4,6 +4,7 @@
 // (zero dropped requests, per-version bit-matching) under concurrent load.
 
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -164,6 +165,58 @@ TEST(ProtocolTest, PredictResponseRoundTripsBitExact) {
                         response.predictions.data(),
                         response.predictions.size() * sizeof(double)),
             0);
+}
+
+std::vector<uint64_t> BitsOf(const std::vector<double>& values) {
+  std::vector<uint64_t> bits(values.size());
+  std::memcpy(bits.data(), values.data(), sizeof(double) * values.size());
+  return bits;
+}
+
+// Doubles travel as bulk copies of their bit patterns, so every IEEE-754
+// special value survives both message kinds bit for bit — NaN payloads and
+// signalling NaNs included — and the wire carries each one little-endian.
+TEST(ProtocolTest, SpecialDoublesRoundTripBitExact) {
+  const std::vector<uint64_t> patterns = {
+      0x8000000000000000,  // -0.0
+      0x7FF0000000000000,  // +inf
+      0xFFF0000000000000,  // -inf
+      0x0000000000000001,  // smallest subnormal
+      0x800FFFFFFFFFFFFF,  // largest-magnitude negative subnormal
+      0x7FF8000000000000,  // quiet NaN
+      0xFFF8DEADBEEF0001,  // negative quiet NaN with payload bits
+      0x7FF0000000000001,  // signalling NaN
+      0x7FF4C0FFEE123456,  // signalling NaN with payload bits
+  };
+  std::vector<double> values(patterns.size());
+  std::memcpy(values.data(), patterns.data(), sizeof(double) * values.size());
+
+  PredictRowsRequest request;
+  request.num_features = static_cast<uint32_t>(patterns.size());
+  request.rows = values;
+  request.input_cardinalities = {values[8]};
+  const Frame frame = EncodePredictRows(request);
+  ASSERT_EQ(frame.payload.size(), 8 + 8 * (patterns.size() + 1));
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    for (size_t b = 0; b < 8; ++b) {
+      EXPECT_EQ(frame.payload[8 + 8 * i + b],
+                static_cast<uint8_t>(patterns[i] >> (8 * b)))
+          << "value " << i << " byte " << b;
+    }
+  }
+  Result<PredictRowsRequest> rows = DecodePredictRows(frame);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(BitsOf(rows->rows), patterns);
+  EXPECT_EQ(BitsOf(rows->input_cardinalities),
+            std::vector<uint64_t>{patterns[8]});
+
+  PredictResponse response;
+  response.model_version = 3;
+  response.predictions = values;
+  Result<PredictResponse> decoded =
+      DecodePredictResponse(EncodePredictResponse(response));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(BitsOf(decoded->predictions), patterns);
 }
 
 TEST(ProtocolTest, ErrorResponseRoundTrips) {

@@ -251,8 +251,8 @@ class MutationTest : public TranslationValidatorTest {
     const DecodedCode decoded =
         DecodeLinear(artifact_.code.data(), artifact_.code.size());
     EXPECT_TRUE(decoded.ok);
-    for (const auto& [at, instruction] : decoded.instructions) {
-      if (instruction.op == op) offsets.push_back(at);
+    for (const JitInstruction& instruction : decoded.instructions) {
+      if (instruction.op == op) offsets.push_back(instruction.offset);
     }
     return offsets;
   }

@@ -7,12 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/interval_domain.h"
 #include "common/cpu_features.h"
 #include "common/hash.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "gbt/forest.h"
 #include "gbt/trainer.h"
+#include "harness/corpus.h"
 #include "treejit/evaluator.h"
 #include "treejit/jit.h"
 
@@ -470,21 +472,22 @@ TEST(BatchTest, TrainedForestsBatchBitIdentical) {
   }
 }
 
+constexpr const char* kFixtureModels[] = {
+    "/data/model_ablation_per_pipeline.txt",
+    "/data/model_ablation_per_query.txt",
+    "/data/model_autowlm_per_query.txt",
+    "/data/model_loo_airline.txt",
+};
+
 // Satellite: the dispatched batch path (whatever the host offers — SIMD
 // kernels or the fallback) agrees bitwise with the pinned scalar path on
 // every checked-in model fixture. Under T3_FORCE_SCALAR=1 (CI runs the
 // suite that way too) both sides take the per-row path and the test proves
 // the override leaves results unchanged.
 TEST(BatchTest, FixtureModelsScalarAndDispatchedPathsAgree) {
-  const char* fixtures[] = {
-      "/data/model_ablation_per_pipeline.txt",
-      "/data/model_ablation_per_query.txt",
-      "/data/model_autowlm_per_query.txt",
-      "/data/model_loo_airline.txt",
-  };
   if (!JitSupported()) GTEST_SKIP() << "JIT unsupported on this host";
   Rng rng(90210);
-  for (const char* fixture : fixtures) {
+  for (const char* fixture : kFixtureModels) {
     const std::string path = std::string(T3_SOURCE_DIR) + fixture;
     Result<Forest> loaded = Forest::LoadFromFile(path);
     ASSERT_TRUE(loaded.ok()) << path << ": " << loaded.status().ToString();
@@ -522,6 +525,80 @@ TEST(BatchTest, FixtureModelsScalarAndDispatchedPathsAgree) {
   }
 }
 
+// The batch kernels skip a split child's subtree when no lane of the block
+// is on its path. Over every fixture, the mini corpus's feature rows (real
+// plans, where most subtrees are dead for most blocks) are followed by two
+// blocks per tree: 8 copies of one row, so every guard off that row's path
+// is taken, and 8 witnesses in 8 distinct leaves, so the fewest guards are
+// taken. The dispatched and the per-row path must both equal
+// Forest::Predict exactly.
+TEST(BatchTest, GuardedKernelsBitExactOnCorpusRowsAndExtremeBlocks) {
+  if (!JitSupported()) GTEST_SKIP() << "JIT unsupported on this host";
+  Result<Corpus> corpus = LoadCorpusFromFile(std::string(T3_SOURCE_DIR) +
+                                             "/data/corpus_mini.txt");
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+  for (const char* fixture : kFixtureModels) {
+    Result<Forest> loaded =
+        Forest::LoadFromFile(std::string(T3_SOURCE_DIR) + fixture);
+    ASSERT_TRUE(loaded.ok()) << fixture << ": " << loaded.status().ToString();
+    const Forest& forest = loaded.value();
+    const size_t dim = static_cast<size_t>(forest.num_features);
+
+    std::vector<double> rows;
+    for (const QueryRecord& record : corpus->records) {
+      for (const auto* features : {&record.feat_true, &record.feat_est}) {
+        for (const PipelineFeatures& pipeline : *features) {
+          ASSERT_EQ(pipeline.values.size(), dim);
+          rows.insert(rows.end(), pipeline.values.begin(),
+                      pipeline.values.end());
+        }
+      }
+    }
+    // Whole 8-row blocks, so each synthetic block is one kernel block.
+    const size_t num_corpus_rows = rows.size() / dim / 8 * 8;
+    ASSERT_GT(num_corpus_rows, 0u);
+    rows.resize(num_corpus_rows * dim);
+    for (size_t t = 0; t < forest.trees.size(); ++t) {
+      const size_t pick = t % num_corpus_rows;
+      const std::vector<double> row(
+          rows.begin() + static_cast<long>(pick * dim),
+          rows.begin() + static_cast<long>((pick + 1) * dim));
+      for (int lane = 0; lane < 8; ++lane) {
+        rows.insert(rows.end(), row.begin(), row.end());
+      }
+      std::vector<std::vector<double>> witnesses;
+      ForEachLeafCell(forest.trees[t], FeatureBox::Full(forest.num_features),
+                      [&witnesses](int, const FeatureBox& cell) {
+                        witnesses.push_back(cell.Witness());
+                      });
+      ASSERT_FALSE(witnesses.empty());
+      for (size_t lane = 0; lane < 8; ++lane) {  // Spread over the leaves.
+        const std::vector<double>& witness =
+            witnesses[lane * witnesses.size() / 8];
+        rows.insert(rows.end(), witness.begin(), witness.end());
+      }
+    }
+
+    JitCompileOptions scalar_options;
+    scalar_options.enable_batch = false;
+    for (const bool batch : {true, false}) {
+      Result<std::unique_ptr<CompiledForest>> compiled =
+          CompiledForest::Compile(forest, batch ? JitCompileOptions{}
+                                                : scalar_options);
+      ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+      EXPECT_EQ((*compiled)->has_batch_kernels(), batch && BatchJitSupported());
+      const size_t num_rows = rows.size() / dim;
+      std::vector<double> out(num_rows);
+      (*compiled)->PredictBatch(rows.data(), num_rows, dim, out.data());
+      for (size_t i = 0; i < num_rows; ++i) {
+        ASSERT_EQ(out[i], forest.Predict(&rows[i * dim]))
+            << fixture << (batch ? " dispatched" : " per-row") << " row "
+            << i;
+      }
+    }
+  }
+}
+
 // Pins the emitted machine code itself: an FNV-1a hash over the code bytes,
 // tree entry offsets (and the batch pool start) of a checked-in fixture.
 // Emitter refactors must leave these bytes unchanged; a deliberate change
@@ -552,7 +629,7 @@ TEST(JitTest, EmittedCodeForFixtureIsPinned) {
   Result<BatchJitArtifact> batch = EmitForestBatchCode(*forest);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   EXPECT_EQ(HashArtifact(batch->code, batch->entries, batch->pool_begin),
-            0x5925aee2652d33f3ULL);
+            0x578c952ab6c94838ULL);
 }
 
 TEST(CpuFeaturesTest, DetectHonorsForceScalarEnv) {
