@@ -1,8 +1,9 @@
 // Extension bench (not in the paper): batched-inference scaling across
 // batch sizes. For each batch size the same synthetic main-model-sized
 // forest is evaluated through the row-major PredictBatch of the flat
-// interpreter and the compiled forest, showing where the 8-wide kernels
-// start paying off — a question the throughput table folds away.
+// interpreter (a per-row loop) and the compiled forest, showing where the
+// 8-wide kernels start paying off — a question the throughput table folds
+// away.
 
 #include <cstddef>
 #include <cstdio>
@@ -72,7 +73,7 @@ void Run() {
       StrFormat("synthetic forest (%zu trees, %zu features); row-major "
                 "PredictBatch; compiled batch kernels: %s.",
                 forest.trees.size(), dim,
-                simd ? "SIMD (AVX 8-wide)" : "per-row fallback"));
+                simd ? "SIMD (AVX 8-wide)" : "off, per-row loop"));
   ReportTable table({"Batch", "Flat p/s", "Compiled p/s"});
   for (const size_t rows : {size_t{1}, size_t{8}, size_t{64}, size_t{1024},
                             size_t{8192}}) {

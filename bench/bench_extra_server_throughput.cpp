@@ -133,9 +133,7 @@ void Run() {
   T3_CHECK_OK(server);
   const uint16_t port = (*server)->port();
 
-  const bool simd =
-      (*server)->registry().Current()->compiled != nullptr &&
-      (*server)->registry().Current()->compiled->has_batch_kernels();
+  const bool simd = (*server)->registry().Current()->simd_batch_kernels();
   PrintExperimentHeader(
       "Extra: prediction-server throughput over the wire protocol",
       StrFormat("closed loop, %zu rows/request, %.1fs per config, %d-tree "
@@ -143,7 +141,7 @@ void Run() {
                 "mid-flight.",
                 kRowsPerRequest, kBudgetSeconds,
                 static_cast<int>(main_model.forest().trees.size()),
-                simd ? "SIMD" : "per-row fallback"));
+                simd ? "SIMD" : "off, per-row loop"));
 
   ReportTable table({"Connections", "Requests", "Preds/s", "p50", "p99",
                      "Versions", "Dropped"});

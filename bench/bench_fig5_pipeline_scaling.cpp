@@ -29,7 +29,7 @@ void Run() {
   const size_t dim = pool[0]->values.size();
   auto compiled = CompiledForest::Compile(t3.forest());
   T3_CHECK(compiled.ok());
-  const InterpretedEvaluator interpreted(t3.forest());
+  const FlatEvaluator interpreted(t3.forest());
   const unsigned hardware = std::thread::hardware_concurrency();
   ThreadPool mt_pool(hardware == 0 ? 4 : hardware);
 

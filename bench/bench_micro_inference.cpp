@@ -1,8 +1,8 @@
-// Google-benchmark microbenchmarks of the raw forest evaluators: node-
-// pointer interpretation, flattened-array interpretation, and JIT-compiled
-// native code, across forest sizes. Complements Table 1 with controlled
-// synthetic forests; BM_CompiledBatchFixture adds one trained model over
-// real feature rows (the checked-in fixtures under data/).
+// Google-benchmark microbenchmarks of the raw forest evaluators:
+// flattened-array interpretation and JIT-compiled native code, across
+// forest sizes. Complements Table 1 with controlled synthetic forests;
+// BM_CompiledBatchFixture adds one trained model over real feature rows
+// (the checked-in fixtures under data/).
 
 #include <benchmark/benchmark.h>
 
@@ -61,17 +61,6 @@ std::vector<double> MakeRow(uint64_t seed) {
   for (double& v : row) v = rng.UniformDouble(0, 1);
   return row;
 }
-
-void BM_Interpreted(benchmark::State& state) {
-  const Forest forest =
-      MakeForest(static_cast<int>(state.range(0)), 31, 42);
-  const InterpretedEvaluator evaluator(forest);
-  const auto row = MakeRow(7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(evaluator.Predict(row.data()));
-  }
-}
-BENCHMARK(BM_Interpreted)->Arg(10)->Arg(50)->Arg(200);
 
 void BM_Flat(benchmark::State& state) {
   const Forest forest =

@@ -1,10 +1,11 @@
 // Reproduces Table 2 (tree-model rows): prediction throughput in
 // predictions per second, for back-to-back single-row evaluation vs one
-// batched call over a >1000-row pipeline matrix, across the three forest
-// evaluators. The paper's finding: batching helps even tree models; the
-// compiled path dominates, and the SIMD batch kernels are the acceptance
-// gate of the batch JIT — batched compiled throughput must be >= 2x the
-// single-row scalar-JIT throughput on the main model.
+// batched call over a >1000-row pipeline matrix, for the interpreted
+// (FlatEvaluator) and the compiled forest. The paper's finding: batching
+// helps even tree models; the compiled path dominates, and the SIMD batch
+// kernels are the acceptance gate of the batch JIT — batched compiled
+// throughput must be >= 2x the single-row scalar-JIT throughput on the main
+// model.
 
 #include <cstddef>
 #include <memory>
@@ -38,7 +39,6 @@ void Run() {
   const size_t num_rows = rows.size() / dim;
   std::vector<double> out(num_rows);
 
-  const InterpretedEvaluator interpreted(model.forest());
   const FlatEvaluator flat(model.forest());
   auto compiled = CompiledForest::Compile(model.forest());
   T3_CHECK(compiled.ok());
@@ -47,7 +47,7 @@ void Run() {
   // The compiled forest must score the test split bit for bit like the
   // interpreter before its throughput means anything.
   T3_CHECK(PredictQuerySecondsBatched(model, jit, test_records) ==
-           PredictQuerySecondsBatched(model, interpreted, test_records));
+           PredictQuerySecondsBatched(model, flat, test_records));
 
   volatile double sink = 0;
   size_t cursor = 0;
@@ -66,10 +66,8 @@ void Run() {
         num_rows);
   };
 
-  const double interp_single = single(interpreted);
   const double flat_single = single(flat);
   const double jit_single = single(jit);
-  const bench::BatchTiming interp_batch = batched(interpreted);
   const bench::BatchTiming flat_batch = batched(flat);
   const bench::BatchTiming jit_batch = batched(jit);
 
@@ -79,7 +77,7 @@ void Run() {
       StrFormat("single-row calls vs one PredictBatch over %zu pipeline rows "
                 "(%zu queries); compiled batch kernels: %s.",
                 num_rows, kBatchQueries,
-                simd ? "SIMD (AVX 8-wide)" : "per-row fallback"));
+                simd ? "SIMD (AVX 8-wide)" : "off, per-row loop"));
   ReportTable table({"Evaluator", "Single preds/s", "Batched preds/s",
                      "Batch p50", "Batch p99", "Gain"});
   auto row = [&](const char* name, double single_tput,
@@ -90,8 +88,7 @@ void Run() {
                   bench::FormatSeconds(batch.p99_seconds),
                   StrFormat("%.1fx", batch.preds_per_sec / single_tput)});
   };
-  row("T3 interpreted", interp_single, interp_batch);
-  row("T3 flat", flat_single, flat_batch);
+  row("T3 interpreted (flat)", flat_single, flat_batch);
   row(simd ? "T3 compiled (SIMD batch)" : "T3 compiled", jit_single,
       jit_batch);
   table.Print();

@@ -69,7 +69,7 @@ std::vector<double> PredictQuerySecondsBatched(
 double PredictQuerySeconds(const T3Model& model, const QueryRecord& record,
                            CardinalityMode mode) {
   return PredictQuerySecondsBatched(
-      model, InterpretedEvaluator(model.forest()), {&record}, mode)[0];
+      model, FlatEvaluator(model.forest()), {&record}, mode)[0];
 }
 
 std::vector<double> QErrors(const T3Model& model,
@@ -82,7 +82,7 @@ std::vector<RecordEvaluation> EvaluateModel(
     const T3Model& model, const std::vector<const QueryRecord*>& records,
     CardinalityMode mode) {
   const std::vector<double> predicted = PredictQuerySecondsBatched(
-      model, InterpretedEvaluator(model.forest()), records, mode);
+      model, FlatEvaluator(model.forest()), records, mode);
   std::vector<RecordEvaluation> evals(records.size());
   for (size_t i = 0; i < evals.size(); ++i) {
     evals[i].record = records[i];

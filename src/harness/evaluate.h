@@ -61,7 +61,7 @@ std::vector<double> PredictQuerySecondsBatched(
     CardinalityMode mode = CardinalityMode::kTrue);
 
 /// Predicted seconds of one record: PredictQuerySecondsBatched over
-/// model.forest()'s InterpretedEvaluator.
+/// model.forest()'s FlatEvaluator.
 double PredictQuerySeconds(const T3Model& model, const QueryRecord& record,
                            CardinalityMode mode = CardinalityMode::kTrue);
 
@@ -80,7 +80,7 @@ struct RecordEvaluation {
 };
 
 /// Evaluates `model` over every record through PredictQuerySecondsBatched
-/// (interpreted): predicted vs measured seconds plus the q-error, one entry
+/// (FlatEvaluator): predicted vs measured seconds plus the q-error, one entry
 /// per record in input order.
 std::vector<RecordEvaluation> EvaluateModel(
     const T3Model& model, const std::vector<const QueryRecord*>& records,

@@ -184,10 +184,7 @@ std::string PredictionServer::StatsText() const {
   text += StrFormat("model_features %d\n", model->num_features());
   text += StrFormat("model_trees %zu\n", model->model.forest().trees.size());
   text += StrFormat("simd_batch_kernels %d\n",
-                    model->compiled != nullptr &&
-                        model->compiled->has_batch_kernels()
-                        ? 1
-                        : 0);
+                    model->simd_batch_kernels() ? 1 : 0);
   text += StrFormat("workers %zu\n", workers_.size());
   text += StrFormat("connections_accepted %llu\n",
                     static_cast<unsigned long long>(

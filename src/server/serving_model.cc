@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/cpu_features.h"
 #include "common/string_util.h"
 #include "common/timer.h"
 
@@ -39,19 +40,25 @@ Result<std::shared_ptr<const ServingModel>> Prepare(T3Model model,
   serving->model = std::move(model);
   serving->version = version;
   serving->source = std::move(source);
-  serving->flat = std::make_unique<FlatEvaluator>(serving->model.forest());
   Result<std::unique_ptr<CompiledForest>> compiled =
       CompiledForest::Compile(serving->model.forest());
   if (compiled.ok()) {
     serving->compiled = *std::move(compiled);
+  } else {
+    // Compile failure (non-x86-64, mmap denial) is not fatal: the
+    // interpreter is bit-identical, just slower.
+    serving->flat = std::make_unique<FlatEvaluator>(serving->model.forest());
   }
-  // Compile failure (non-x86-64, mmap denial) is not fatal: the flat
-  // fallback is bit-identical, just slower.
   serving->timings.compile_ms = watch.ElapsedSeconds() * 1e3;
   return std::shared_ptr<const ServingModel>(std::move(serving));
 }
 
 }  // namespace
+
+bool ServingModel::simd_batch_kernels() const {
+  return compiled != nullptr && compiled->has_batch_kernels() &&
+         BatchKernelsEnabled();
+}
 
 std::string ServingModel::TimingsText() const {
   return StrFormat("load %.3g ms, proof %.3g ms, compile %.3g ms",

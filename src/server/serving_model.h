@@ -14,7 +14,7 @@
 namespace t3 {
 
 /// One immutable, versioned model snapshot the server predicts with: the
-/// T3Model plus its compiled evaluators. Snapshots are shared read-only
+/// T3Model plus the one evaluator built for it. Snapshots are shared read-only
 /// across worker threads and batches via shared_ptr<const ServingModel>;
 /// a hot swap publishes a new snapshot and in-flight batches finish on the
 /// old one (the shared_ptr keeps it alive), so no request is ever dropped
@@ -24,7 +24,7 @@ struct ServingModel {
   /// JIT-compiled forest (with the SIMD batch kernels when available);
   /// null when compilation is unsupported on this host.
   std::unique_ptr<CompiledForest> compiled;
-  /// Flattened-interpreter fallback; always present, bit-identical.
+  /// The interpreter, built only when `compiled` is null.
   std::unique_ptr<FlatEvaluator> flat;
   uint32_t version = 0;
   std::string source;  ///< File path or a descriptive tag, for stats.
@@ -33,20 +33,23 @@ struct ServingModel {
   struct Timings {
     double load_ms = 0.0;     ///< Read and parse; 0 for an in-memory model.
     double proof_ms = 0.0;    ///< Text round trip and SameForest.
-    double compile_ms = 0.0;  ///< Flat evaluator and JIT, with its proofs.
+    double compile_ms = 0.0;  ///< JIT with its proofs, or FlatEvaluator.
   };
   Timings timings;
   /// "load <x> ms, proof <y> ms, compile <z> ms", for log lines.
   std::string TimingsText() const;
 
-  /// The fastest available evaluator (compiled, else flat). Every
-  /// ForestEvaluator is bit-identical to Forest::Predict, so the choice
-  /// never changes results.
+  /// The evaluator (compiled, else flat). Both are bit-identical to
+  /// Forest::Predict, so the choice never changes results.
   const ForestEvaluator& evaluator() const {
     return compiled != nullptr
                ? static_cast<const ForestEvaluator&>(*compiled)
                : *flat;
   }
+
+  /// True when evaluator().PredictBatch runs the AVX batch kernels: they
+  /// are compiled in and dispatched on this host (BatchKernelsEnabled).
+  bool simd_batch_kernels() const;
 
   int num_features() const { return model.forest().num_features; }
 };
@@ -54,8 +57,9 @@ struct ServingModel {
 /// Wraps `model` as a serving snapshot: re-proves text-format bit-exactness
 /// (serialize -> reparse -> SameForest, field-by-field bit equality — the
 /// same proof Workbench::GetModel runs on freshly written caches), then
-/// compiles the JIT evaluators. InternalError when the proof fails; a model
-/// that cannot be proven is never published.
+/// compiles the forest, or flattens it where the JIT is unavailable.
+/// InternalError when the proof fails; a model that cannot be proven is
+/// never published.
 Result<std::shared_ptr<const ServingModel>> MakeServingModel(
     T3Model model, uint32_t version, std::string source);
 

@@ -11,9 +11,9 @@ namespace t3 {
 
 class ThreadPool;
 
-/// Common interface of the three forest evaluators (node-pointer
-/// interpretation, flattened-array interpretation, JIT-compiled native
-/// code). All implementations produce bit-identical predictions: same split
+/// Common interface of the two forest evaluators (flattened-array
+/// interpretation, JIT-compiled native code). Both produce predictions
+/// bit-identical to Forest::Predict, the reference semantics: same split
 /// predicate (see GoesLeft), same NaN routing, same summation order
 /// (base_score first, then trees in order).
 class ForestEvaluator {
@@ -29,55 +29,26 @@ class ForestEvaluator {
                             size_t num_features, double* out) const;
 };
 
-/// Node-pointer interpreter: walks Tree::nodes child indices directly.
-/// This is the paper's "interpreted" baseline (Tables 1-2, Figure 5).
-/// Does not own the forest; the forest must outlive the evaluator.
-class InterpretedEvaluator : public ForestEvaluator {
- public:
-  explicit InterpretedEvaluator(const Forest& forest) : forest_(&forest) {}
-
-  double Predict(const double* row) const override {
-    return forest_->Predict(row);
-  }
-
- private:
-  const Forest* forest_;
-};
-
 /// Flattened-array interpreter: all trees contiguously in
 /// structure-of-arrays node storage with absolute child indices — better
-/// locality than pointer chasing, still interpreted. Owns its flattened
-/// copy; independent of the source forest's lifetime.
-///
-/// The batched entry point walks up to 8 rows in lockstep through each
-/// tree: leaves self-loop (left == right == self), so every lane can take
-/// the tree's full max depth in fixed steps while the per-lane dependent
-/// loads interleave. Predictions stay bit-identical to per-row Predict —
-/// same predicate, same NaN routing, same summation order.
+/// locality than pointer chasing, still interpreted. This is the paper's
+/// "interpreted" baseline (Tables 1-2, Figure 5), the harness's evaluator
+/// and the serving fallback where the JIT is unavailable. Owns its
+/// flattened copy; independent of the source forest's lifetime.
 class FlatEvaluator : public ForestEvaluator {
  public:
   explicit FlatEvaluator(const Forest& forest);
 
   double Predict(const double* row) const override;
-  void PredictBatch(const double* rows, size_t num_rows, size_t num_features,
-                    double* out) const override;
 
  private:
-  /// Rows walked in lockstep per block; matches the JIT kernels' width.
-  static constexpr size_t kBlockLanes = 8;
-
-  /// Walks `num_lanes` (<= kBlockLanes) row-major rows through every tree.
-  void PredictBlock(const double* rows, size_t num_lanes,
-                    size_t num_features, double* out) const;
-
   // One entry per node, parallel arrays (structure-of-arrays).
   std::vector<double> threshold_or_value_;  // Inner: threshold. Leaf: value.
   std::vector<int32_t> feature_;            // -1 marks a leaf.
-  std::vector<int32_t> left_;               // Leaf: self.
-  std::vector<int32_t> right_;              // Leaf: self.
+  std::vector<int32_t> left_;               // Leaf: -1.
+  std::vector<int32_t> right_;              // Leaf: -1.
   std::vector<uint8_t> default_left_;
   std::vector<int32_t> roots_;
-  std::vector<int32_t> tree_depth_;  // Max root-to-leaf edges per tree.
   double base_score_;
 };
 

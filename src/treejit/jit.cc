@@ -29,8 +29,8 @@
 
 // Batch kernels are plain AVX encodings, but the dispatch contract is
 // AVX2-gated (the issue of record for non-AVX2 x86-64) and the CMake option
-// T3_DISABLE_AVX2 turns emission off entirely to prove the portable
-// fallback stays bit-identical.
+// T3_DISABLE_AVX2 turns emission off entirely to prove PredictBatch's
+// per-row loop alone stays bit-identical.
 #if T3_JIT_X86_64 && !defined(T3_DISABLE_AVX2)
 #define T3_BATCH_JIT 1
 #else
@@ -536,55 +536,53 @@ Result<std::unique_ptr<CompiledForest>> CompiledForest::Compile(
   }
 
 #if T3_BATCH_JIT
-  if (options.enable_batch) {
-    Result<BatchJitArtifact> batch = EmitForestBatchCode(forest);
-    if (!batch.ok()) return batch.status();
+  Result<BatchJitArtifact> batch = EmitForestBatchCode(forest);
+  if (!batch.ok()) return batch.status();
 
-    // Same pre-mapping discipline as the scalar code: the lift proves
-    // every lane load, spill slot and pool reference in bounds and every
-    // branch a guard that skips exactly one dead subtree; validate_batch
-    // also proves each kernel computes its tree, per lane.
-    if (options.validate_batch || options.audit) {
-      std::vector<LiftedTree> lifted;
-      const AnalysisReport report =
-          options.validate_batch
-              ? BatchEquivalenceValidator().Validate(
-                    forest, batch->code.data(), batch->code.size(),
-                    batch->entries, batch->pool_begin)
-              : TreeLifter().LiftBatchForest(
-                    batch->code.data(), batch->code.size(), batch->entries,
-                    batch->pool_begin, batch->num_features, &lifted);
-      Status proven = ProofStatus("emitted batch kernels", report);
-      if (!proven.ok()) return proven;
-    }
+  // Same pre-mapping discipline as the scalar code: the lift proves
+  // every lane load, spill slot and pool reference in bounds and every
+  // branch a guard that skips exactly one dead subtree; validate_batch
+  // also proves each kernel computes its tree, per lane.
+  if (options.validate_batch || options.audit) {
+    std::vector<LiftedTree> lifted;
+    const AnalysisReport report =
+        options.validate_batch
+            ? BatchEquivalenceValidator().Validate(
+                  forest, batch->code.data(), batch->code.size(),
+                  batch->entries, batch->pool_begin)
+            : TreeLifter().LiftBatchForest(
+                  batch->code.data(), batch->code.size(), batch->entries,
+                  batch->pool_begin, batch->num_features, &lifted);
+    Status proven = ProofStatus("emitted batch kernels", report);
+    if (!proven.ok()) return proven;
+  }
 
-    Status batch_mapped = MapExecutable(batch->code, &compiled->batch_code_,
-                                        &compiled->batch_mapped_size_);
-    if (!batch_mapped.ok()) return batch_mapped;
-    compiled->batch_code_size_ = batch->code.size();
-    compiled->num_features_ = batch->num_features;
-    compiled->batch_fns_.reserve(batch->entries.size());
-    for (const size_t entry : batch->entries) {
-      compiled->batch_fns_.push_back(reinterpret_cast<BatchFn>(
-          static_cast<uint8_t*>(compiled->batch_code_) + entry));
-    }
+  Status batch_mapped = MapExecutable(batch->code, &compiled->batch_code_,
+                                      &compiled->batch_mapped_size_);
+  if (!batch_mapped.ok()) return batch_mapped;
+  compiled->batch_code_size_ = batch->code.size();
+  compiled->num_features_ = batch->num_features;
+  compiled->batch_fns_.reserve(batch->entries.size());
+  for (const size_t entry : batch->entries) {
+    compiled->batch_fns_.push_back(reinterpret_cast<BatchFn>(
+        static_cast<uint8_t*>(compiled->batch_code_) + entry));
+  }
 
-    if (options.validate_batch) {
-      // Belt and braces after mapping: run the mapped kernels themselves
-      // over one witness row per leaf cell and bit-compare against the
-      // scalar path. (Exercises the real dispatch only where the runtime
-      // probe allows it; otherwise both sides take the scalar path.)
-      const CompiledForest* self = compiled.get();
-      const AnalysisReport differential = BatchDifferentialCheck(
-          forest, [self](const double* rows, size_t num_rows,
-                         size_t num_features, double* out) {
-            self->PredictBatch(rows, num_rows, num_features, out);
-          });
-      if (differential.HasErrors()) {
-        return InternalError(
-            StrFormat("batch differential check rejected mapped kernels: %s",
-                      differential.ToStatus().message().c_str()));
-      }
+  if (options.validate_batch) {
+    // Belt and braces after mapping: run the mapped kernels themselves
+    // over one witness row per leaf cell and bit-compare against the
+    // scalar path. (Exercises the real dispatch only where the runtime
+    // probe allows it; otherwise both sides take the scalar path.)
+    const CompiledForest* self = compiled.get();
+    const AnalysisReport differential = BatchDifferentialCheck(
+        forest, [self](const double* rows, size_t num_rows,
+                       size_t num_features, double* out) {
+          self->PredictBatch(rows, num_rows, num_features, out);
+        });
+    if (differential.HasErrors()) {
+      return InternalError(
+          StrFormat("batch differential check rejected mapped kernels: %s",
+                    differential.ToStatus().message().c_str()));
     }
   }
 #endif  // T3_BATCH_JIT
@@ -596,6 +594,30 @@ CompiledForest::~CompiledForest() {
   if (code_ != nullptr) munmap(code_, mapped_size_);
   if (batch_code_ != nullptr) munmap(batch_code_, batch_mapped_size_);
 }
+
+#else  // !T3_JIT_X86_64
+
+// Portability guard: on non-x86-64 hosts (or without mmap) compilation
+// reports Unavailable and callers use FlatEvaluator. (The lifts and
+// validators are pure byte inspection and still work on serialized buffers
+// everywhere.)
+
+Result<JitArtifact> EmitForestCode(const Forest& forest) {
+  Status valid = forest.Validate();
+  if (!valid.ok()) return valid;
+  return UnavailableError(
+      "tree JIT requires an x86-64 host with mmap; use FlatEvaluator");
+}
+
+Result<std::unique_ptr<CompiledForest>> CompiledForest::Compile(
+    const Forest& forest, const JitCompileOptions&) {
+  Result<JitArtifact> artifact = EmitForestCode(forest);
+  return artifact.status();
+}
+
+CompiledForest::~CompiledForest() = default;
+
+#endif  // T3_JIT_X86_64
 
 double CompiledForest::Predict(const double* row) const {
   double sum = base_score_;
@@ -650,59 +672,28 @@ size_t RunBatchKernels(const std::vector<Fn>& fns, double base_score,
 
 void CompiledForest::PredictBatch(const double* rows, size_t num_rows,
                                   size_t num_features, double* out) const {
-  if (batch_fns_.empty() || !BatchKernelsEnabled() ||
-      num_features != static_cast<size_t>(num_features_) || num_rows < 8) {
-    ForestEvaluator::PredictBatch(rows, num_rows, num_features, out);
-    return;
+  size_t done = 0;
+  if (!batch_fns_.empty() && BatchKernelsEnabled() &&
+      num_features == static_cast<size_t>(num_features_)) {
+    done = RunBatchKernels(batch_fns_, base_score_, rows, num_rows,
+                           num_features, out);
   }
-  // The (< 8)-row tail takes the per-row path, which is bit-identical.
-  size_t i = RunBatchKernels(batch_fns_, base_score_, rows, num_rows,
-                             num_features, out);
-  for (; i < num_rows; ++i) out[i] = Predict(rows + i * num_features);
+  // Everything the kernels did not take, including the (< 8)-row tail.
+  ForestEvaluator::PredictBatch(rows + done * num_features, num_rows - done,
+                                num_features, out + done);
 }
-
-#else  // !T3_JIT_X86_64
-
-// Portability guard: on non-x86-64 hosts (or without mmap) compilation
-// reports Unavailable and callers fall back to FlatEvaluator /
-// InterpretedEvaluator. (The lifts and validators are pure byte inspection
-// and still work on serialized buffers everywhere.)
-
-Result<JitArtifact> EmitForestCode(const Forest& forest) {
-  Status valid = forest.Validate();
-  if (!valid.ok()) return valid;
-  return UnavailableError(
-      "tree JIT requires an x86-64 host with mmap; use FlatEvaluator");
-}
-
-Result<std::unique_ptr<CompiledForest>> CompiledForest::Compile(
-    const Forest& forest, const JitCompileOptions&) {
-  Result<JitArtifact> artifact = EmitForestCode(forest);
-  return artifact.status();
-}
-
-CompiledForest::~CompiledForest() = default;
-
-double CompiledForest::Predict(const double*) const { return base_score_; }
-
-void CompiledForest::PredictBatch(const double*, size_t, size_t,
-                                  double* out) const {
-  *out = base_score_;
-}
-
-#endif  // T3_JIT_X86_64
 
 #if !T3_BATCH_JIT
 
 // Batch emission is compiled out (non-x86-64 host, or -DT3_DISABLE_AVX2=ON).
-// CompiledForest::Compile never populates batch_fns_, so PredictBatch stays
-// pinned to the portable per-row path.
+// CompiledForest::Compile never populates batch_fns_, so PredictBatch
+// predicts every row with its per-row loop.
 Result<BatchJitArtifact> EmitForestBatchCode(const Forest& forest) {
   Status valid = forest.Validate();
   if (!valid.ok()) return valid;
   return UnavailableError(
       "AVX batch kernels require an x86-64 host and a build without "
-      "T3_DISABLE_AVX2; PredictBatch falls back to the per-row path");
+      "T3_DISABLE_AVX2; PredictBatch predicts row by row");
 }
 
 #endif  // !T3_BATCH_JIT

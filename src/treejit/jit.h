@@ -65,7 +65,7 @@ bool BatchJitSupported();
 /// of the proof knobs are set. A failed proof is an emitter bug (the forest
 /// was already validated) and makes Compile return InternalError.
 struct JitCompileOptions {
-  /// Lift the emitted scalar code and, with enable_batch, the batch
+  /// Lift the emitted scalar code and, when BatchJitSupported(), the batch
   /// kernels before mapping them (analysis/tree_lifter.h): whitelisted
   /// instructions in the emitter's grammar, control flow contained in each
   /// tree's region, every node reachable, feature loads, spills and pool
@@ -87,10 +87,6 @@ struct JitCompileOptions {
 #else
   bool validate_translation = true;
 #endif
-  /// Also compile the AVX batch kernels (a no-op when BatchJitSupported()
-  /// is false). Off pins PredictBatch to the portable per-row path — the
-  /// scalar reference the dispatch tests compare against.
-  bool enable_batch = true;
   /// Lift the batch kernels and prove each equals its tree per lane
   /// (analysis/batch_equivalence_validator.h), then run an exhaustive
   /// per-cell differential check of the mapped kernels against the scalar
@@ -111,12 +107,13 @@ struct JitCompileOptions {
 /// Each tree is emitted as one function `double (*)(const double* row)`
 /// (System V AMD64: row in rdi, result in xmm0); Predict sums the tree
 /// results after base_score in tree order, so predictions are bit-identical
-/// to the interpreted evaluators.
+/// to Forest::Predict. Where BatchJitSupported(), Compile also emits the AVX
+/// batch kernels (EmitForestBatchCode).
 ///
 /// Code lives in mmap'd memory managed W^X: pages are writable during
 /// emission, then flipped to read+execute — never both.
 ///
-/// Compile returns an error (and callers fall back to the interpreters) on:
+/// Compile returns an error (and callers fall back to FlatEvaluator) on:
 ///  - non-x86-64 hosts,
 ///  - mmap/mprotect failure,
 ///  - a structurally invalid forest.
@@ -130,15 +127,19 @@ class CompiledForest : public ForestEvaluator {
   CompiledForest& operator=(const CompiledForest&) = delete;
 
   double Predict(const double* row) const override;
+  /// Runs the AVX kernels over whole 8-row blocks when they are compiled
+  /// and dispatched (BatchKernelsEnabled) and `num_features` is the
+  /// forest's width; every other row (short batches, tails, a width
+  /// mismatch, builds or hosts without kernels) takes the per-row loop.
+  /// Bit-identical either way.
   void PredictBatch(const double* rows, size_t num_rows, size_t num_features,
                     double* out) const override;
 
   /// Bytes of emitted machine code (before page rounding).
   size_t code_size() const { return code_size_; }
 
-  /// True when AVX batch kernels were compiled in. They are dispatched only
-  /// when the runtime probe (BatchKernelsEnabled) also passes; otherwise
-  /// PredictBatch falls back to the bit-identical per-row path.
+  /// True when AVX batch kernels were compiled in. PredictBatch runs them
+  /// only when the runtime probe (BatchKernelsEnabled) also passes.
   bool has_batch_kernels() const { return !batch_fns_.empty(); }
 
   /// Bytes of emitted batch-kernel code + constant pool (0 when none).

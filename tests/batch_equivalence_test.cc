@@ -597,7 +597,6 @@ TEST(BatchEquivalenceTest, CompileWithFullValidationSucceeds) {
     JitCompileOptions options;
     options.audit = true;
     options.validate_translation = true;
-    options.enable_batch = true;
     options.validate_batch = true;
     Result<std::unique_ptr<CompiledForest>> compiled =
         CompiledForest::Compile(forest, options);

@@ -9,11 +9,12 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/check.h"
+#include "common/cpu_features.h"
 #include "common/net.h"
 #include "common/random.h"
 #include "common/string_util.h"
@@ -24,6 +25,7 @@
 #include "server/protocol.h"
 #include "server/server.h"
 #include "server/serving_model.h"
+#include "treejit/jit.h"
 
 namespace t3 {
 namespace {
@@ -75,14 +77,15 @@ T3Model MakeRandomModel(
   return T3Model(MakeRandomForest(seed, num_features, num_trees), target);
 }
 
-std::shared_ptr<const ServingModel> MakeTestServingModel(uint64_t seed,
-                                                         int num_features,
-                                                         int num_trees) {
+// Version 1 of MakeRandomModel(seed, ...) as a serving snapshot; call it
+// under ASSERT_NO_FATAL_FAILURE.
+void MakeTestServingModel(uint64_t seed, int num_features, int num_trees,
+                          std::shared_ptr<const ServingModel>* out) {
   Result<std::shared_ptr<const ServingModel>> serving = MakeServingModel(
       MakeRandomModel(seed, num_features, num_trees), 1,
       StrFormat("test:%llu", static_cast<unsigned long long>(seed)));
-  T3_CHECK_OK(serving);
-  return *std::move(serving);
+  ASSERT_TRUE(serving.ok()) << serving.status().ToString();
+  *out = *std::move(serving);
 }
 
 PredictRowsRequest MakeRandomRequest(uint64_t seed, size_t num_rows,
@@ -294,8 +297,10 @@ TEST(ProtocolTest, RejectsOversizedRowCounts) {
 TEST(PredictionServerTest, PredictRowsBitMatchesDirectModel) {
   const int kFeatures = 16;
   const T3Model reference = MakeRandomModel(101, kFeatures, 20);
-  Result<std::unique_ptr<PredictionServer>> server = PredictionServer::Start(
-      MakeTestServingModel(101, kFeatures, 20), TestServerOptions());
+  std::shared_ptr<const ServingModel> serving;
+  ASSERT_NO_FATAL_FAILURE(MakeTestServingModel(101, kFeatures, 20, &serving));
+  Result<std::unique_ptr<PredictionServer>> server =
+      PredictionServer::Start(std::move(serving), TestServerOptions());
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
   Result<PredictionClient> client =
@@ -323,8 +328,10 @@ TEST(PredictionServerTest, PredictRowsBitMatchesDirectModel) {
 
 TEST(PredictionServerTest, PredictPlanMatchesPipelineSum) {
   const T3Model reference = MakeRandomModel(303, 48, 12);
-  Result<std::unique_ptr<PredictionServer>> server = PredictionServer::Start(
-      MakeTestServingModel(303, 48, 12), TestServerOptions());
+  std::shared_ptr<const ServingModel> serving;
+  ASSERT_NO_FATAL_FAILURE(MakeTestServingModel(303, 48, 12, &serving));
+  Result<std::unique_ptr<PredictionServer>> server =
+      PredictionServer::Start(std::move(serving), TestServerOptions());
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
   Result<std::string> plan_text = ReadFileToString(
@@ -402,8 +409,10 @@ TEST(PredictionServerTest, PredictPlanPerQueryModelPredictsSummedRow) {
 TEST(PredictionServerTest, PipelinedFramesAnswerInArrivalOrder) {
   const int kFeatures = 8;
   const T3Model reference = MakeRandomModel(404, kFeatures, 6);
-  Result<std::unique_ptr<PredictionServer>> server = PredictionServer::Start(
-      MakeTestServingModel(404, kFeatures, 6), TestServerOptions());
+  std::shared_ptr<const ServingModel> serving;
+  ASSERT_NO_FATAL_FAILURE(MakeTestServingModel(404, kFeatures, 6, &serving));
+  Result<std::unique_ptr<PredictionServer>> server =
+      PredictionServer::Start(std::move(serving), TestServerOptions());
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   Result<PredictionClient> client =
       PredictionClient::Connect("127.0.0.1", (*server)->port());
@@ -458,8 +467,10 @@ TEST(PredictionServerTest, PipelinedFramesAnswerInArrivalOrder) {
 // --- Client misbehavior ---
 
 TEST(PredictionServerTest, MalformedFrameGetsErrorAndClose) {
-  Result<std::unique_ptr<PredictionServer>> server = PredictionServer::Start(
-      MakeTestServingModel(55, 8, 4), TestServerOptions());
+  std::shared_ptr<const ServingModel> serving;
+  ASSERT_NO_FATAL_FAILURE(MakeTestServingModel(55, 8, 4, &serving));
+  Result<std::unique_ptr<PredictionServer>> server =
+      PredictionServer::Start(std::move(serving), TestServerOptions());
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
   Result<PredictionClient> client =
@@ -484,8 +495,10 @@ TEST(PredictionServerTest, MalformedFrameGetsErrorAndClose) {
 }
 
 TEST(PredictionServerTest, WrongFeatureWidthIsAnErrorNotACrash) {
-  Result<std::unique_ptr<PredictionServer>> server = PredictionServer::Start(
-      MakeTestServingModel(56, 8, 4), TestServerOptions());
+  std::shared_ptr<const ServingModel> serving;
+  ASSERT_NO_FATAL_FAILURE(MakeTestServingModel(56, 8, 4, &serving));
+  Result<std::unique_ptr<PredictionServer>> server =
+      PredictionServer::Start(std::move(serving), TestServerOptions());
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   Result<PredictionClient> client =
       PredictionClient::Connect("127.0.0.1", (*server)->port());
@@ -503,8 +516,10 @@ TEST(PredictionServerTest, WrongFeatureWidthIsAnErrorNotACrash) {
 }
 
 TEST(PredictionServerTest, SurvivesAbruptDisconnects) {
-  Result<std::unique_ptr<PredictionServer>> server = PredictionServer::Start(
-      MakeTestServingModel(57, 8, 4), TestServerOptions());
+  std::shared_ptr<const ServingModel> serving;
+  ASSERT_NO_FATAL_FAILURE(MakeTestServingModel(57, 8, 4, &serving));
+  Result<std::unique_ptr<PredictionServer>> server =
+      PredictionServer::Start(std::move(serving), TestServerOptions());
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   const uint16_t port = (*server)->port();
 
@@ -550,8 +565,11 @@ TEST(PredictionServerTest, HotSwapUnderLoadDropsNothingAndBitMatches) {
   ASSERT_TRUE(model_v2.SaveToFile(swap_path).ok());
 
   ServerOptions options = TestServerOptions();
-  Result<std::unique_ptr<PredictionServer>> server = PredictionServer::Start(
-      MakeTestServingModel(1001, kFeatures, 10), options);
+  std::shared_ptr<const ServingModel> serving;
+  ASSERT_NO_FATAL_FAILURE(
+      MakeTestServingModel(1001, kFeatures, 10, &serving));
+  Result<std::unique_ptr<PredictionServer>> server =
+      PredictionServer::Start(std::move(serving), options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   const uint16_t port = (*server)->port();
 
@@ -635,8 +653,10 @@ TEST(PredictionServerTest, SwapRejectsFeatureCountMismatch) {
       testing::TempDir() + "/t3_server_narrow_model.txt";
   ASSERT_TRUE(narrow.SaveToFile(narrow_path).ok());
 
-  Result<std::unique_ptr<PredictionServer>> server = PredictionServer::Start(
-      MakeTestServingModel(32, 8, 3), TestServerOptions());
+  std::shared_ptr<const ServingModel> serving;
+  ASSERT_NO_FATAL_FAILURE(MakeTestServingModel(32, 8, 3, &serving));
+  Result<std::unique_ptr<PredictionServer>> server =
+      PredictionServer::Start(std::move(serving), TestServerOptions());
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   Result<PredictionClient> client =
       PredictionClient::Connect("127.0.0.1", (*server)->port());
@@ -653,7 +673,9 @@ TEST(ModelRegistryTest, SwapReturnsThePublishedSnapshotWithItsTimings) {
   const std::string path = testing::TempDir() + "/t3_registry_model.txt";
   ASSERT_TRUE(MakeRandomModel(41, 8, 5).SaveToFile(path).ok());
 
-  ModelRegistry registry(MakeTestServingModel(40, 8, 5));
+  std::shared_ptr<const ServingModel> serving;
+  ASSERT_NO_FATAL_FAILURE(MakeTestServingModel(40, 8, 5, &serving));
+  ModelRegistry registry(std::move(serving));
   EXPECT_EQ(registry.Current()->timings.load_ms, 0.0);  // Built in memory.
   Result<std::shared_ptr<const ServingModel>> swapped =
       registry.SwapFromFile(path);
@@ -670,8 +692,10 @@ TEST(ModelRegistryTest, SwapReturnsThePublishedSnapshotWithItsTimings) {
 // --- Shutdown and stats ---
 
 TEST(PredictionServerTest, ProtocolShutdownStopsWait) {
-  Result<std::unique_ptr<PredictionServer>> server = PredictionServer::Start(
-      MakeTestServingModel(77, 8, 4), TestServerOptions());
+  std::shared_ptr<const ServingModel> serving;
+  ASSERT_NO_FATAL_FAILURE(MakeTestServingModel(77, 8, 4, &serving));
+  Result<std::unique_ptr<PredictionServer>> server =
+      PredictionServer::Start(std::move(serving), TestServerOptions());
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
   Result<PredictionClient> client =
@@ -682,6 +706,12 @@ TEST(PredictionServerTest, ProtocolShutdownStopsWait) {
   ASSERT_TRUE(stats.ok());
   EXPECT_NE(stats->find("model_version 1"), std::string::npos);
   EXPECT_NE(stats->find("model_features 8"), std::string::npos);
+  // The kernels PredictBatch runs: compiled in and dispatched, so 0 under
+  // T3_FORCE_SCALAR=1 and in builds without them.
+  const bool simd = BatchJitSupported() && BatchKernelsEnabled();
+  EXPECT_NE(stats->find(StrFormat("simd_batch_kernels %d\n", simd ? 1 : 0)),
+            std::string::npos)
+      << *stats;
 
   ASSERT_TRUE(client->Shutdown().ok());
   (*server)->Wait();  // Returns because the kShutdown frame stopped it.
@@ -695,8 +725,10 @@ TEST(PredictionServerTest, ProtocolShutdownStopsWait) {
 TEST(PredictionServerTest, RemoteShutdownCanBeDisabled) {
   ServerOptions options = TestServerOptions();
   options.allow_remote_shutdown = false;
+  std::shared_ptr<const ServingModel> serving;
+  ASSERT_NO_FATAL_FAILURE(MakeTestServingModel(78, 8, 4, &serving));
   Result<std::unique_ptr<PredictionServer>> server =
-      PredictionServer::Start(MakeTestServingModel(78, 8, 4), options);
+      PredictionServer::Start(std::move(serving), options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   Result<PredictionClient> client =
       PredictionClient::Connect("127.0.0.1", (*server)->port());

@@ -76,8 +76,9 @@ std::vector<double> MakeRandomRow(Rng* rng, int num_features) {
   return row;
 }
 
-// The tentpole invariant: all three evaluators are bit-identical on 100+
-// random forests x random rows, including NaN and threshold-boundary inputs.
+// The tentpole invariant: both evaluators are bit-identical to
+// Forest::Predict, the reference semantics, on 100+ random forests x random
+// rows, including NaN and threshold-boundary inputs.
 TEST(EvaluatorAgreementTest, AllEvaluatorsBitExactOnRandomForests) {
   Rng rng(2024);
   int jit_compiled = 0;
@@ -89,7 +90,6 @@ TEST(EvaluatorAgreementTest, AllEvaluatorsBitExactOnRandomForests) {
         MakeRandomForest(&rng, num_features, num_trees, max_depth);
     ASSERT_TRUE(forest.Validate().ok()) << "trial " << trial;
 
-    const InterpretedEvaluator interpreted(forest);
     const FlatEvaluator flat(forest);
     Result<std::unique_ptr<CompiledForest>> compiled =
         CompiledForest::Compile(forest);
@@ -101,7 +101,7 @@ TEST(EvaluatorAgreementTest, AllEvaluatorsBitExactOnRandomForests) {
 
     for (int r = 0; r < 25; ++r) {
       const std::vector<double> row = MakeRandomRow(&rng, num_features);
-      const double reference = interpreted.Predict(row.data());
+      const double reference = forest.Predict(row.data());
       ASSERT_EQ(flat.Predict(row.data()), reference)
           << "flat disagrees, trial " << trial << " row " << r;
       if (compiled.ok()) {
@@ -115,7 +115,7 @@ TEST(EvaluatorAgreementTest, AllEvaluatorsBitExactOnRandomForests) {
   }
 }
 
-// NaN-heavy trifecta: node interpreter vs flat interpreter vs JIT stay
+// NaN-heavy trifecta: Forest::Predict vs flat interpreter vs JIT stay
 // bit-identical as the NaN density of the input sweeps from none to every
 // feature, with ±inf inputs mixed in and denormal thresholds in the trees —
 // the corners where ucomisd's unordered results and strict-< routing are
@@ -142,7 +142,6 @@ TEST(EvaluatorAgreementTest, NanHeavyTrifectaAcrossNanFractions) {
       }
       ASSERT_TRUE(forest.Validate().ok());
 
-      const InterpretedEvaluator interpreted(forest);
       const FlatEvaluator flat(forest);
       Result<std::unique_ptr<CompiledForest>> compiled =
           CompiledForest::Compile(forest);
@@ -163,7 +162,7 @@ TEST(EvaluatorAgreementTest, NanHeavyTrifectaAcrossNanFractions) {
             v = 0.25 * static_cast<double>(rng.UniformInt(-8, 8));
           }
         }
-        const double reference = interpreted.Predict(row.data());
+        const double reference = forest.Predict(row.data());
         ASSERT_EQ(flat.Predict(row.data()), reference)
             << "flat disagrees, nan_fraction " << nan_fraction << " trial "
             << trial << " row " << r;
@@ -196,15 +195,14 @@ TEST(EvaluatorAgreementTest, ThresholdBoundaryGoesRight) {
   forest.trees.push_back(tree);
   ASSERT_TRUE(forest.Validate().ok());
 
-  const InterpretedEvaluator interpreted(forest);
   const FlatEvaluator flat(forest);
   Result<std::unique_ptr<CompiledForest>> compiled =
       CompiledForest::Compile(forest);
 
   const double boundary = 1.5;
   const double below = std::nextafter(1.5, 0.0);
-  EXPECT_EQ(interpreted.Predict(&boundary), 1.0);
-  EXPECT_EQ(interpreted.Predict(&below), -1.0);
+  EXPECT_EQ(forest.Predict(&boundary), 1.0);
+  EXPECT_EQ(forest.Predict(&below), -1.0);
   EXPECT_EQ(flat.Predict(&boundary), 1.0);
   EXPECT_EQ(flat.Predict(&below), -1.0);
   if (compiled.ok()) {
@@ -361,11 +359,12 @@ std::vector<double> MakeAdversarialRow(Rng* rng, int num_features) {
   return row;
 }
 
-// Checks PredictBatch against per-row Predict on one evaluator, bitwise,
-// across the battery's batch sizes (straddling the 8-row kernel width on
-// both sides, whole 512-row kernel chunks, and a partial chunk with a
-// ragged tail).
-void CheckBatchAgainstPerRow(const ForestEvaluator& evaluator,
+// Checks `evaluator`'s PredictBatch against its per-row Predict and
+// against forest.Predict, bitwise, across the battery's batch sizes
+// (straddling the 8-row kernel width on both sides, whole 512-row kernel
+// chunks, and a partial chunk with a ragged tail).
+void CheckBatchAgainstPerRow(const Forest& forest,
+                             const ForestEvaluator& evaluator,
                              const std::vector<double>& rows, size_t max_rows,
                              int num_features, const char* label) {
   const size_t dim = static_cast<size_t>(num_features);
@@ -377,14 +376,16 @@ void CheckBatchAgainstPerRow(const ForestEvaluator& evaluator,
     for (size_t i = 0; i < n; ++i) {
       ASSERT_EQ(out[i], evaluator.Predict(&rows[i * dim]))
           << label << " PredictBatch, batch " << n << " row " << i;
+      ASSERT_EQ(out[i], forest.Predict(&rows[i * dim]))
+          << label << " PredictBatch vs Forest::Predict, batch " << n
+          << " row " << i;
     }
   }
 }
 
 // The batch tentpole's randomized battery: 100 random forests, batch sizes
-// {1, 7, 8, 9, 1024, 1053}, adversarial inputs, every evaluator
-// bit-identical to per-row Predict (which the scalar battery above
-// already ties to the interpreted reference).
+// {1, 7, 8, 9, 1024, 1053}, adversarial inputs, every evaluator's batch
+// bit-identical to its per-row Predict and to Forest::Predict.
 TEST(BatchTest, RandomizedBatteryBitIdenticalAcrossEvaluators) {
   Rng rng(4242);
   for (int trial = 0; trial < 100; ++trial) {
@@ -406,18 +407,15 @@ TEST(BatchTest, RandomizedBatteryBitIdenticalAcrossEvaluators) {
       rows.insert(rows.end(), row.begin(), row.end());
     }
 
-    const InterpretedEvaluator interpreted(forest);
-    const FlatEvaluator flat(forest);
-    CheckBatchAgainstPerRow(interpreted, rows, max_rows, num_features,
-                            "interpreted");
-    CheckBatchAgainstPerRow(flat, rows, max_rows, num_features, "flat");
+    CheckBatchAgainstPerRow(forest, FlatEvaluator(forest), rows, max_rows,
+                            num_features, "flat");
     Result<std::unique_ptr<CompiledForest>> compiled =
         CompiledForest::Compile(forest);
     if (JitSupported()) {
       ASSERT_TRUE(compiled.ok())
           << "trial " << trial << ": " << compiled.status().ToString();
-      CheckBatchAgainstPerRow(**compiled, rows, max_rows, num_features,
-                              "compiled");
+      CheckBatchAgainstPerRow(forest, **compiled, rows, max_rows,
+                              num_features, "compiled");
     }
   }
 }
@@ -460,13 +458,13 @@ TEST(BatchTest, TrainedForestsBatchBitIdentical) {
                      : MakeRandomRow(&rng, static_cast<int>(num_features));
       rows.insert(rows.end(), row.begin(), row.end());
     }
-    CheckBatchAgainstPerRow(FlatEvaluator(forest), rows, max_rows,
+    CheckBatchAgainstPerRow(forest, FlatEvaluator(forest), rows, max_rows,
                             static_cast<int>(num_features), "flat");
     Result<std::unique_ptr<CompiledForest>> compiled =
         CompiledForest::Compile(forest);
     if (JitSupported()) {
       ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-      CheckBatchAgainstPerRow(**compiled, rows, max_rows,
+      CheckBatchAgainstPerRow(forest, **compiled, rows, max_rows,
                               static_cast<int>(num_features), "compiled");
     }
   }
@@ -479,11 +477,12 @@ constexpr const char* kFixtureModels[] = {
     "/data/model_loo_airline.txt",
 };
 
-// Satellite: the dispatched batch path (whatever the host offers — SIMD
-// kernels or the fallback) agrees bitwise with the pinned scalar path on
-// every checked-in model fixture. Under T3_FORCE_SCALAR=1 (CI runs the
-// suite that way too) both sides take the per-row path and the test proves
-// the override leaves results unchanged.
+// The dispatched batch path (whatever the host offers — SIMD kernels or
+// the per-row loop) agrees bitwise with per-row Predict and with
+// Forest::Predict on every checked-in model fixture. Under
+// T3_FORCE_SCALAR=1 (CI runs the suite that way too) PredictBatch takes
+// the per-row loop and the test proves the override leaves results
+// unchanged.
 TEST(BatchTest, FixtureModelsScalarAndDispatchedPathsAgree) {
   if (!JitSupported()) GTEST_SKIP() << "JIT unsupported on this host";
   Rng rng(90210);
@@ -493,16 +492,10 @@ TEST(BatchTest, FixtureModelsScalarAndDispatchedPathsAgree) {
     ASSERT_TRUE(loaded.ok()) << path << ": " << loaded.status().ToString();
     const Forest& forest = loaded.value();
 
-    JitCompileOptions dispatched_options;
-    Result<std::unique_ptr<CompiledForest>> dispatched =
-        CompiledForest::Compile(forest, dispatched_options);
-    ASSERT_TRUE(dispatched.ok()) << dispatched.status().ToString();
-    JitCompileOptions scalar_options;
-    scalar_options.enable_batch = false;  // Pins the per-row path.
-    Result<std::unique_ptr<CompiledForest>> scalar =
-        CompiledForest::Compile(forest, scalar_options);
-    ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
-    EXPECT_FALSE((*scalar)->has_batch_kernels());
+    Result<std::unique_ptr<CompiledForest>> compiled =
+        CompiledForest::Compile(forest);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    EXPECT_EQ((*compiled)->has_batch_kernels(), BatchJitSupported());
 
     const size_t num_rows = 33;  // Kernel blocks plus a scalar tail.
     const size_t dim = static_cast<size_t>(forest.num_features);
@@ -512,14 +505,12 @@ TEST(BatchTest, FixtureModelsScalarAndDispatchedPathsAgree) {
           MakeRandomRow(&rng, forest.num_features);
       rows.insert(rows.end(), row.begin(), row.end());
     }
-    std::vector<double> out_dispatched(num_rows);
-    std::vector<double> out_scalar(num_rows);
-    (*dispatched)->PredictBatch(rows.data(), num_rows, dim,
-                                out_dispatched.data());
-    (*scalar)->PredictBatch(rows.data(), num_rows, dim, out_scalar.data());
+    std::vector<double> out(num_rows);
+    (*compiled)->PredictBatch(rows.data(), num_rows, dim, out.data());
     for (size_t i = 0; i < num_rows; ++i) {
-      ASSERT_EQ(out_dispatched[i], out_scalar[i]) << fixture << " row " << i;
-      ASSERT_EQ(out_dispatched[i], forest.Predict(&rows[i * dim]))
+      ASSERT_EQ(out[i], (*compiled)->Predict(&rows[i * dim]))
+          << fixture << " row " << i;
+      ASSERT_EQ(out[i], forest.Predict(&rows[i * dim]))
           << fixture << " row " << i;
     }
   }
@@ -530,7 +521,7 @@ TEST(BatchTest, FixtureModelsScalarAndDispatchedPathsAgree) {
 // plans, where most subtrees are dead for most blocks) are followed by two
 // blocks per tree: 8 copies of one row, so every guard off that row's path
 // is taken, and 8 witnesses in 8 distinct leaves, so the fewest guards are
-// taken. The dispatched and the per-row path must both equal
+// taken. The dispatched PredictBatch must equal per-row Predict and
 // Forest::Predict exactly.
 TEST(BatchTest, GuardedKernelsBitExactOnCorpusRowsAndExtremeBlocks) {
   if (!JitSupported()) GTEST_SKIP() << "JIT unsupported on this host";
@@ -579,22 +570,18 @@ TEST(BatchTest, GuardedKernelsBitExactOnCorpusRowsAndExtremeBlocks) {
       }
     }
 
-    JitCompileOptions scalar_options;
-    scalar_options.enable_batch = false;
-    for (const bool batch : {true, false}) {
-      Result<std::unique_ptr<CompiledForest>> compiled =
-          CompiledForest::Compile(forest, batch ? JitCompileOptions{}
-                                                : scalar_options);
-      ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-      EXPECT_EQ((*compiled)->has_batch_kernels(), batch && BatchJitSupported());
-      const size_t num_rows = rows.size() / dim;
-      std::vector<double> out(num_rows);
-      (*compiled)->PredictBatch(rows.data(), num_rows, dim, out.data());
-      for (size_t i = 0; i < num_rows; ++i) {
-        ASSERT_EQ(out[i], forest.Predict(&rows[i * dim]))
-            << fixture << (batch ? " dispatched" : " per-row") << " row "
-            << i;
-      }
+    Result<std::unique_ptr<CompiledForest>> compiled =
+        CompiledForest::Compile(forest);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    EXPECT_EQ((*compiled)->has_batch_kernels(), BatchJitSupported());
+    const size_t num_rows = rows.size() / dim;
+    std::vector<double> out(num_rows);
+    (*compiled)->PredictBatch(rows.data(), num_rows, dim, out.data());
+    for (size_t i = 0; i < num_rows; ++i) {
+      ASSERT_EQ(out[i], (*compiled)->Predict(&rows[i * dim]))
+          << fixture << " row " << i << " vs Predict";
+      ASSERT_EQ(out[i], forest.Predict(&rows[i * dim]))
+          << fixture << " row " << i << " vs Forest::Predict";
     }
   }
 }
