@@ -6,7 +6,7 @@
 #include <functional>
 #include <vector>
 
-#include "analysis/report.h"
+#include "common/report.h"
 #include "gbt/forest.h"
 
 namespace t3 {

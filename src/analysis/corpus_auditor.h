@@ -3,7 +3,7 @@
 
 #include <string>
 
-#include "analysis/report.h"
+#include "common/report.h"
 #include "harness/corpus.h"
 
 namespace t3 {

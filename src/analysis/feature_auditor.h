@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/report.h"
+#include "common/report.h"
 #include "gbt/forest.h"
 
 namespace t3 {

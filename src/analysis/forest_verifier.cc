@@ -1,6 +1,6 @@
 #include "analysis/forest_verifier.h"
 
-#include <cmath>
+#include <algorithm>
 #include <limits>
 #include <vector>
 
@@ -8,90 +8,6 @@
 
 namespace t3 {
 namespace {
-
-/// Structural + semantic error checks for one tree. Returns true when the
-/// tree is clean enough (single-reach, in-range children and features,
-/// finite thresholds) for the interval-analysis warning passes to walk it.
-bool CheckTreeStructure(const Forest& forest, int tree_index,
-                        AnalysisReport* report) {
-  const Tree& tree = forest.trees[static_cast<size_t>(tree_index)];
-  const int n = static_cast<int>(tree.nodes.size());
-  if (n == 0) {
-    report->Add(Severity::kError, "empty-tree", tree_index, -1,
-                "tree has no nodes");
-    return false;
-  }
-
-  bool walkable = true;
-  size_t leaves = 0;
-  for (int i = 0; i < n; ++i) {
-    const TreeNode& node = tree.nodes[static_cast<size_t>(i)];
-    if (node.is_leaf) {
-      ++leaves;
-      if (!std::isfinite(node.value)) {
-        report->Add(Severity::kError, "nonfinite-leaf-value", tree_index, i,
-                    "leaf value is NaN or infinite");
-      }
-      continue;
-    }
-    if (node.feature < 0 || node.feature >= forest.num_features) {
-      report->Add(
-          Severity::kError, "bad-feature-index", tree_index, i,
-          StrFormat("split feature %d outside [0, %d)", node.feature,
-                    forest.num_features));
-      walkable = false;  // The walker indexes per-feature bound arrays.
-    }
-    if (!std::isfinite(node.threshold)) {
-      report->Add(Severity::kError, "nonfinite-threshold", tree_index, i,
-                  "split threshold is NaN or infinite");
-      walkable = false;  // Interval bounds are meaningless with NaN splits.
-    }
-    for (const int child : {node.left, node.right}) {
-      if (child < 0 || child >= n) {
-        report->Add(Severity::kError, "missing-child", tree_index, i,
-                    StrFormat("child index %d outside the %d-node tree",
-                              child, n));
-        walkable = false;
-      }
-    }
-  }
-  if (leaves != static_cast<size_t>(n) - leaves + 1) {
-    report->Add(Severity::kError, "leaf-count-mismatch", tree_index, -1,
-                StrFormat("%zu leaves but %zu inner nodes (want inner + 1)",
-                          leaves, static_cast<size_t>(n) - leaves));
-  }
-  if (!walkable) return false;
-
-  // Reachability: every node must be reached from the root exactly once.
-  std::vector<char> seen(static_cast<size_t>(n), 0);
-  std::vector<int> stack = {0};
-  seen[0] = 1;
-  int visited = 1;
-  bool shared = false;
-  while (!stack.empty()) {
-    const TreeNode& node = tree.nodes[static_cast<size_t>(stack.back())];
-    stack.pop_back();
-    if (node.is_leaf) continue;
-    for (const int child : {node.left, node.right}) {
-      if (seen[static_cast<size_t>(child)]) {
-        report->Add(Severity::kError, "node-shared", tree_index, child,
-                    "node reachable twice from the root (cycle or diamond)");
-        shared = true;
-        continue;  // Do not re-walk: a cycle would never terminate.
-      }
-      seen[static_cast<size_t>(child)] = 1;
-      ++visited;
-      stack.push_back(child);
-    }
-  }
-  for (int i = 0; i < n && visited < n; ++i) {
-    if (!seen[static_cast<size_t>(i)]) {
-      report->Add(Severity::kError, "orphan-node", tree_index, i,
-                  "node unreachable from the root");
-    }
-  }
-  return !shared && visited == n;
-}
 
 /// Interval-analysis warning passes over one structurally clean tree.
 /// Walks root-to-leaf carrying, per feature, the half-open interval
@@ -101,11 +17,9 @@ bool CheckTreeStructure(const Forest& forest, int tree_index,
 /// must not be able to overflow the call stack.
 class IntervalWalker {
  public:
-  IntervalWalker(const Forest& forest, int tree_index,
-                 const VerifyOptions& options, AnalysisReport* report)
+  IntervalWalker(const Forest& forest, int tree_index, AnalysisReport* report)
       : tree_(forest.trees[static_cast<size_t>(tree_index)]),
         tree_index_(tree_index),
-        options_(options),
         report_(report),
         lo_(static_cast<size_t>(forest.num_features),
             -std::numeric_limits<double>::infinity()),
@@ -157,7 +71,7 @@ class IntervalWalker {
     const size_t f = static_cast<size_t>(node.feature);
     const double t = node.threshold;
 
-    if (options_.warn_duplicate_thresholds && (t == lo_[f] || t == hi_[f])) {
+    if (t == lo_[f] || t == hi_[f]) {
       // Interval bounds on f only ever come from ancestor splits on f, so
       // hitting one exactly means an identical (feature, threshold) pair.
       report_->Add(Severity::kWarning, "duplicate-threshold", tree_index_,
@@ -165,21 +79,19 @@ class IntervalWalker {
                    StrFormat("repeats an ancestor split on feature %d",
                              node.feature));
     }
-    if (options_.warn_dead_branches) {
-      const bool nan_goes_left = nan_possible_[f] != 0 && node.default_left;
-      const bool nan_goes_right = nan_possible_[f] != 0 && !node.default_left;
-      if (t <= lo_[f] && !nan_goes_left) {
-        report_->Add(Severity::kWarning, "dead-branch", tree_index_, index,
-                     StrFormat("left child unreachable: x[%d] >= %.17g here "
-                               "but split needs x < %.17g",
-                               node.feature, lo_[f], t));
-      }
-      if (t >= hi_[f] && !nan_goes_right) {
-        report_->Add(Severity::kWarning, "dead-branch", tree_index_, index,
-                     StrFormat("right child unreachable: x[%d] < %.17g here "
-                               "but split needs x >= %.17g",
-                               node.feature, hi_[f], t));
-      }
+    const bool nan_goes_left = nan_possible_[f] != 0 && node.default_left;
+    const bool nan_goes_right = nan_possible_[f] != 0 && !node.default_left;
+    if (t <= lo_[f] && !nan_goes_left) {
+      report_->Add(Severity::kWarning, "dead-branch", tree_index_, index,
+                   StrFormat("left child unreachable: x[%d] >= %.17g here "
+                             "but split needs x < %.17g",
+                             node.feature, lo_[f], t));
+    }
+    if (t >= hi_[f] && !nan_goes_right) {
+      report_->Add(Severity::kWarning, "dead-branch", tree_index_, index,
+                   StrFormat("right child unreachable: x[%d] < %.17g here "
+                             "but split needs x >= %.17g",
+                             node.feature, hi_[f], t));
     }
 
     const FeatureState saved{node.feature, lo_[f], hi_[f], nan_possible_[f]};
@@ -199,7 +111,6 @@ class IntervalWalker {
 
   const Tree& tree_;
   const int tree_index_;
-  const VerifyOptions& options_;
   AnalysisReport* report_;
   std::vector<double> lo_;
   std::vector<double> hi_;
@@ -210,14 +121,14 @@ class IntervalWalker {
 }  // namespace
 
 AnalysisReport ForestVerifier::Verify(const Forest& forest) const {
-  AnalysisReport report;
-  if (forest.num_features <= 0) {
-    report.Add(Severity::kError, "bad-num-features", -1, -1,
-               StrFormat("num_features is %d, need > 0", forest.num_features));
-  }
-  if (!std::isfinite(forest.base_score)) {
-    report.Add(Severity::kError, "nonfinite-base-score", -1, -1,
-               "base_score is NaN or infinite");
+  AnalysisReport report = forest.CheckStructure();
+  // The warning passes walk only trees the rules accept: in-range features
+  // and children, finite thresholds, every node reached once.
+  std::vector<char> clean(forest.trees.size(), 1);
+  for (const Diagnostic& d : report.diagnostics()) {
+    if (d.severity == Severity::kError && d.tree >= 0) {
+      clean[static_cast<size_t>(d.tree)] = 0;
+    }
   }
 
   // default_left values seen per feature across the forest, for the
@@ -225,35 +136,23 @@ AnalysisReport ForestVerifier::Verify(const Forest& forest) const {
   std::vector<char> routing(
       forest.num_features > 0 ? static_cast<size_t>(forest.num_features) : 0,
       0);
-
   for (size_t t = 0; t < forest.trees.size(); ++t) {
-    const int tree_index = static_cast<int>(t);
-    const bool walkable = CheckTreeStructure(forest, tree_index, &report);
-    if (!walkable) continue;
-    for (size_t n = 0; n < forest.trees[t].nodes.size(); ++n) {
-      const TreeNode& node = forest.trees[t].nodes[n];
-      if (node.is_leaf || node.feature < 0 ||
-          node.feature >= forest.num_features) {
-        continue;
+    if (!clean[t] || forest.num_features <= 0) continue;
+    for (const TreeNode& node : forest.trees[t].nodes) {
+      if (!node.is_leaf) {
+        routing[static_cast<size_t>(node.feature)] |=
+            node.default_left ? 2 : 1;
       }
-      routing[static_cast<size_t>(node.feature)] |=
-          node.default_left ? 2 : 1;
     }
-    if (forest.num_features > 0 &&
-        (options_.warn_dead_branches || options_.warn_duplicate_thresholds)) {
-      IntervalWalker walker(forest, tree_index, options_, &report);
-      walker.Walk();
-    }
+    IntervalWalker(forest, static_cast<int>(t), &report).Walk();
   }
 
-  if (options_.warn_inconsistent_nan_routing) {
-    for (size_t f = 0; f < routing.size(); ++f) {
-      if (routing[f] == 3) {
-        report.Add(Severity::kWarning, "inconsistent-nan-routing", -1, -1,
-                   StrFormat("feature %zu splits route NaN both left and "
-                             "right across the forest",
-                             f));
-      }
+  for (size_t f = 0; f < routing.size(); ++f) {
+    if (routing[f] == 3) {
+      report.Add(Severity::kWarning, "inconsistent-nan-routing", -1, -1,
+                 StrFormat("feature %zu splits route NaN both left and "
+                           "right across the forest",
+                           f));
     }
   }
   return report;

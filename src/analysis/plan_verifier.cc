@@ -9,134 +9,6 @@
 namespace t3 {
 namespace {
 
-/// Shared annotation checks of a live node / serialized record.
-void CheckAnnotations(AnalysisReport* report, int id, double cardinality,
-                      double extra, double width) {
-  if (!std::isfinite(cardinality) || cardinality < 0.0) {
-    report->Add(Severity::kError, "plan-annotation", -1, id,
-                StrFormat("cardinality %g must be finite and non-negative",
-                          cardinality));
-  }
-  if (!std::isfinite(width) || width < 0.0) {
-    report->Add(Severity::kError, "plan-annotation", -1, id,
-                StrFormat("width %g must be finite and non-negative", width));
-  }
-  if (!std::isfinite(extra)) {
-    report->Add(Severity::kError, "plan-annotation", -1, id,
-                StrFormat("extra %g must be finite", extra));
-  }
-}
-
-/// Child-reference check under children-before-parents order. Returns true
-/// when `child` is a usable back reference.
-bool CheckChildRef(AnalysisReport* report, int id, int child,
-                   const char* which, int num_nodes) {
-  if (child < 0 || child >= num_nodes) {
-    report->Add(Severity::kError, "plan-topology", -1, id,
-                StrFormat("%s child %d out of range [0, %d)", which, child,
-                          num_nodes));
-    return false;
-  }
-  if (child >= id) {
-    report->Add(
-        Severity::kError, "plan-topology", -1, id,
-        StrFormat("%s child %d does not precede the node (a cycle under "
-                  "children-before-parents order)",
-                  which, child));
-    return false;
-  }
-  return true;
-}
-
-/// Arity + topology of one node; increments consumer counts for usable
-/// child references.
-void CheckShape(AnalysisReport* report, int id, PlanOp op, int left,
-                int right, int num_nodes, std::vector<int>* consumers) {
-  const bool is_leaf = op == PlanOp::kScan;
-  const bool is_binary = op == PlanOp::kHashJoin;
-  if (is_leaf) {
-    if (left != -1 || right != -1) {
-      report->Add(Severity::kError, "plan-arity", -1, id,
-                  "scan must not have inputs");
-    }
-    return;
-  }
-  if (is_binary) {
-    const bool left_ok = CheckChildRef(report, id, left, "probe", num_nodes);
-    const bool right_ok = CheckChildRef(report, id, right, "build", num_nodes);
-    if (left_ok && right_ok && left == right) {
-      report->Add(Severity::kError, "plan-arity", -1, id,
-                  "join sides must differ");
-    }
-    if (left_ok) ++(*consumers)[static_cast<size_t>(left)];
-    if (right_ok && left != right) {
-      ++(*consumers)[static_cast<size_t>(right)];
-    }
-    return;
-  }
-  if (CheckChildRef(report, id, left, "unary", num_nodes)) {
-    ++(*consumers)[static_cast<size_t>(left)];
-  }
-  if (right != -1) {
-    report->Add(Severity::kError, "plan-arity", -1, id,
-                StrFormat("unary operator with a right child %d", right));
-  }
-}
-
-/// Payload-shape legality (the keep-going version of ValidatePlan's payload
-/// block). Rehydrated skeletons satisfy these by construction.
-void CheckPayload(AnalysisReport* report, int id, const PlanNode& node,
-                  bool is_root) {
-  switch (node.op) {
-    case PlanOp::kFilter:
-      if (node.predicates.empty()) {
-        report->Add(Severity::kError, "plan-payload", -1, id,
-                    "filter with no predicates");
-      }
-      for (const FilterPredicate& predicate : node.predicates) {
-        if (!std::isfinite(predicate.constant)) {
-          report->Add(Severity::kError, "plan-payload", -1, id,
-                      "predicate constant must be finite");
-        }
-      }
-      break;
-    case PlanOp::kHashJoin:
-      if (node.left_keys.empty() ||
-          node.left_keys.size() != node.right_keys.size()) {
-        report->Add(Severity::kError, "plan-payload", -1, id,
-                    "join keys must pair up and be non-empty");
-      }
-      break;
-    case PlanOp::kHashAggregate:
-      if (node.group_by.empty() && node.aggregates.empty()) {
-        report->Add(Severity::kError, "plan-payload", -1, id,
-                    "aggregate with no groups and no aggregates");
-      }
-      break;
-    case PlanOp::kSort:
-      if (node.sort_keys.empty()) {
-        report->Add(Severity::kError, "plan-payload", -1, id,
-                    "sort with no keys");
-      }
-      break;
-    case PlanOp::kLimit:
-      if (node.limit < 0) {
-        report->Add(Severity::kError, "plan-payload", -1, id,
-                    "negative limit");
-      }
-      break;
-    case PlanOp::kOutput:
-      if (!is_root) {
-        report->Add(Severity::kError, "plan-root", -1, id,
-                    "output below the root");
-      }
-      break;
-    case PlanOp::kScan:
-    case PlanOp::kProject:
-      break;
-  }
-}
-
 bool IsStreaming(PlanOp op) {
   return op == PlanOp::kFilter || op == PlanOp::kProject ||
          op == PlanOp::kLimit;
@@ -227,40 +99,17 @@ void CheckDecomposition(AnalysisReport* report, const PhysicalPlan& plan) {
 
 AnalysisReport PlanVerifier::Verify(const PhysicalPlan& plan,
                                     const Catalog* catalog) const {
-  AnalysisReport report;
-  if (plan.nodes.empty()) {
-    report.Add(Severity::kError, "plan-empty", -1, -1, "plan has no nodes");
-    return report;
-  }
+  AnalysisReport report = CheckPlan(plan);
   const int n = static_cast<int>(plan.nodes.size());
-  std::vector<int> consumers(plan.nodes.size(), 0);
   for (int i = 0; i < n; ++i) {
     const PlanNode& node = plan.nodes[static_cast<size_t>(i)];
-    if (!IsPlanOpCode(static_cast<int>(node.op))) {
-      report.Add(Severity::kError, "plan-op", -1, i,
-                 StrFormat("unknown op code %d", static_cast<int>(node.op)));
-      continue;
-    }
-    CheckShape(&report, i, node.op, node.left, node.right, n, &consumers);
-    CheckAnnotations(&report, i, node.cardinality, node.extra, node.width);
-    CheckPayload(&report, i, node, /*is_root=*/i == n - 1);
+    if (!IsPlanOpCode(static_cast<int>(node.op))) continue;
     const double expected_extra = PlanNodeExtra(node);
     if (std::isfinite(node.extra) && node.extra != expected_extra) {
       report.Add(Severity::kError, "plan-extra", -1, i,
                  StrFormat("extra %g diverges from the payload-implied "
                            "value %g",
                            node.extra, expected_extra));
-    }
-  }
-  if (plan.nodes.back().op != PlanOp::kOutput) {
-    report.Add(Severity::kError, "plan-root", -1, n - 1,
-               "root must be the output node");
-  }
-  for (int i = 0; i < n - 1; ++i) {
-    if (consumers[static_cast<size_t>(i)] != 1) {
-      report.Add(Severity::kError, "plan-consumer", -1, i,
-                 StrFormat("consumed %d times (plans are trees)",
-                           consumers[static_cast<size_t>(i)]));
     }
   }
 
@@ -293,57 +142,11 @@ AnalysisReport PlanVerifier::Verify(const PhysicalPlan& plan,
 
 AnalysisReport PlanVerifier::VerifyRecords(
     const std::vector<PlanNodeRecord>& records) const {
-  AnalysisReport report;
-  if (records.empty()) {
-    report.Add(Severity::kError, "plan-empty", -1, -1, "plan has no nodes");
-    return report;
-  }
-  const int n = static_cast<int>(records.size());
-  std::vector<int> consumers(records.size(), 0);
-  for (int i = 0; i < n; ++i) {
-    const PlanNodeRecord& record = records[static_cast<size_t>(i)];
-    if (!IsPlanOpCode(record.op)) {
-      report.Add(Severity::kError, "plan-op", -1, i,
-                 StrFormat("unknown op code %d", record.op));
-      continue;
-    }
-    CheckShape(&report, i, static_cast<PlanOp>(record.op), record.left,
-               record.right, n, &consumers);
-    CheckAnnotations(&report, i, record.cardinality, record.extra,
-                     record.width);
-    if (record.stage < 0) {
-      report.Add(Severity::kError, "plan-stage", -1, i,
-                 StrFormat("serialized stage tag %d must be non-negative",
-                           record.stage));
-    }
-    if (static_cast<PlanOp>(record.op) == PlanOp::kOutput && i != n - 1) {
-      report.Add(Severity::kError, "plan-root", -1, i,
-                 "output below the root");
-    }
-  }
-  if (records.back().op != static_cast<int>(PlanOp::kOutput)) {
-    report.Add(Severity::kError, "plan-root", -1, n - 1,
-               "root must be the output node");
-  }
-  for (int i = 0; i < n - 1; ++i) {
-    if (consumers[static_cast<size_t>(i)] != 1) {
-      report.Add(Severity::kError, "plan-consumer", -1, i,
-                 StrFormat("consumed %d times (plans are trees)",
-                           consumers[static_cast<size_t>(i)]));
-    }
-  }
-  if (report.HasErrors()) return report;
-
-  // Rehydrate and run the full plan checks (extra consistency, pipeline
-  // invariants) over the skeleton.
+  // PlanFromRecords gates on CheckPlanRecords: when it refuses, that report
+  // is every finding; otherwise the exact skeleton gets the plan checks.
   Result<PhysicalPlan> plan = PlanFromRecords(records);
-  if (!plan.ok()) {
-    report.Add(Severity::kError, "plan-payload", -1, -1,
-               std::string(plan.status().message()));
-    return report;
-  }
-  report.Merge(Verify(*plan, /*catalog=*/nullptr));
-  return report;
+  if (!plan.ok()) return CheckPlanRecords(records);
+  return Verify(*plan, /*catalog=*/nullptr);
 }
 
 }  // namespace t3

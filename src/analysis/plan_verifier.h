@@ -3,31 +3,25 @@
 
 #include <vector>
 
-#include "analysis/report.h"
+#include "common/report.h"
 #include "plan/plan.h"
 #include "plan/plan_record.h"
 
 namespace t3 {
 
 /// Static verifier for physical plans — the data-path counterpart of
-/// ForestVerifier. ValidatePlan stops at the first problem (it gates
-/// execution); this pass keeps going and reports every invariant violation
-/// of a loaded plan, independent of how it was built, so t3_lint can show a
-/// corrupted fixture's full damage at once.
+/// ForestVerifier. Its Errors start with the plan rules (CheckPlan /
+/// CheckPlanRecords in plan/plan.h), the same report ValidatePlan and
+/// PlanFromRecords gate on, and add the checks only a verifier makes,
+/// reporting every finding so t3_lint can show a corrupted fixture's full
+/// damage at once.
 ///
 /// Diagnostics anchor `node` to the plan node index (`tree` stays -1; plans
-/// have no tree axis). Check ids:
-///   plan-empty      — the plan has no nodes.
-///   plan-op         — unknown operator code.
-///   plan-arity      — wrong child count for the operator.
-///   plan-topology   — child reference at or above the node (a cycle under
-///                     children-before-parents order) or out of range.
-///   plan-consumer   — a non-root node consumed != exactly once.
-///   plan-root       — the root is not kOutput, or kOutput appears below it.
-///   plan-annotation — non-finite or negative cardinality/width, or
-///                     non-finite extra.
-///   plan-payload    — payload shape invalid for the op (empty predicate
-///                     list, unpaired join keys, negative limit, ...).
+/// have no tree axis). Check ids of the plan rules: plan-empty, plan-op,
+/// plan-arity, plan-topology, plan-consumer, plan-root, plan-annotation,
+/// plan-payload, and for serialized rows plan-stage (negative tag) and
+/// plan-extra (an `extra` the skeleton cannot reproduce). The verifier's
+/// own:
 ///   plan-extra      — node.extra diverges from PlanNodeExtra(node).
 ///   plan-stage      — stage tags diverge from a recomputed pipeline
 ///                     decomposition (e.g. a zeroed breaker tag).
@@ -46,9 +40,9 @@ class PlanVerifier {
                         const Catalog* catalog = nullptr) const;
 
   /// Verifies serialized plan rows (corpus "N" lines / "t3plan v1" files):
-  /// record-level structure first, then — when structurally sound — the full
-  /// plan checks over the rehydrated skeleton. Skeletons carry no payloads,
-  /// so catalog checks do not apply.
+  /// CheckPlanRecords first, then — when PlanFromRecords accepts them — the
+  /// full plan checks over the rehydrated skeleton. Skeletons carry no
+  /// payloads, so catalog checks do not apply.
   AnalysisReport VerifyRecords(
       const std::vector<PlanNodeRecord>& records) const;
 };

@@ -5,7 +5,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "analysis/report.h"
+#include "common/report.h"
 #include "analysis/tree_lifter.h"
 #include "gbt/forest.h"
 

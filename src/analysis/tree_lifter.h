@@ -5,7 +5,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "analysis/report.h"
+#include "common/report.h"
 #include "analysis/x86_decoder.h"
 
 namespace t3 {

@@ -1,6 +1,7 @@
 #ifndef T3_COMMON_STRING_UTIL_H_
 #define T3_COMMON_STRING_UTIL_H_
 
+#include <charconv>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -11,6 +12,26 @@ namespace t3 {
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* format, ...)
     __attribute__((format(printf, 1, 2)));
+
+/// Appends `value` exactly as printf("%.17g") would, without the format
+/// string parse (std::to_chars, general format, precision 17). Injective on
+/// finite doubles and -0.0, and std::from_chars inverts it bit for bit: the
+/// double format of model, plan and corpus files.
+inline void AppendDouble(std::string* out, double value) {
+  char buffer[32];
+  const std::to_chars_result printed = std::to_chars(
+      buffer, buffer + sizeof(buffer), value, std::chars_format::general, 17);
+  out->append(buffer, printed.ptr);
+}
+
+/// Appends an integer in decimal, as printf("%d") would.
+template <typename Int>
+void AppendInt(std::string* out, Int value) {
+  char buffer[24];
+  const std::to_chars_result printed =
+      std::to_chars(buffer, buffer + sizeof(buffer), value);
+  out->append(buffer, printed.ptr);
+}
 
 /// Splits on a single character delimiter; keeps empty pieces.
 std::vector<std::string> Split(std::string_view text, char delimiter);

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 
 #include "common/string_util.h"
+#include "common/token_cursor.h"
 
 namespace t3 {
 
@@ -69,23 +69,6 @@ bool SameNode(const TreeNode& a, const TreeNode& b) {
          a.default_left == b.default_left;
 }
 
-/// Appends `value` exactly as printf("%.17g") would, without the format
-/// string parse.
-void AppendDouble(std::string* out, double value) {
-  char buffer[32];
-  const std::to_chars_result printed = std::to_chars(
-      buffer, buffer + sizeof(buffer), value, std::chars_format::general, 17);
-  out->append(buffer, printed.ptr);
-}
-
-template <typename Int>
-void AppendInt(std::string* out, Int value) {
-  char buffer[24];
-  const std::to_chars_result printed =
-      std::to_chars(buffer, buffer + sizeof(buffer), value);
-  out->append(buffer, printed.ptr);
-}
-
 /// Lower bounds on the text one node line and one tree take, counting the
 /// whitespace before each token: six one-character tokens, and "tree" plus
 /// a one-digit count ahead of at least one node. A count larger than the
@@ -93,61 +76,83 @@ void AppendInt(std::string* out, Int value) {
 constexpr size_t kMinNodeBytes = 6 * 2;
 constexpr size_t kMinTreeBytes = 5 + 2 + kMinNodeBytes;
 
-/// Whitespace-separated token reader over the raw file contents. Faster and
-/// less allocation-happy than istringstream on the ~12k-line model files.
-/// Numbers parse with std::from_chars: locale-independent, and a number
-/// must fill its whole token.
-class TokenCursor {
- public:
-  explicit TokenCursor(std::string_view text) : pos_(text.data()), end_(text.data() + text.size()) {}
-
-  bool AtEnd() {
-    SkipSpace();
-    return pos_ == end_;
+/// The rules of one tree, every violation reported. Nodes are checked one
+/// by one; the reachability walk runs only when every child index is in
+/// range, and it never re-walks a node it has seen, so a cycle ends it.
+void CheckTree(const Forest& forest, int tree_index, AnalysisReport* report) {
+  const Tree& tree = forest.trees[static_cast<size_t>(tree_index)];
+  const int n = static_cast<int>(tree.nodes.size());
+  if (n == 0) {
+    report->Add(Severity::kError, "empty-tree", tree_index, -1,
+                "tree has no nodes");
+    return;
   }
 
-  /// Bytes not yet consumed.
-  size_t Remaining() const { return static_cast<size_t>(end_ - pos_); }
-
-  /// Next whitespace-delimited token; empty at end of input.
-  std::string_view NextToken() {
-    SkipSpace();
-    const char* start = pos_;
-    while (pos_ != end_ && !IsSpace(*pos_)) ++pos_;
-    return std::string_view(start, static_cast<size_t>(pos_ - start));
-  }
-
-  bool NextDouble(double* out) {
-    SkipSpace();
-    return Finish(std::from_chars(pos_, end_, *out));
-  }
-
-  /// False on a value outside T's range as well as on a malformed token.
-  template <typename T>
-  bool NextInt(T* out) {
-    SkipSpace();
-    return Finish(std::from_chars(pos_, end_, *out));
-  }
-
- private:
-  static bool IsSpace(char c) {
-    return c == ' ' || c == '\t' || c == '\n' || c == '\r';
-  }
-  void SkipSpace() {
-    while (pos_ != end_ && IsSpace(*pos_)) ++pos_;
-  }
-  bool Finish(std::from_chars_result parsed) {
-    if (parsed.ec != std::errc() ||
-        (parsed.ptr != end_ && !IsSpace(*parsed.ptr))) {
-      return false;
+  bool children_in_range = true;
+  size_t leaves = 0;
+  for (int i = 0; i < n; ++i) {
+    const TreeNode& node = tree.nodes[static_cast<size_t>(i)];
+    if (node.is_leaf) {
+      ++leaves;
+      if (!std::isfinite(node.value)) {
+        report->Add(Severity::kError, "nonfinite-leaf-value", tree_index, i,
+                    "leaf value is NaN or infinite");
+      }
+      continue;
     }
-    pos_ = parsed.ptr;
-    return true;
+    if (node.feature < 0 || node.feature >= forest.num_features) {
+      report->Add(
+          Severity::kError, "bad-feature-index", tree_index, i,
+          StrFormat("split feature %d out of range [0, %d)", node.feature,
+                    forest.num_features));
+    }
+    if (!std::isfinite(node.threshold)) {
+      report->Add(Severity::kError, "nonfinite-threshold", tree_index, i,
+                  "split threshold is NaN or infinite");
+    }
+    for (const int child : {node.left, node.right}) {
+      if (child < 0 || child >= n) {
+        report->Add(Severity::kError, "missing-child", tree_index, i,
+                    StrFormat("child index %d outside the %d-node tree",
+                              child, n));
+        children_in_range = false;
+      }
+    }
   }
+  if (leaves != static_cast<size_t>(n) - leaves + 1) {
+    report->Add(Severity::kError, "leaf-count-mismatch", tree_index, -1,
+                StrFormat("%zu leaves but %zu inner nodes (want inner + 1)",
+                          leaves, static_cast<size_t>(n) - leaves));
+  }
+  if (!children_in_range) return;
 
-  const char* pos_;
-  const char* end_;
-};
+  // Reachability: every node must be reached from the root exactly once.
+  std::vector<char> seen(static_cast<size_t>(n), 0);
+  std::vector<int> stack = {0};
+  seen[0] = 1;
+  int visited = 1;
+  while (!stack.empty()) {
+    const TreeNode& node = tree.nodes[static_cast<size_t>(stack.back())];
+    stack.pop_back();
+    if (node.is_leaf) continue;
+    for (const int child : {node.left, node.right}) {
+      if (seen[static_cast<size_t>(child)]) {
+        report->Add(Severity::kError, "node-shared", tree_index, child,
+                    "node reachable twice from the root (cycle or diamond)");
+        continue;  // Do not re-walk: a cycle would never terminate.
+      }
+      seen[static_cast<size_t>(child)] = 1;
+      ++visited;
+      stack.push_back(child);
+    }
+  }
+  for (int i = 0; i < n && visited < n; ++i) {
+    if (!seen[static_cast<size_t>(i)]) {
+      report->Add(Severity::kError, "orphan-node", tree_index, i,
+                  "node unreachable from the root");
+    }
+  }
+}
 
 }  // namespace
 
@@ -221,7 +226,7 @@ Result<Forest> Forest::ParseTextUnvalidated(std::string_view text) {
       return InvalidArgumentError("t3model header: expected 'target'");
     }
     int64_t ignored = 0;
-    if (!cursor.NextInt(&ignored)) {
+    if (!cursor.NextNumber(&ignored)) {
       return InvalidArgumentError("t3model header: missing target id");
     }
     token = cursor.NextToken();
@@ -234,15 +239,15 @@ Result<Forest> Forest::ParseTextUnvalidated(std::string_view text) {
   if (cursor.NextToken() != "num_features") {
     return InvalidArgumentError("expected num_features");
   }
-  if (!cursor.NextInt(&forest.num_features) || forest.num_features <= 0) {
+  if (!cursor.NextNumber(&forest.num_features) || forest.num_features <= 0) {
     return InvalidArgumentError("bad num_features");
   }
   if (cursor.NextToken() != "base_score" ||
-      !cursor.NextDouble(&forest.base_score)) {
+      !cursor.NextNumber(&forest.base_score)) {
     return InvalidArgumentError("bad base_score");
   }
   int64_t num_trees = 0;
-  if (cursor.NextToken() != "num_trees" || !cursor.NextInt(&num_trees) ||
+  if (cursor.NextToken() != "num_trees" || !cursor.NextNumber(&num_trees) ||
       num_trees < 0 ||
       static_cast<uint64_t>(num_trees) > cursor.Remaining() / kMinTreeBytes) {
     return InvalidArgumentError("bad num_trees");
@@ -255,7 +260,7 @@ Result<Forest> Forest::ParseTextUnvalidated(std::string_view text) {
                                             static_cast<long long>(t)));
     }
     int64_t num_nodes = 0;
-    if (!cursor.NextInt(&num_nodes) || num_nodes <= 0 ||
+    if (!cursor.NextNumber(&num_nodes) || num_nodes <= 0 ||
         static_cast<uint64_t>(num_nodes) > cursor.Remaining() / kMinNodeBytes) {
       return InvalidArgumentError(StrFormat("tree %lld: bad node count",
                                             static_cast<long long>(t)));
@@ -265,21 +270,21 @@ Result<Forest> Forest::ParseTextUnvalidated(std::string_view text) {
     for (size_t n = 0; n < nodes.size(); ++n) {
       TreeNode& node = nodes[n];
       int is_leaf = 0;
-      if (!cursor.NextInt(&is_leaf) || !cursor.NextInt(&node.feature) ||
-          !cursor.NextDouble(&node.threshold) || !cursor.NextInt(&node.left) ||
-          !cursor.NextInt(&node.right)) {
+      if (!cursor.NextNumber(&is_leaf) || !cursor.NextNumber(&node.feature) ||
+          !cursor.NextNumber(&node.threshold) || !cursor.NextNumber(&node.left) ||
+          !cursor.NextNumber(&node.right)) {
         return InvalidArgumentError(
             StrFormat("tree %lld node %zu: malformed",
                       static_cast<long long>(t), n));
       }
       node.is_leaf = is_leaf != 0;
       if (node.is_leaf) {
-        if (!cursor.NextDouble(&node.value)) {
+        if (!cursor.NextNumber(&node.value)) {
           return InvalidArgumentError("leaf: missing value");
         }
       } else {
         int default_left = 0;
-        if (!cursor.NextInt(&default_left)) {
+        if (!cursor.NextNumber(&default_left)) {
           return InvalidArgumentError("inner node: missing default_left");
         }
         node.default_left = default_left != 0;
@@ -292,71 +297,23 @@ Result<Forest> Forest::ParseTextUnvalidated(std::string_view text) {
   return forest;
 }
 
-Status Forest::Validate() const {
-  if (num_features <= 0) return InvalidArgumentError("num_features <= 0");
+AnalysisReport Forest::CheckStructure() const {
+  AnalysisReport report;
+  if (num_features <= 0) {
+    report.Add(Severity::kError, "bad-num-features", -1, -1,
+               StrFormat("num_features is %d, need > 0", num_features));
+  }
   if (!std::isfinite(base_score)) {
-    return InvalidArgumentError("base_score not finite");
+    report.Add(Severity::kError, "nonfinite-base-score", -1, -1,
+               "base_score is NaN or infinite");
   }
   for (size_t t = 0; t < trees.size(); ++t) {
-    const Tree& tree = trees[t];
-    const int n = static_cast<int>(tree.nodes.size());
-    if (n == 0) {
-      return InvalidArgumentError(StrFormat("tree %zu: empty", t));
-    }
-    size_t leaves = 0;
-    for (int i = 0; i < n; ++i) {
-      const TreeNode& node = tree.nodes[static_cast<size_t>(i)];
-      if (node.is_leaf) {
-        ++leaves;
-        if (!std::isfinite(node.value)) {
-          return InvalidArgumentError(
-              StrFormat("tree %zu node %d: leaf value not finite", t, i));
-        }
-      } else if (!std::isfinite(node.threshold)) {
-        return InvalidArgumentError(
-            StrFormat("tree %zu node %d: threshold not finite", t, i));
-      }
-    }
-    if (leaves != static_cast<size_t>(n) - leaves + 1) {
-      return InvalidArgumentError(
-          StrFormat("tree %zu: %zu leaves for %zu inner nodes "
-                    "(want inner + 1)",
-                    t, leaves, static_cast<size_t>(n) - leaves));
-    }
-    std::vector<char> seen(static_cast<size_t>(n), 0);
-    // Iterative DFS from the root; every node must be visited exactly once.
-    std::vector<int> stack = {0};
-    int visited = 0;
-    while (!stack.empty()) {
-      const int index = stack.back();
-      stack.pop_back();
-      if (index < 0 || index >= n) {
-        return InvalidArgumentError(
-            StrFormat("tree %zu: child index %d out of range", t, index));
-      }
-      if (seen[static_cast<size_t>(index)]) {
-        return InvalidArgumentError(
-            StrFormat("tree %zu: node %d reached twice", t, index));
-      }
-      seen[static_cast<size_t>(index)] = 1;
-      ++visited;
-      const TreeNode& node = tree.nodes[static_cast<size_t>(index)];
-      if (node.is_leaf) continue;
-      if (node.feature < 0 || node.feature >= num_features) {
-        return InvalidArgumentError(
-            StrFormat("tree %zu node %d: feature %d out of range", t, index,
-                      node.feature));
-      }
-      stack.push_back(node.left);
-      stack.push_back(node.right);
-    }
-    if (visited != n) {
-      return InvalidArgumentError(
-          StrFormat("tree %zu: %d of %d nodes unreachable", t, n - visited, n));
-    }
+    CheckTree(*this, static_cast<int>(t), &report);
   }
-  return Status::OK();
+  return report;
 }
+
+Status Forest::Validate() const { return CheckStructure().ToStatus(); }
 
 Status Forest::SaveToFile(const std::string& path) const {
   return WriteStringToFile(path, ToText());

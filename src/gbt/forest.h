@@ -6,6 +6,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/report.h"
 #include "common/status.h"
 
 namespace t3 {
@@ -77,33 +78,36 @@ struct Forest {
   /// Tolerates a leading "t3model target <n>" line so the forest inside a
   /// T3 model file (data/model_*.txt) loads directly.
   ///
-  /// Numbers parse with std::from_chars, independent of the C locale, and
-  /// each must fill its whole token. So a leading '+', a hex float
-  /// ("0x1p-1") and an integer outside its field's range (num_features,
-  /// feature, left and right are int) are InvalidArgument; strtod/strtoll
-  /// used to accept the first two and clamp or truncate the last. A tree or
-  /// node count larger than the rest of the text could encode is rejected
-  /// before anything is allocated.
+  /// Numbers are read by the shared TokenCursor (common/token_cursor.h), so
+  /// each must fill its whole token: a leading '+', a hex float ("0x1p-1")
+  /// and an integer outside its field's range (num_features, feature, left
+  /// and right are int) are InvalidArgument. A tree or node count larger
+  /// than the rest of the text could encode is rejected before anything is
+  /// allocated.
   static Result<Forest> FromText(std::string_view text);
 
   /// FromText without the Validate gate: syntactic parse only. For tools
-  /// that want to *report* on a corrupt model (t3_lint runs the full
-  /// analysis::ForestVerifier over the result) instead of stopping at the
-  /// first invariant violation. Never feed an unvalidated forest to an
-  /// evaluator.
+  /// that report on a corrupt model (t3_lint runs CheckStructure and the
+  /// analysis::ForestVerifier warnings over the result) instead of stopping
+  /// at the first error. Never feed an unvalidated forest to an evaluator.
   static Result<Forest> ParseTextUnvalidated(std::string_view text);
 
   Status SaveToFile(const std::string& path) const;
   static Result<Forest> LoadFromFile(const std::string& path);
 
-  /// Structural and semantic validation, the loader's reject gate: node
-  /// indices in range, every node reachable exactly once (no cycles, no
-  /// sharing, no orphans), leaf count = inner count + 1, features within
-  /// num_features, thresholds / leaf values / base_score finite. Mirrors
-  /// the Error-severity checks of analysis::ForestVerifier (which reports
-  /// every finding instead of stopping at the first, and adds
-  /// warning-level lints on top); the two are kept in lockstep by
-  /// tests/analysis_test.cc.
+  /// The forest's rules, every violation reported as an Error (check ids
+  /// in parentheses): num_features > 0 (bad-num-features), base_score
+  /// finite (nonfinite-base-score); per tree at least one node
+  /// (empty-tree), split features within num_features (bad-feature-index),
+  /// finite thresholds and leaf values (nonfinite-threshold,
+  /// nonfinite-leaf-value), child indices inside the node array
+  /// (missing-child), every node reached from the root exactly once
+  /// (node-shared, orphan-node) and leaves = inner nodes + 1
+  /// (leaf-count-mismatch). Cycle-safe: the reachability walk never
+  /// re-enters a node.
+  AnalysisReport CheckStructure() const;
+
+  /// The loader's and the JIT's reject gate: CheckStructure().ToStatus().
   Status Validate() const;
 };
 

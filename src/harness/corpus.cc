@@ -1,106 +1,63 @@
 #include "harness/corpus.h"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/string_util.h"
+#include "common/token_cursor.h"
 #include "gbt/forest.h"  // ReadFileToString / WriteStringToFile
+#include "plan/plan_file.h"
 
 namespace t3 {
 namespace {
 
-/// Pointer-walking token reader; the corpus fixture is ~200k lines, so this
-/// avoids per-line istringstream overhead. The backing string outlives the
-/// cursor and is NUL-terminated, which strtod/strtoll rely on.
-struct Cursor {
-  const char* pos;
-  const char* end;
-  int line = 1;  ///< 1-based line of `pos`, for parse diagnostics.
+/// Lower bounds on the text behind each count of a record, counting the
+/// separator before each token: a record is at least its R line (ten
+/// tokens) and a T tag, a run at least one T value, and a pipeline at least
+/// its P line head (three tokens) and the FT and FE heads (five tokens
+/// each). A count larger than the remaining bytes allow is rejected before
+/// it sizes anything.
+constexpr size_t kMinRecordBytes = 11 * 2;
+constexpr size_t kMinRunBytes = 2;
+constexpr size_t kMinPipelineBytes = 13 * 2;
 
-  explicit Cursor(std::string_view text)
-      : pos(text.data()), end(text.data() + text.size()) {}
-
-  static bool IsSpace(char c) {
-    return c == ' ' || c == '\t' || c == '\n' || c == '\r';
-  }
-  void SkipSpace() {
-    while (pos != end && IsSpace(*pos)) {
-      if (*pos == '\n') ++line;
-      ++pos;
-    }
-  }
-  bool AtEnd() {
-    SkipSpace();
-    return pos == end;
-  }
-  std::string_view Token() {
-    SkipSpace();
-    const char* start = pos;
-    while (pos != end && !IsSpace(*pos) && *pos != ':') ++pos;
-    return std::string_view(start, static_cast<size_t>(pos - start));
-  }
-  /// Rejects non-finite values: measured seconds, cardinalities, widths and
-  /// features are all finite by construction, so "inf"/"nan"/overflow in a
-  /// corpus is corruption, and letting it through would poison every
-  /// statistic downstream (median of {1.0, nan} is nan).
-  bool Double(double* out) {
-    SkipSpace();
-    char* after = nullptr;
-    *out = std::strtod(pos, &after);
-    if (after == pos || !std::isfinite(*out)) return false;
-    pos = after;
-    return true;
-  }
-  bool Int(int64_t* out) {
-    SkipSpace();
-    char* after = nullptr;
-    *out = std::strtoll(pos, &after, 10);
-    if (after == pos) return false;
-    pos = after;
-    return true;
-  }
-  bool Literal(char c) {
-    if (pos != end && *pos == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-};
+/// The widest dense feature vector a corpus may declare. The FT/FE `dim`
+/// sizes a vector the sparse pairs do not pay for in text, so it gets a
+/// fixed bound instead: five times the registry's kFeatureDim (48), and at
+/// most 2 KiB per line of at least 15 bytes.
+constexpr int kMaxFeatureDim = 256;
 
 /// "<path> line 42: <what>" — every parse failure names the source file
 /// (when known) and the line it was detected on; the same prefix
 /// CorpusAuditor uses for post-parse findings.
-Status ParseError(const std::string& path, const Cursor& cursor,
-                  const char* what) {
-  return InvalidArgumentError(CorpusMessagePrefix(path, cursor.line) + what);
+Status ParseError(const std::string& path, const TokenCursor& cursor,
+                  const std::string& what) {
+  return InvalidArgumentError(CorpusMessagePrefix(path, cursor.line()) + what);
 }
 
-void AppendDouble(std::string* out, double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  out->append(buffer);
+/// Reads "<i>:<v>" as one token: an int index and a finite value.
+bool NextSparsePair(TokenCursor* cursor, int* index, double* value) {
+  const std::string_view token = cursor->NextToken();
+  const size_t colon = token.find(':');
+  return colon != std::string_view::npos &&
+         ParseNumber(token.substr(0, colon), index) &&
+         ParseNumber(token.substr(colon + 1), value) && std::isfinite(*value);
 }
 
-Status ParsePipelineFeatures(const std::string& path, Cursor* cursor,
+Status ParsePipelineFeatures(const std::string& path, TokenCursor* cursor,
                              PipelineFeatures* features) {
-  int64_t pipeline = 0, dim = 0, nnz = 0;
-  double card = 0;
-  if (!cursor->Int(&pipeline) || !cursor->Double(&card) ||
-      !cursor->Int(&dim) || !cursor->Int(&nnz) || dim <= 0 || nnz < 0 ||
-      nnz > dim) {
+  int dim = 0;
+  int nnz = 0;
+  if (!cursor->NextNumber(&features->pipeline) ||
+      !cursor->NextFiniteDouble(&features->input_cardinality) ||
+      !cursor->NextNumber(&dim) || !cursor->NextNumber(&nnz) || dim <= 0 ||
+      dim > kMaxFeatureDim || nnz < 0 || nnz > dim) {
     return ParseError(path, *cursor, "malformed feature line header");
   }
-  features->pipeline = static_cast<int>(pipeline);
-  features->input_cardinality = card;
   features->values.assign(static_cast<size_t>(dim), 0.0);
-  for (int64_t i = 0; i < nnz; ++i) {
-    int64_t index = 0;
+  for (int i = 0; i < nnz; ++i) {
+    int index = 0;
     double value = 0;
-    if (!cursor->Int(&index) || !cursor->Literal(':') ||
-        !cursor->Double(&value) || index < 0 || index >= dim) {
+    if (!NextSparsePair(cursor, &index, &value) || index < 0 || index >= dim) {
       return ParseError(path, *cursor, "malformed sparse feature pair");
     }
     features->values[static_cast<size_t>(index)] = value;
@@ -132,68 +89,59 @@ size_t Corpus::NumPipelines() const {
 }
 
 Result<Corpus> ParseCorpus(std::string_view text, const std::string& path) {
-  Cursor cursor(text);
-  if (cursor.Token() != "t3corpus" || cursor.Token() != "v1") {
+  TokenCursor cursor(text);
+  if (cursor.NextToken() != "t3corpus" || cursor.NextToken() != "v1") {
     return InvalidArgumentError(CorpusMessagePrefix(path, 0) +
                                 "not a t3corpus v1 file");
   }
-  int64_t num_records = 0;
-  if (cursor.Token() != "records" || !cursor.Int(&num_records) ||
-      num_records < 0) {
+  size_t num_records = 0;
+  if (cursor.NextToken() != "records" || !cursor.NextNumber(&num_records) ||
+      num_records > cursor.Remaining() / kMinRecordBytes) {
     return ParseError(path, cursor, "bad record count");
   }
 
   Corpus corpus;
-  corpus.records.reserve(static_cast<size_t>(num_records));
-  for (int64_t rec = 0; rec < num_records; ++rec) {
-    if (cursor.Token() != "R") {
-      return InvalidArgumentError(
-          CorpusMessagePrefix(path, cursor.line) +
-          StrFormat("record %lld: expected R line",
-                    static_cast<long long>(rec)));
+  corpus.records.resize(num_records);
+  for (size_t rec = 0; rec < num_records; ++rec) {
+    QueryRecord& record = corpus.records[rec];
+    if (cursor.NextToken() != "R") {
+      return ParseError(path, cursor,
+                        StrFormat("record %zu: expected R line", rec));
     }
-    QueryRecord record;
-    record.source_line = cursor.line;
-    record.instance = std::string(cursor.Token());
-    int64_t is_test = 0, scale = 0, group = 0, fixed = 0;
-    int64_t num_pipelines = 0, runs = 0, num_nodes = 0;
-    if (record.instance.empty() || !cursor.Int(&is_test) ||
-        !cursor.Int(&scale) || !cursor.Int(&group) || !cursor.Int(&fixed) ||
-        !cursor.Int(&num_pipelines) || !cursor.Int(&runs) ||
-        !cursor.Int(&num_nodes) || !cursor.Double(&record.median_seconds) ||
-        num_pipelines < 0 || runs < 0 || num_nodes < 0) {
-      return InvalidArgumentError(
-          CorpusMessagePrefix(path, cursor.line) +
-          StrFormat("record %lld: malformed R line",
-                    static_cast<long long>(rec)));
+    record.source_line = cursor.line();
+    record.instance = std::string(cursor.NextToken());
+    int is_test = 0, fixed = 0, num_pipelines = 0, num_nodes = 0;
+    if (record.instance.empty() || !cursor.NextNumber(&is_test) ||
+        !cursor.NextNumber(&record.scale_index) ||
+        !cursor.NextNumber(&record.structure_group) ||
+        !cursor.NextNumber(&fixed) || !cursor.NextNumber(&num_pipelines) ||
+        !cursor.NextNumber(&record.runs) || !cursor.NextNumber(&num_nodes) ||
+        !cursor.NextFiniteDouble(&record.median_seconds) ||
+        num_pipelines < 0 || record.runs < 0 || num_nodes < 0 ||
+        static_cast<size_t>(num_nodes) >
+            cursor.Remaining() / kMinPlanNodeLineBytes ||
+        static_cast<size_t>(record.runs) > cursor.Remaining() / kMinRunBytes ||
+        static_cast<size_t>(num_pipelines) >
+            cursor.Remaining() / kMinPipelineBytes) {
+      return ParseError(path, cursor,
+                        StrFormat("record %zu: malformed R line", rec));
     }
     record.is_test = is_test != 0;
-    record.scale_index = static_cast<int>(scale);
-    record.structure_group = static_cast<int>(group);
     record.fixed_suite = fixed != 0;
-    record.runs = static_cast<int>(runs);
 
     record.plan_nodes.resize(static_cast<size_t>(num_nodes));
     for (PlanNodeRecord& node : record.plan_nodes) {
-      int64_t op = 0, left = 0, right = 0, stage = 0;
-      if (cursor.Token() != "N" || !cursor.Int(&op) || !cursor.Int(&left) ||
-          !cursor.Int(&right) || !cursor.Double(&node.cardinality) ||
-          !cursor.Double(&node.extra) || !cursor.Double(&node.width) ||
-          !cursor.Int(&stage)) {
+      if (!ReadPlanNodeLine(&cursor, &node)) {
         return ParseError(path, cursor, "malformed N line");
       }
-      node.op = static_cast<int>(op);
-      node.left = static_cast<int>(left);
-      node.right = static_cast<int>(right);
-      node.stage = static_cast<int>(stage);
     }
 
-    if (cursor.Token() != "T") {
+    if (cursor.NextToken() != "T") {
       return ParseError(path, cursor, "expected T line");
     }
-    record.total_run_seconds.resize(static_cast<size_t>(runs));
+    record.total_run_seconds.resize(static_cast<size_t>(record.runs));
     for (double& v : record.total_run_seconds) {
-      if (!cursor.Double(&v)) {
+      if (!cursor.NextFiniteDouble(&v)) {
         return ParseError(path, cursor, "malformed T line");
       }
     }
@@ -204,30 +152,27 @@ Result<Corpus> ParseCorpus(std::string_view text, const std::string& path) {
     record.feat_est.resize(static_cast<size_t>(num_pipelines));
     for (size_t p = 0; p < static_cast<size_t>(num_pipelines); ++p) {
       PipelineTiming& timing = record.pipeline_times[p];
-      int64_t pipeline = 0;
-      if (cursor.Token() != "P" || !cursor.Int(&pipeline) ||
-          !cursor.Double(&timing.median_seconds)) {
+      if (cursor.NextToken() != "P" || !cursor.NextNumber(&timing.pipeline) ||
+          !cursor.NextFiniteDouble(&timing.median_seconds)) {
         return ParseError(path, cursor, "malformed P line");
       }
-      timing.pipeline = static_cast<int>(pipeline);
-      timing.run_seconds.resize(static_cast<size_t>(runs));
+      timing.run_seconds.resize(static_cast<size_t>(record.runs));
       for (double& v : timing.run_seconds) {
-        if (!cursor.Double(&v)) {
+        if (!cursor.NextFiniteDouble(&v)) {
           return ParseError(path, cursor, "malformed P run value");
         }
       }
-      if (cursor.Token() != "FT") {
+      if (cursor.NextToken() != "FT") {
         return ParseError(path, cursor, "expected FT line");
       }
       Status status = ParsePipelineFeatures(path, &cursor, &record.feat_true[p]);
       if (!status.ok()) return status;
-      if (cursor.Token() != "FE") {
+      if (cursor.NextToken() != "FE") {
         return ParseError(path, cursor, "expected FE line");
       }
       status = ParsePipelineFeatures(path, &cursor, &record.feat_est[p]);
       if (!status.ok()) return status;
     }
-    corpus.records.push_back(std::move(record));
   }
   if (!cursor.AtEnd()) {
     return ParseError(path, cursor, "trailing data after last record");
@@ -249,13 +194,7 @@ std::string CorpusToText(const Corpus& corpus) {
     AppendDouble(&out, record.median_seconds);
     out.push_back('\n');
     for (const PlanNodeRecord& node : record.plan_nodes) {
-      out += StrFormat("N %d %d %d ", node.op, node.left, node.right);
-      AppendDouble(&out, node.cardinality);
-      out.push_back(' ');
-      AppendDouble(&out, node.extra);
-      out.push_back(' ');
-      AppendDouble(&out, node.width);
-      out += StrFormat(" %d\n", node.stage);
+      AppendPlanNodeLine(&out, node);
     }
     out += "T";
     for (double v : record.total_run_seconds) {

@@ -87,8 +87,10 @@ inline std::string CorpusMessagePrefix(const std::string& path, int line) {
 }
 
 Result<Corpus> LoadCorpusFromFile(const std::string& path);
-/// Parses "t3corpus v1" text; `path` (when non-empty) prefixes every parse
-/// diagnostic via CorpusMessagePrefix.
+/// Parses "t3corpus v1" text with the shared TokenCursor and N-line reader;
+/// `path` (when non-empty) prefixes every parse diagnostic via
+/// CorpusMessagePrefix. Non-finite doubles, int fields outside int and
+/// counts the remaining text cannot hold are InvalidArgument.
 Result<Corpus> ParseCorpus(std::string_view text, const std::string& path);
 Result<Corpus> ParseCorpus(std::string_view text);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/string_util.h"
 
@@ -238,94 +239,220 @@ double ColumnTypeWidthBytes(ColumnType type) {
   return type == ColumnType::kString ? 16.0 : 8.0;
 }
 
-Status ValidatePlan(const PhysicalPlan& plan) {
-  if (plan.nodes.empty()) return InvalidArgumentError("plan: no nodes");
-  const int n = static_cast<int>(plan.nodes.size());
-  std::vector<int> consumers(plan.nodes.size(), 0);
+namespace {
+
+int OpCode(const PlanNode& node) { return static_cast<int>(node.op); }
+int OpCode(const PlanNodeRecord& record) { return record.op; }
+
+void AddError(AnalysisReport* report, const char* check, int id,
+              std::string message) {
+  report->Add(Severity::kError, check, -1, id, std::move(message));
+}
+
+/// Child-reference check under children-before-parents order. Returns true
+/// when `child` is a usable back reference.
+bool CheckChildRef(AnalysisReport* report, int id, int child,
+                   const char* which, int num_nodes) {
+  if (child < 0 || child >= num_nodes) {
+    AddError(report, "plan-topology", id,
+             StrFormat("%s child %d out of range [0, %d)", which, child,
+                       num_nodes));
+    return false;
+  }
+  if (child >= id) {
+    AddError(report, "plan-topology", id,
+             StrFormat("%s child %d does not precede the node (a cycle under "
+                       "children-before-parents order)",
+                       which, child));
+    return false;
+  }
+  return true;
+}
+
+/// Arity + topology of one node; increments consumer counts for usable
+/// child references.
+void CheckShape(AnalysisReport* report, int id, PlanOp op, int left,
+                int right, int num_nodes, std::vector<int>* consumers) {
+  if (op == PlanOp::kScan) {
+    if (left != -1 || right != -1) {
+      AddError(report, "plan-arity", id, "scan must not have inputs");
+    }
+    return;
+  }
+  if (op == PlanOp::kHashJoin) {
+    const bool left_ok = CheckChildRef(report, id, left, "probe", num_nodes);
+    const bool right_ok = CheckChildRef(report, id, right, "build", num_nodes);
+    if (left_ok && right_ok && left == right) {
+      AddError(report, "plan-arity", id, "join sides must differ");
+    }
+    if (left_ok) ++(*consumers)[static_cast<size_t>(left)];
+    if (right_ok && left != right) {
+      ++(*consumers)[static_cast<size_t>(right)];
+    }
+    return;
+  }
+  if (CheckChildRef(report, id, left, "unary", num_nodes)) {
+    ++(*consumers)[static_cast<size_t>(left)];
+  }
+  if (right != -1) {
+    AddError(report, "plan-arity", id,
+             StrFormat("unary operator with a right child %d", right));
+  }
+}
+
+void CheckAnnotations(AnalysisReport* report, int id, double cardinality,
+                      double extra, double width) {
+  if (!std::isfinite(cardinality) || cardinality < 0.0) {
+    AddError(report, "plan-annotation", id,
+             StrFormat("cardinality %g must be finite and non-negative",
+                       cardinality));
+  }
+  if (!std::isfinite(width) || width < 0.0) {
+    AddError(report, "plan-annotation", id,
+             StrFormat("width %g must be finite and non-negative", width));
+  }
+  if (!std::isfinite(extra)) {
+    AddError(report, "plan-annotation", id,
+             StrFormat("extra %g must be finite", extra));
+  }
+}
+
+/// Payload shape of a live node (type checks happen against the catalog,
+/// in ResolvePlanSchemas).
+void CheckPayload(AnalysisReport* report, int id, const PlanNode& node) {
+  switch (node.op) {
+    case PlanOp::kFilter:
+      if (node.predicates.empty()) {
+        AddError(report, "plan-payload", id, "filter with no predicates");
+      }
+      for (const FilterPredicate& predicate : node.predicates) {
+        if (!std::isfinite(predicate.constant)) {
+          AddError(report, "plan-payload", id,
+                   "predicate constant must be finite");
+        }
+      }
+      break;
+    case PlanOp::kHashJoin:
+      if (node.left_keys.empty() ||
+          node.left_keys.size() != node.right_keys.size()) {
+        AddError(report, "plan-payload", id,
+                 "join keys must pair up and be non-empty");
+      }
+      break;
+    case PlanOp::kHashAggregate:
+      if (node.group_by.empty() && node.aggregates.empty()) {
+        AddError(report, "plan-payload", id,
+                 "aggregate with no groups and no aggregates");
+      }
+      break;
+    case PlanOp::kSort:
+      if (node.sort_keys.empty()) {
+        AddError(report, "plan-payload", id, "sort with no keys");
+      }
+      break;
+    case PlanOp::kLimit:
+      if (node.limit < 0) AddError(report, "plan-payload", id, "negative limit");
+      break;
+    case PlanOp::kScan:
+    case PlanOp::kProject:
+    case PlanOp::kOutput:
+      break;
+  }
+}
+
+/// What a serialized node needs beyond the shared rules so that
+/// PlanFromRecords is total and exact: a non-negative stage tag, and an
+/// `extra` that PlanNodeExtra reproduces bit for bit from the rehydrated
+/// payload. That is an integer with no sign bit: a count in
+/// [0, kMaxPlanExtraCount] (at least 1 where the payload must be
+/// non-empty), a limit below 2^63, or 0 for the output.
+void CheckPayload(AnalysisReport* report, int id,
+                  const PlanNodeRecord& record) {
+  if (record.stage < 0) {
+    AddError(report, "plan-stage", id,
+             StrFormat("serialized stage tag %d must be non-negative",
+                       record.stage));
+  }
+  const double extra = record.extra;
+  if (!std::isfinite(extra)) return;  // A plan-annotation error already.
+  double lo = 0.0;
+  double hi = kMaxPlanExtraCount;
+  switch (static_cast<PlanOp>(record.op)) {
+    case PlanOp::kFilter:
+    case PlanOp::kHashJoin:
+    case PlanOp::kSort:
+      lo = 1.0;
+      break;
+    case PlanOp::kLimit:
+      hi = 0x1p63 - 1024.0;  // The largest double an int64 holds.
+      break;
+    case PlanOp::kOutput:
+      hi = 0.0;
+      break;
+    case PlanOp::kScan:
+    case PlanOp::kProject:
+    case PlanOp::kHashAggregate:
+      break;
+  }
+  if (extra < lo || extra > hi || extra != std::trunc(extra) ||
+      std::signbit(extra)) {
+    AddError(report, "plan-extra", id,
+             StrFormat("extra %g is not an integer in [%.17g, %.17g]", extra,
+                       lo, hi));
+  }
+}
+
+/// The plan rules over live nodes or serialized records: op codes, arity,
+/// topology, annotations, payloads, the output root and single consumers.
+template <typename Node>
+AnalysisReport CheckNodes(const std::vector<Node>& nodes) {
+  AnalysisReport report;
+  if (nodes.empty()) {
+    AddError(&report, "plan-empty", -1, "plan has no nodes");
+    return report;
+  }
+  const int n = static_cast<int>(nodes.size());
+  std::vector<int> consumers(nodes.size(), 0);
   for (int i = 0; i < n; ++i) {
-    const PlanNode& node = plan.nodes[static_cast<size_t>(i)];
-    auto err = [&](const std::string& message) {
-      return InvalidArgumentError(StrFormat("plan node %d (%s): %s", i,
-                                            PlanOpName(node.op),
-                                            message.c_str()));
-    };
-    if (!IsPlanOpCode(static_cast<int>(node.op))) {
-      return InvalidArgumentError(
-          StrFormat("plan node %d: unknown op code %d", i,
-                    static_cast<int>(node.op)));
+    const Node& node = nodes[static_cast<size_t>(i)];
+    if (!IsPlanOpCode(OpCode(node))) {
+      AddError(&report, "plan-op", i,
+               StrFormat("unknown op code %d", OpCode(node)));
+      continue;
     }
-    // Arity + children strictly before parents.
-    const bool is_leaf = node.op == PlanOp::kScan;
-    const bool is_binary = node.op == PlanOp::kHashJoin;
-    if (is_leaf) {
-      if (node.left != -1 || node.right != -1) return err("scan has inputs");
-    } else if (is_binary) {
-      if (node.left < 0 || node.left >= i || node.right < 0 ||
-          node.right >= i || node.left == node.right) {
-        return err("bad join children");
-      }
-    } else {
-      if (node.left < 0 || node.left >= i || node.right != -1) {
-        return err("bad unary input");
-      }
-    }
-    if (node.left >= 0) ++consumers[static_cast<size_t>(node.left)];
-    if (node.right >= 0) ++consumers[static_cast<size_t>(node.right)];
-
-    if (!std::isfinite(node.cardinality) || node.cardinality < 0.0) {
-      return err("cardinality must be finite and non-negative");
-    }
-    if (!std::isfinite(node.width) || node.width < 0.0) {
-      return err("width must be finite and non-negative");
-    }
-    if (!std::isfinite(node.extra)) return err("extra must be finite");
-
-    // Payload shape (type checks happen against the catalog at execution).
-    switch (node.op) {
-      case PlanOp::kFilter:
-        if (node.predicates.empty()) return err("filter with no predicates");
-        for (const FilterPredicate& predicate : node.predicates) {
-          if (!std::isfinite(predicate.constant)) {
-            return err("predicate constant must be finite");
-          }
-        }
-        break;
-      case PlanOp::kHashJoin:
-        if (node.left_keys.empty() ||
-            node.left_keys.size() != node.right_keys.size()) {
-          return err("join keys must pair up and be non-empty");
-        }
-        break;
-      case PlanOp::kHashAggregate:
-        if (node.group_by.empty() && node.aggregates.empty()) {
-          return err("aggregate with no groups and no aggregates");
-        }
-        break;
-      case PlanOp::kSort:
-        if (node.sort_keys.empty()) return err("sort with no keys");
-        break;
-      case PlanOp::kLimit:
-        if (node.limit < 0) return err("negative limit");
-        break;
-      case PlanOp::kOutput:
-        if (i != n - 1) return err("output below the root");
-        break;
-      case PlanOp::kScan:
-      case PlanOp::kProject:
-        break;
+    const PlanOp op = static_cast<PlanOp>(OpCode(node));
+    CheckShape(&report, i, op, node.left, node.right, n, &consumers);
+    CheckAnnotations(&report, i, node.cardinality, node.extra, node.width);
+    CheckPayload(&report, i, node);
+    if (op == PlanOp::kOutput && i != n - 1) {
+      AddError(&report, "plan-root", i, "output below the root");
     }
   }
-  if (plan.nodes.back().op != PlanOp::kOutput) {
-    return InvalidArgumentError("plan: root must be the output node");
+  if (OpCode(nodes.back()) != static_cast<int>(PlanOp::kOutput)) {
+    AddError(&report, "plan-root", n - 1, "root must be the output node");
   }
   for (int i = 0; i < n - 1; ++i) {
     if (consumers[static_cast<size_t>(i)] != 1) {
-      return InvalidArgumentError(StrFormat(
-          "plan node %d: consumed %d times (plans are trees)", i,
-          consumers[static_cast<size_t>(i)]));
+      AddError(&report, "plan-consumer", i,
+               StrFormat("consumed %d times (plans are trees)",
+                         consumers[static_cast<size_t>(i)]));
     }
   }
-  return Status::OK();
+  return report;
+}
+
+}  // namespace
+
+AnalysisReport CheckPlan(const PhysicalPlan& plan) {
+  return CheckNodes(plan.nodes);
+}
+
+AnalysisReport CheckPlanRecords(const std::vector<PlanNodeRecord>& records) {
+  return CheckNodes(records);
+}
+
+Status ValidatePlan(const PhysicalPlan& plan) {
+  return CheckPlan(plan).ToStatus();
 }
 
 std::vector<PlanNodeRecord> PlanToRecords(const PhysicalPlan& plan) {
@@ -347,15 +474,13 @@ std::vector<PlanNodeRecord> PlanToRecords(const PhysicalPlan& plan) {
 
 Result<PhysicalPlan> PlanFromRecords(
     const std::vector<PlanNodeRecord>& records) {
+  Status status = CheckPlanRecords(records).ToStatus();
+  if (!status.ok()) return status;
   PhysicalPlan plan;
-  plan.nodes.reserve(records.size());
+  plan.nodes.resize(records.size());
   for (size_t i = 0; i < records.size(); ++i) {
     const PlanNodeRecord& record = records[i];
-    if (!IsPlanOpCode(record.op)) {
-      return InvalidArgumentError(StrFormat(
-          "plan record %zu: unknown op code %d", i, record.op));
-    }
-    PlanNode node;
+    PlanNode& node = plan.nodes[i];
     node.op = static_cast<PlanOp>(record.op);
     node.left = record.left;
     node.right = record.right;
@@ -363,46 +488,36 @@ Result<PhysicalPlan> PlanFromRecords(
     node.extra = record.extra;
     node.width = record.width;
     node.stage = record.stage;
-    // Rehydrate the payload shape ValidatePlan checks from `extra` so a
-    // skeleton passes structural validation (contents stay unknown).
+    // Rehydrate the payload shape the plan rules check from `extra`, which
+    // the record rules proved a count this op carries (contents stay
+    // unknown), so PlanNodeExtra(node) == record.extra.
+    const size_t count = static_cast<size_t>(record.extra);
     switch (node.op) {
       case PlanOp::kFilter:
-        node.predicates.resize(
-            record.extra >= 1.0 ? static_cast<size_t>(record.extra) : 1);
+        node.predicates.resize(count);
         break;
-      case PlanOp::kHashJoin: {
-        const size_t keys =
-            record.extra >= 1.0 ? static_cast<size_t>(record.extra) : 1;
-        node.left_keys.resize(keys);
-        node.right_keys.resize(keys);
+      case PlanOp::kHashJoin:
+        node.left_keys.resize(count);
+        node.right_keys.resize(count);
         break;
-      }
       case PlanOp::kHashAggregate:
-        if (record.extra >= 1.0) {
-          node.group_by.resize(static_cast<size_t>(record.extra));
-        } else {
-          node.aggregates.resize(1);
-        }
+        node.group_by.resize(count);
+        if (count == 0) node.aggregates.resize(1);
         break;
       case PlanOp::kSort:
-        node.sort_keys.resize(
-            record.extra >= 1.0 ? static_cast<size_t>(record.extra) : 1);
+        node.sort_keys.resize(count);
         break;
       case PlanOp::kLimit:
         node.limit = static_cast<int64_t>(record.extra);
         break;
       case PlanOp::kScan:
       case PlanOp::kProject:
-        node.columns.resize(static_cast<size_t>(
-            record.extra >= 0.0 ? record.extra : 0.0));
+        node.columns.resize(count);
         break;
       case PlanOp::kOutput:
         break;
     }
-    plan.nodes.push_back(std::move(node));
   }
-  Status status = ValidatePlan(plan);
-  if (!status.ok()) return status;
   return plan;
 }
 

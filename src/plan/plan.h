@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/report.h"
 #include "common/status.h"
 #include "plan/plan_record.h"
 #include "storage/catalog.h"
@@ -101,11 +102,34 @@ struct PhysicalPlan {
   int root() const { return static_cast<int>(nodes.size()) - 1; }
 };
 
-/// Structural validation: children-before-parents indices, per-op arity,
-/// exactly one kOutput at the root, every non-root node consumed exactly
-/// once, finite non-negative annotations, well-formed payloads. Execution
-/// additionally type-checks payloads against the catalog.
+/// The plan rules, every violation reported as an Error (check ids in
+/// parentheses): at least one node (plan-empty), known op codes (plan-op),
+/// per-op arity (plan-arity), children strictly before parents
+/// (plan-topology), finite non-negative cardinality and width and a finite
+/// extra (plan-annotation), well-formed payloads (plan-payload), exactly
+/// one kOutput and it at the root (plan-root), every non-root node consumed
+/// exactly once (plan-consumer). Execution additionally type-checks
+/// payloads against the catalog (ResolvePlanSchemas).
+AnalysisReport CheckPlan(const PhysicalPlan& plan);
+
+/// The gate of every plan consumer: CheckPlan(plan).ToStatus().
 Status ValidatePlan(const PhysicalPlan& plan);
+
+/// The largest count a serialized `extra` may carry. A count names columns
+/// of one node's schema (scan and project outputs, predicate, join key,
+/// group and sort columns), so the bound comes from the widest schema a
+/// generated plan carries: four joined tables (querygen chains at most
+/// three joins) of at most eight columns (datagen's widest), 32 columns.
+/// Twice that leaves headroom and keeps a rehydrated node's placeholder
+/// payload within 1 KiB, whatever the text asks for.
+inline constexpr int kMaxPlanExtraCount = 64;
+
+/// CheckPlan's rules over serialized rows, plus what makes PlanFromRecords
+/// total and exact: stage tags are non-negative (plan-stage), and `extra`
+/// is an integer PlanNodeExtra reproduces from the rehydrated skeleton
+/// (plan-extra): a count in [0, kMaxPlanExtraCount], at least 1 for filter,
+/// join and sort; a limit in [0, 2^63); 0 for the output; never -0.0.
+AnalysisReport CheckPlanRecords(const std::vector<PlanNodeRecord>& records);
 
 /// The `extra` annotation a node's payload implies: kScan/kProject = output
 /// column count, kFilter = predicate count, kHashJoin = key pair count,
@@ -118,9 +142,11 @@ double PlanNodeExtra(const PlanNode& node);
 /// order). `extra` per op follows PlanNodeExtra.
 std::vector<PlanNodeRecord> PlanToRecords(const PhysicalPlan& plan);
 
-/// Rebuilds a *skeleton* plan (ops, structure, annotations — no payloads)
-/// from corpus rows, validating structure. Round-trips with PlanToRecords:
-/// PlanToRecords(*PlanFromRecords(r)) == r for any r it accepts.
+/// Rebuilds a *skeleton* plan (ops, structure, annotations, placeholder
+/// payloads of the right size) from corpus rows. Gated on
+/// CheckPlanRecords(records).ToStatus() before anything is allocated, so it
+/// accepts exactly the records that round-trip:
+/// PlanToRecords(*PlanFromRecords(r)) == r, bit for bit.
 Result<PhysicalPlan> PlanFromRecords(const std::vector<PlanNodeRecord>& records);
 
 /// Indented one-node-per-line rendering for logs and tests.

@@ -1,117 +1,65 @@
 #include "plan/plan_file.h"
 
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
-
 #include "common/string_util.h"
 
 namespace t3 {
-namespace {
 
-/// Same pointer-walking reader as the corpus parser (harness/corpus.cc),
-/// reduced to what plan files need. The backing string is NUL-terminated.
-struct Cursor {
-  const char* pos;
-  const char* end;
-  int line = 1;
-
-  explicit Cursor(std::string_view text)
-      : pos(text.data()), end(text.data() + text.size()) {}
-
-  static bool IsSpace(char c) {
-    return c == ' ' || c == '\t' || c == '\n' || c == '\r';
-  }
-  void SkipSpace() {
-    while (pos != end && IsSpace(*pos)) {
-      if (*pos == '\n') ++line;
-      ++pos;
-    }
-  }
-  bool AtEnd() {
-    SkipSpace();
-    return pos == end;
-  }
-  std::string_view Token() {
-    SkipSpace();
-    const char* start = pos;
-    while (pos != end && !IsSpace(*pos)) ++pos;
-    return std::string_view(start, static_cast<size_t>(pos - start));
-  }
-  bool Double(double* out) {
-    SkipSpace();
-    char* after = nullptr;
-    *out = std::strtod(pos, &after);
-    if (after == pos || !std::isfinite(*out)) return false;
-    pos = after;
-    return true;
-  }
-  bool Int(int64_t* out) {
-    SkipSpace();
-    char* after = nullptr;
-    *out = std::strtoll(pos, &after, 10);
-    if (after == pos) return false;
-    pos = after;
-    return true;
-  }
-};
-
-Status ParseError(const Cursor& cursor, const char* what) {
-  return InvalidArgumentError(
-      StrFormat("plan line %d: %s", cursor.line, what));
+bool ReadPlanNodeLine(TokenCursor* cursor, PlanNodeRecord* record) {
+  return cursor->NextToken() == "N" && cursor->NextNumber(&record->op) &&
+         cursor->NextNumber(&record->left) &&
+         cursor->NextNumber(&record->right) &&
+         cursor->NextFiniteDouble(&record->cardinality) &&
+         cursor->NextFiniteDouble(&record->extra) &&
+         cursor->NextFiniteDouble(&record->width) &&
+         cursor->NextNumber(&record->stage);
 }
 
-void AppendDouble(std::string* out, double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  out->append(buffer);
+void AppendPlanNodeLine(std::string* out, const PlanNodeRecord& record) {
+  *out += "N ";
+  AppendInt(out, record.op);
+  *out += ' ';
+  AppendInt(out, record.left);
+  *out += ' ';
+  AppendInt(out, record.right);
+  *out += ' ';
+  AppendDouble(out, record.cardinality);
+  *out += ' ';
+  AppendDouble(out, record.extra);
+  *out += ' ';
+  AppendDouble(out, record.width);
+  *out += ' ';
+  AppendInt(out, record.stage);
+  *out += '\n';
 }
-
-}  // namespace
 
 Result<std::vector<PlanNodeRecord>> ParsePlanText(std::string_view text) {
-  Cursor cursor(text);
-  if (cursor.Token() != "t3plan" || cursor.Token() != "v1") {
+  TokenCursor cursor(text);
+  if (cursor.NextToken() != "t3plan" || cursor.NextToken() != "v1") {
     return InvalidArgumentError("not a t3plan v1 file");
   }
-  int64_t num_nodes = 0;
-  if (cursor.Token() != "nodes" || !cursor.Int(&num_nodes) || num_nodes < 0) {
-    return ParseError(cursor, "bad node count");
+  auto error = [&cursor](const char* what) {
+    return InvalidArgumentError(
+        StrFormat("plan line %d: %s", cursor.line(), what));
+  };
+  size_t num_nodes = 0;
+  if (cursor.NextToken() != "nodes" || !cursor.NextNumber(&num_nodes) ||
+      num_nodes > cursor.Remaining() / kMinPlanNodeLineBytes) {
+    return error("bad node count");
   }
-  std::vector<PlanNodeRecord> records;
-  records.reserve(static_cast<size_t>(num_nodes));
-  for (int64_t i = 0; i < num_nodes; ++i) {
-    PlanNodeRecord record;
-    int64_t op = 0, left = 0, right = 0, stage = 0;
-    if (cursor.Token() != "N" || !cursor.Int(&op) || !cursor.Int(&left) ||
-        !cursor.Int(&right) || !cursor.Double(&record.cardinality) ||
-        !cursor.Double(&record.extra) || !cursor.Double(&record.width) ||
-        !cursor.Int(&stage)) {
-      return ParseError(cursor, "malformed N line");
-    }
-    record.op = static_cast<int>(op);
-    record.left = static_cast<int>(left);
-    record.right = static_cast<int>(right);
-    record.stage = static_cast<int>(stage);
-    records.push_back(record);
+  std::vector<PlanNodeRecord> records(num_nodes);
+  for (PlanNodeRecord& record : records) {
+    if (!ReadPlanNodeLine(&cursor, &record)) return error("malformed N line");
   }
-  if (!cursor.AtEnd()) {
-    return ParseError(cursor, "trailing data after last node");
-  }
+  if (!cursor.AtEnd()) return error("trailing data after last node");
   return records;
 }
 
 std::string PlanRecordsToText(const std::vector<PlanNodeRecord>& records) {
-  std::string out = "t3plan v1\n";
-  out += StrFormat("nodes %zu\n", records.size());
+  std::string out = "t3plan v1\nnodes ";
+  AppendInt(&out, records.size());
+  out += '\n';
   for (const PlanNodeRecord& record : records) {
-    out += StrFormat("N %d %d %d ", record.op, record.left, record.right);
-    AppendDouble(&out, record.cardinality);
-    out.push_back(' ');
-    AppendDouble(&out, record.extra);
-    out.push_back(' ');
-    AppendDouble(&out, record.width);
-    out += StrFormat(" %d\n", record.stage);
+    AppendPlanNodeLine(&out, record);
   }
   return out;
 }

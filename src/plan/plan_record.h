@@ -9,15 +9,17 @@ namespace t3 {
 ///
 /// This is the *shared schema* between live plans (src/plan) and benchmarked
 /// corpora (src/harness): PlanToRecords / PlanFromRecords convert a
-/// PhysicalPlan to and from this row form, and the corpus reader/writer
-/// moves the rows to and from disk verbatim. Operator payloads (key columns,
+/// PhysicalPlan to and from this row form, and ReadPlanNodeLine /
+/// AppendPlanNodeLine (plan/plan_file.h) move the rows to and from plan
+/// files and corpora verbatim. Operator payloads (key columns,
 /// predicates, aggregate lists) are not part of the N schema — the corpus
 /// stores plan *shape* and annotations, features live on FT/FE lines.
 ///
 /// `op` is a PlanOp code (see plan/plan.h). `left`/`right` are indices of
 /// earlier nodes in the same record, -1 for none. `extra` is the op-specific
 /// scalar documented at PlanToRecords. `stage` is the pipeline id assigned
-/// by DecomposePipelines, or -1 when the plan was never decomposed.
+/// by DecomposePipelines; serialized tags are never negative (PlanToRecords
+/// writes 0 for an undecomposed plan, CheckPlanRecords rejects < 0).
 struct PlanNodeRecord {
   int op = 0;
   int left = -1;

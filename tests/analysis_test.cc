@@ -197,17 +197,6 @@ TEST(ForestVerifierTest, WarnsOnDuplicateThreshold) {
   EXPECT_TRUE(HasWarning(report, "dead-branch"));
 }
 
-TEST(ForestVerifierTest, WarningPassesCanBeDisabled) {
-  const Forest forest = OneTreeForest(
-      {Inner(0, 0.5, 1, 2), Inner(0, 0.8, 3, 4), Leaf(1.0), Leaf(2.0),
-       Leaf(3.0)});
-  VerifyOptions options;
-  options.warn_dead_branches = false;
-  options.warn_duplicate_thresholds = false;
-  options.warn_inconsistent_nan_routing = false;
-  EXPECT_TRUE(ForestVerifier(options).Verify(forest).empty());
-}
-
 TEST(ForestVerifierTest, AcceptsTrainedForestAndFixture) {
   Rng rng(7);
   std::vector<double> rows(300 * 3);
@@ -231,9 +220,9 @@ TEST(ForestVerifierTest, AcceptsTrainedForestAndFixture) {
   EXPECT_TRUE(fixture_report.empty()) << fixture_report.ToString();
 }
 
-// Forest::Validate (the loader's reject gate) must agree with the
-// verifier's Error-severity verdict on every corruption class above —
-// a model the verifier flags as Error never loads.
+// Forest::Validate (the loader's reject gate) is the ToStatus() of the
+// report the verifier starts from: a model the verifier flags as Error
+// never loads, on every corruption class above.
 TEST(ForestVerifierTest, LoaderRejectsEveryErrorClass) {
   std::vector<Forest> corrupt;
   corrupt.push_back(

@@ -16,7 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/batch_equivalence_validator.h"
-#include "analysis/report.h"
+#include "common/report.h"
 #include "analysis/tree_lifter.h"
 #include "analysis/x86_decoder.h"
 #include "common/random.h"

@@ -169,14 +169,94 @@ TEST(PlanFileTest, GoldenFixturesRoundTrip) {
   }
 }
 
+/// Parses `text` from an exact-size heap copy (no NUL after it, so a read
+/// past the view is a sanitizer error) and rehydrates it; the first failing
+/// step's status.
+Status ParseAndRehydrate(const std::string& text) {
+  const std::vector<char> copy(text.begin(), text.end());
+  Result<std::vector<PlanNodeRecord>> records =
+      ParsePlanText(std::string_view(copy.data(), copy.size()));
+  if (!records.ok()) return records.status();
+  Result<PhysicalPlan> plan = PlanFromRecords(*records);
+  return plan.ok() ? Status::OK() : plan.status();
+}
+
+/// A scan -> filter -> output plan with the filter's fields spliced in.
+std::string FilterPlan(const std::string& filter_fields) {
+  return "t3plan v1\nnodes 3\nN 0 -1 -1 100 1 8 0\nN " + filter_fields +
+         "\nN 8 1 -1 50 0 8 0\n";
+}
+
 TEST(PlanFileTest, RejectsMalformedText) {
-  EXPECT_FALSE(ParsePlanText("").ok());
-  EXPECT_FALSE(ParsePlanText("t3model v1\n").ok());
-  EXPECT_FALSE(ParsePlanText("t3plan v1\nnodes -1\n").ok());
-  EXPECT_FALSE(ParsePlanText("t3plan v1\nnodes 1\nN 0 -1\n").ok());
-  EXPECT_FALSE(
-      ParsePlanText("t3plan v1\nnodes 1\nN 8 -1 -1 1 0 8 0\ntrailing\n")
-          .ok());
+  EXPECT_TRUE(ParseAndRehydrate(FilterPlan("1 0 -1 50 1 8 0")).ok());
+  for (const std::string& text : {
+           std::string(""),
+           std::string("t3model v1\n"),
+           std::string("t3plan v1\nnodes -1\n"),
+           std::string("t3plan v1\nnodes 1\nN 0 -1\n"),
+           std::string("t3plan v1\nnodes 1\nN 8 -1 -1 1 0 8 0\ntrailing\n"),
+           // A count the text cannot hold is refused before it sizes
+           // anything (it used to throw std::bad_alloc from reserve).
+           std::string("t3plan v1\nnodes 99999999999999\n"),
+           std::string("t3plan v1\nnodes 2\nN 8 -1 -1 1 0 8 0\n"),
+           // Placeholder payloads sized by extra: 1e18 threw
+           // std::length_error, 1e300 was an out-of-range float cast.
+           FilterPlan("1 0 -1 50 1e18 8 0"),
+           FilterPlan("1 0 -1 50 1e300 8 0"),
+           // Extras the skeleton cannot reproduce bit for bit.
+           FilterPlan("1 0 -1 50 2.5 8 0"),
+           FilterPlan("1 0 -1 50 0 8 0"),
+           FilterPlan("1 0 -1 50 -0 8 0"),
+           FilterPlan("1 0 -1 50 65 8 0"),
+           // Int fields out of int range used to be truncated: op
+           // 4294967296 read as a scan.
+           FilterPlan("4294967296 0 -1 50 1 8 0"),
+           FilterPlan("1 4294967296 -1 50 1 8 0"),
+           FilterPlan("1 0 -1 50 1 8 4294967296"),
+           // A negative serialized stage tag; a limit of 2^63.
+           FilterPlan("1 0 -1 50 1 8 -1"),
+           FilterPlan("6 0 -1 50 9223372036854775808 8 0"),
+       }) {
+    const Status status = ParseAndRehydrate(text);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << text;
+  }
+}
+
+TEST(PlanFileTest, TruncatedPlanIsAnErrorNotACrash) {
+  Result<std::string> content = ReadFileToString(
+      std::string(T3_SOURCE_DIR) + "/data/plan_join_golden.txt");
+  ASSERT_TRUE(content.ok()) << content.status().ToString();
+  const std::string& full = *content;
+  // Every prefix cut before the final token must fail with a Status (a cut
+  // inside the final number is indistinguishable from a shorter value).
+  const size_t last_token = full.find_last_of(' ') + 1;
+  for (size_t cut = 0; cut <= last_token; ++cut) {
+    const std::vector<char> prefix(full.begin(),
+                                   full.begin() + static_cast<long>(cut));
+    Result<std::vector<PlanNodeRecord>> records =
+        ParsePlanText(std::string_view(prefix.data(), prefix.size()));
+    EXPECT_FALSE(records.ok()) << "prefix of " << cut << " bytes parsed";
+  }
+}
+
+TEST(PlanRecordsTest, AcceptedRecordsRoundTripBitForBit) {
+  // Every extra a record may carry rehydrates to a skeleton PlanToRecords
+  // maps back to the same bits, including the limit's int64 edge.
+  for (const std::string& text : {
+           FilterPlan("1 0 -1 50 64 8 0"),
+           FilterPlan("6 0 -1 50 9223372036854774784 8 0"),
+           FilterPlan("6 0 -1 50 0 8 0"),
+           FilterPlan("4 0 -1 50 0 8 0"),
+           FilterPlan("2 0 -1 -0 0 8 0"),
+       }) {
+    Result<std::vector<PlanNodeRecord>> records = ParsePlanText(text);
+    ASSERT_TRUE(records.ok()) << text;
+    Result<PhysicalPlan> plan = PlanFromRecords(*records);
+    ASSERT_TRUE(plan.ok()) << text << plan.status().ToString();
+    // %.17g is injective on doubles, so equal text is equal bits.
+    EXPECT_EQ(PlanRecordsToText(PlanToRecords(*plan)),
+              PlanRecordsToText(*records));
+  }
 }
 
 // --- PlanVerifier. ---

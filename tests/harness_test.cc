@@ -61,6 +61,12 @@ TEST(CorpusTest, LoadsCheckedInCorpusFixture) {
   // The held-out TPC-DS-like instance contributes half the records.
   EXPECT_EQ(test_records, 12u);
   EXPECT_EQ(corpus.NumPipelines(), 61u);
+
+  // The fixture is writer output, so parse -> write is the identity on it.
+  Result<std::string> text = ReadFileToString(std::string(T3_SOURCE_DIR) +
+                                              "/data/corpus_mini.txt");
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  EXPECT_EQ(CorpusToText(corpus), *text);
 }
 
 TEST(CorpusTest, SaveLoadRoundTripsExactly) {
@@ -121,7 +127,12 @@ TEST(CorpusTest, TruncatedCorpusIsAnErrorNotACrash) {
   // so the detectable range ends at the last token's first byte).
   const size_t last_token = full.find_last_of(' ') + 1;
   for (size_t cut = 0; cut <= last_token; cut += 3) {
-    Result<Corpus> corpus = ParseCorpus(full.substr(0, cut));
+    // An exact-size heap copy: no NUL after the prefix, so a read past the
+    // view is a sanitizer error.
+    const std::vector<char> prefix(full.begin(),
+                                   full.begin() + static_cast<long>(cut));
+    Result<Corpus> corpus =
+        ParseCorpus(std::string_view(prefix.data(), prefix.size()));
     EXPECT_FALSE(corpus.ok()) << "prefix of " << cut << " bytes parsed";
     EXPECT_EQ(corpus.status().code(), StatusCode::kInvalidArgument);
   }
@@ -195,13 +206,43 @@ TEST(CorpusTest, RejectsNonFiniteFeatureValue) {
   EXPECT_NE(corpus.status().message().find("sparse"), std::string::npos);
 }
 
-TEST(CorpusTest, RejectsNegativeCountsInRecordHeader) {
-  // Pipeline count -1 in the R line.
-  std::string bad = TinyCorpusText();
-  const size_t pos = bad.find("0 1 2 1 0.5");
-  ASSERT_NE(pos, std::string::npos);
-  bad.replace(pos, 11, "0 -1 2 1 0.5");
-  EXPECT_FALSE(ParseCorpus(bad).ok());
+TEST(CorpusTest, RejectsBadCountsAndIntFields) {
+  const std::string tiny = TinyCorpusText();
+  const std::string r_line = "R tpch_sf0 0 0 3 0 1 2 1 0.5";
+  ASSERT_NE(tiny.find(r_line), std::string::npos);
+  auto with_r_line = [&](const std::string& line) {
+    return std::string(tiny).replace(tiny.find(r_line), r_line.size(), line);
+  };
+  std::vector<std::string> bad = {
+      // Pipeline count -1 in the R line.
+      with_r_line("R tpch_sf0 0 0 3 0 -1 2 1 0.5"),
+      // Counts are checked against the bytes that remain before they size
+      // anything; these used to end in std::bad_alloc. 2000000000 fits the
+      // int fields, so it reaches the byte check; 99999999999999 does not.
+      "t3corpus v1\nrecords 99999999999999\n",
+      "t3corpus v1\nrecords 2000000000\n",
+  };
+  for (const char* count : {"99999999999999", "2000000000"}) {
+    const std::string huge = count;
+    bad.push_back(with_r_line("R tpch_sf0 0 0 3 0 1 2 " + huge + " 0.5"));
+    bad.push_back(with_r_line("R tpch_sf0 0 0 3 0 1 " + huge + " 1 0.5"));
+    bad.push_back(with_r_line("R tpch_sf0 0 0 3 0 " + huge + " 2 1 0.5"));
+  }
+  // Int fields out of int range used to be truncated.
+  bad.push_back(with_r_line("R tpch_sf0 0 0 4294967299 0 1 2 1 0.5"));
+  bad.push_back(std::string(tiny).replace(tiny.find("N 4 "), 4,
+                                          "N 4294967300 "));
+  bad.push_back(std::string(tiny).replace(tiny.find("P 0 "), 4,
+                                          "P 4294967296 "));
+  bad.push_back(std::string(tiny).replace(tiny.find("0:1.5"), 5,
+                                          "4294967296:1.5"));
+  // A dense dimension far beyond any feature space.
+  bad.push_back(std::string(tiny).replace(tiny.find("FT 0 100 4 "), 11,
+                                          "FT 0 100 2000000000 "));
+  for (const std::string& text : bad) {
+    EXPECT_EQ(ParseCorpus(text).status().code(), StatusCode::kInvalidArgument)
+        << text;
+  }
 }
 
 TEST(EvaluateTest, QErrorIsSymmetricRatio) {

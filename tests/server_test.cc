@@ -360,11 +360,25 @@ TEST(PredictionServerTest, PredictPlanMatchesPipelineSum) {
   ASSERT_EQ(response->predictions.size(), 1u);
   EXPECT_EQ(response->predictions[0], expected);
 
-  // Malformed plan text: a kError reply, and the connection stays usable.
-  EXPECT_FALSE(client->PredictPlan("not a plan").ok());
-  Result<PredictResponse> again = client->PredictPlan(*plan_text);
-  ASSERT_TRUE(again.ok()) << again.status().ToString();
-  EXPECT_EQ(again->predictions[0], expected);
+  // Malformed plan text: a kError reply each, and the connection stays
+  // usable. The huge node count and the huge filter extra used to throw
+  // out of the worker and kill the server; the text ending in a digit was
+  // read past the end of the frame payload.
+  for (const char* bad : {
+           "not a plan",
+           "t3plan v1\nnodes 99999999999999\n",
+           "t3plan v1\nnodes 3\nN 0 -1 -1 100 1 8 0\nN 1 0 -1 50 1e18 8 0\n"
+           "N 8 1 -1 50 0 8 0\n",
+           "t3plan v1\nnodes 1\nN 8 -1 -1 1 0 8 0",
+       }) {
+    // The server's InvalidArgument comes back in a kError reply; a dropped
+    // connection would read as Unavailable.
+    Result<PredictResponse> rejected = client->PredictPlan(bad);
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument) << bad;
+    Result<PredictResponse> again = client->PredictPlan(*plan_text);
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_EQ(again->predictions[0], expected);
+  }
   (*server)->Stop();
 }
 
