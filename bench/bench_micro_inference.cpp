@@ -1,8 +1,8 @@
 // Google-benchmark microbenchmarks of the raw forest evaluators:
-// flattened-array interpretation and JIT-compiled native code, across
-// forest sizes. Complements Table 1 with controlled synthetic forests;
-// BM_CompiledBatchFixture adds one trained model over real feature rows
-// (the checked-in fixtures under data/).
+// flattened-array interpretation and JIT-compiled native code, single-row
+// across forest sizes and batched across batch sizes, on controlled
+// synthetic forests; BM_CompiledBatchFixture adds one trained model over
+// real feature rows (the checked-in fixtures under data/).
 
 #include <benchmark/benchmark.h>
 
@@ -85,21 +85,34 @@ void BM_Compiled(benchmark::State& state) {
 }
 BENCHMARK(BM_Compiled)->Arg(10)->Arg(50)->Arg(200);
 
-void BM_CompiledBatch(benchmark::State& state) {
-  const Forest forest = MakeForest(200, 31, 42);
-  auto compiled = CompiledForest::Compile(forest);
-  T3_CHECK(compiled.ok());
+// One row-major PredictBatch call per iteration over `state.range(0)`
+// uniform random rows.
+void RunBatch(benchmark::State& state, const ForestEvaluator& evaluator) {
   const size_t batch = static_cast<size_t>(state.range(0));
   Rng rng(9);
   std::vector<double> rows(batch * kFeatures);
   for (double& v : rows) v = rng.UniformDouble(0, 1);
   std::vector<double> out(batch);
   for (auto _ : state) {
-    (*compiled)->PredictBatch(rows.data(), batch, kFeatures, out.data());
+    evaluator.PredictBatch(rows.data(), batch, kFeatures, out.data());
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(batch));
+}
+
+// The flat interpreter's batch call is its per-row loop: the baseline the
+// compiled batch kernels are measured against at the same batch sizes.
+void BM_FlatBatch(benchmark::State& state) {
+  const FlatEvaluator evaluator(MakeForest(200, 31, 42));
+  RunBatch(state, evaluator);
+}
+BENCHMARK(BM_FlatBatch)->Arg(16)->Arg(256)->Arg(4096);
+
+void BM_CompiledBatch(benchmark::State& state) {
+  auto compiled = CompiledForest::Compile(MakeForest(200, 31, 42));
+  T3_CHECK(compiled.ok());
+  RunBatch(state, **compiled);
 }
 BENCHMARK(BM_CompiledBatch)->Arg(16)->Arg(256)->Arg(4096);
 

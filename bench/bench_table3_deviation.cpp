@@ -11,7 +11,7 @@
 namespace t3 {
 namespace {
 
-void Run() {
+int Run() {
   const Corpus& corpus = bench::SharedWorkbench().corpus();
   std::vector<double> deviations;
   deviations.reserve(corpus.records.size());
@@ -28,6 +28,13 @@ void Run() {
     deviations.push_back(qerrors[keep - 1]);
   }
   const QErrorSummary summary = Summarize(deviations);
+  if (summary.count == 0) {
+    std::fprintf(stderr,
+                 "bench_table3_deviation: no record of the %zu-record corpus "
+                 "stores the >= 3 runs the 2/3-of-runs deviation needs\n",
+                 corpus.records.size());
+    return 1;
+  }
 
   PrintExperimentHeader(
       "Table 3: Deviations of benchmarks as q-error",
@@ -45,12 +52,10 @@ void Run() {
       "\nexpected floor: no model can be more accurate on average than the "
       "measurement deviation (avg %.3f => ~%.1f%%).\n",
       summary.avg, (summary.avg - 1.0) * 100.0);
+  return 0;
 }
 
 }  // namespace
 }  // namespace t3
 
-int main() {
-  t3::Run();
-  return 0;
-}
+int main() { return t3::Run(); }

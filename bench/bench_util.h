@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -14,7 +13,6 @@
 #include "harness/corpus.h"
 #include "harness/evaluate.h"
 #include "harness/report.h"
-#include "harness/runner.h"
 #include "harness/workbench.h"
 
 namespace t3 {
@@ -38,9 +36,6 @@ inline bool IsTrain(const QueryRecord& r) { return !r.is_test; }
 inline bool IsTest(const QueryRecord& r) { return r.is_test; }
 inline bool IsTestFixed(const QueryRecord& r) {
   return r.is_test && r.fixed_suite;
-}
-inline bool IsJobSuite(const QueryRecord& r) {
-  return r.fixed_suite && r.instance.rfind("imdb", 0) == 0;
 }
 
 /// Median wall-clock latency (seconds) of `fn` over `iterations` calls,
@@ -104,17 +99,6 @@ inline double Throughput(const std::function<void()>& fn,
   }
   return static_cast<double>(calls) / timer.ElapsedSeconds();
 }
-
-/// The JOB-like workload rebuilt with full plans (the corpus drops plans;
-/// Figures 12 and Tables 5/6 need them). Deterministic: regenerates the
-/// corpus's IMDB-like instance and fixed suite.
-struct JobWorkload {
-  std::unique_ptr<Database> db;
-  std::vector<GeneratedQuery> queries;        // plans annotated (est + true)
-  std::vector<double> median_seconds;         // measured, `runs` runs
-};
-
-JobWorkload BuildJobWorkload(int runs = 3);
 
 inline std::string FormatSeconds(double seconds) {
   return FormatDuration(seconds * 1e9);

@@ -10,12 +10,6 @@
 
 namespace t3 {
 
-// Defined in src/storage and src/querygen (pending reconstruction; see
-// README "Reconstruction status"). bench_util.h's JobWorkload only needs
-// the declarations.
-class Database;
-struct GeneratedQuery;
-
 /// Feature vector of one pipeline of one executed query ("FT"/"FE" corpus
 /// lines — features under true resp. estimated cardinalities).
 struct PipelineFeatures {

@@ -2,6 +2,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -262,10 +263,15 @@ TEST(LoaderErrorPathTest, TruncatedFile) {
       OneTreeForest({Inner(0, 0.5, 1, 2), Leaf(1.0), Leaf(2.0)}).ToText();
   // Every prefix cut before the final token must fail cleanly, never
   // crash (a cut inside the final number is indistinguishable from a
-  // shorter value, so the detectable range ends at its first byte).
+  // shorter value, so the detectable range ends at its first byte). Each
+  // prefix is an exact-size heap copy with no NUL after it, so ASan reports
+  // any read past the cut.
   const size_t last_token = full.find_last_of(' ') + 1;
   for (size_t cut = 0; cut <= last_token; ++cut) {
-    Result<Forest> loaded = Forest::FromText(full.substr(0, cut));
+    const std::vector<char> prefix(full.begin(),
+                                   full.begin() + static_cast<long>(cut));
+    Result<Forest> loaded =
+        Forest::FromText(std::string_view(prefix.data(), prefix.size()));
     EXPECT_FALSE(loaded.ok()) << "prefix of " << cut << " bytes loaded";
   }
 }
