@@ -197,7 +197,13 @@ void CheckLiftedForest(const Forest& forest,
                        AnalysisReport* report) {
   for (size_t t = 0; t < forest.trees.size(); ++t) {
     const int tree_index = static_cast<int>(t);
+    const size_t errors_before = report->NumErrors();
     CheckLiftedTreeStructure(forest.trees[t], lifted[t], tree_index, report);
+    // A clean structural pass (same shape, bit-equal thresholds and leaves,
+    // same feature, kLt polarity, same NaN routing) already implies every
+    // cell agrees; the semantic pass only runs to give a mismatch its
+    // witness row.
+    if (report->NumErrors() == errors_before) continue;
     CheckLiftedTreeSemantics(forest.trees[t], lifted[t], forest.num_features,
                              tree_index, report);
   }

@@ -50,8 +50,10 @@ void CheckLiftedForest(const Forest& forest,
 ///     whole domain and the arithmetic is exact, agreement on every cell is
 ///     a proof of pointwise equality, not a sample test.
 ///
-/// Both passes always run (a structurally different buffer still gets a
-/// semantic verdict with a concrete witness row). Per-tree equivalence
+/// The semantic pass runs for a tree only when its structural pass reported
+/// an Error: a clean structural pass implies every cell agrees, and a
+/// structurally different buffer still gets a semantic verdict with a
+/// concrete witness row. Per-tree equivalence
 /// plus identical summation order in CompiledForest::Predict gives forest
 /// equivalence. The pass is pure byte inspection and runs on any host.
 class TranslationValidator {

@@ -1,49 +1,88 @@
 #include "engine/chunk.h"
 
+#include <cstddef>
+
+#include "common/check.h"
+
 namespace t3 {
 
-void ColumnVector::AppendNull() {
-  switch (type) {
-    case ColumnType::kInt64:
-    case ColumnType::kDate:
-      i64.push_back(0);
-      break;
-    case ColumnType::kFloat64:
-      f64.push_back(0.0);
-      break;
-    case ColumnType::kString:
-      str.emplace_back();
-      break;
-  }
-  null.push_back(1);
+namespace {
+
+template <typename T>
+void GatherValues(const std::vector<T>& source,
+                  const std::vector<uint32_t>& sel, std::vector<T>* out) {
+  const size_t base = out->size();
+  out->resize(base + sel.size());
+  T* dst = out->data() + base;
+  for (size_t i = 0; i < sel.size(); ++i) dst[i] = source[sel[i]];
 }
 
-void ColumnVector::AppendFrom(const ColumnVector& source, size_t row) {
+}  // namespace
+
+void ColumnVector::Gather(const ColumnVector& source,
+                          const std::vector<uint32_t>& sel) {
   T3_CHECK(source.type == type);
-  if (source.IsNull(row)) {
-    AppendNull();
-    return;
-  }
+#ifndef NDEBUG
+  // Debug builds (and so the sanitizer job) check every index; release
+  // builds keep the per-value loop free of checks.
+  for (uint32_t row : sel) T3_CHECK(row < source.size());
+#endif
+  // NULL rows carry their placeholder value, so values and flags gather
+  // independently.
+  GatherValues(source.null, sel, &null);
   switch (type) {
     case ColumnType::kInt64:
     case ColumnType::kDate:
-      AppendInt64(source.i64[row]);
+      GatherValues(source.i64, sel, &i64);
       break;
     case ColumnType::kFloat64:
-      AppendFloat64(source.f64[row]);
+      GatherValues(source.f64, sel, &f64);
       break;
     case ColumnType::kString:
-      AppendString(source.str[row]);
+      str.reserve(str.size() + sel.size());
+      for (uint32_t row : sel) str.push_back(source.str[row]);
       break;
   }
 }
 
-void DataChunk::AppendRowFrom(const DataChunk& source, size_t row) {
+void ColumnVector::AppendRange(const ColumnVector& source, size_t begin,
+                               size_t end) {
+  T3_CHECK(source.type == type && begin <= end && end <= source.size());
+  const auto append = [begin, end](const auto& from, auto* to) {
+    to->insert(to->end(), from.begin() + static_cast<std::ptrdiff_t>(begin),
+               from.begin() + static_cast<std::ptrdiff_t>(end));
+  };
+  append(source.null, &null);
+  switch (type) {
+    case ColumnType::kInt64:
+    case ColumnType::kDate:
+      append(source.i64, &i64);
+      break;
+    case ColumnType::kFloat64:
+      append(source.f64, &f64);
+      break;
+    case ColumnType::kString:
+      append(source.str, &str);
+      break;
+  }
+}
+
+void DataChunk::Gather(const DataChunk& source,
+                       const std::vector<uint32_t>& sel) {
   T3_CHECK(source.columns.size() == columns.size());
   for (size_t c = 0; c < columns.size(); ++c) {
-    columns[c].AppendFrom(source.columns[c], row);
+    columns[c].Gather(source.columns[c], sel);
   }
-  ++num_rows;
+  num_rows += sel.size();
+}
+
+void DataChunk::AppendRange(const DataChunk& source, size_t begin,
+                            size_t end) {
+  T3_CHECK(source.columns.size() == columns.size());
+  for (size_t c = 0; c < columns.size(); ++c) {
+    columns[c].AppendRange(source.columns[c], begin, end);
+  }
+  num_rows += end - begin;
 }
 
 }  // namespace t3

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/check.h"
 #include "storage/types.h"
 
 namespace t3 {
@@ -17,6 +16,10 @@ inline constexpr size_t kMorselRows = 1024;
 /// One column of an in-flight chunk: a typed value buffer plus a byte-per-
 /// row null flag (1 = NULL; the value slot is a zero/empty placeholder).
 /// Unlike storage Columns these are small, transient, and append-only.
+///
+/// Operators copy rows with the two bulk primitives, Gather and
+/// AppendRange: each checks and switches on the type once per call, then
+/// runs one typed loop over the rows.
 struct ColumnVector {
   ColumnType type = ColumnType::kInt64;
   std::vector<int64_t> i64;        // kInt64, kDate
@@ -35,34 +38,14 @@ struct ColumnVector {
     null.clear();
   }
 
-  void AppendInt64(int64_t value) {
-    T3_CHECK(IsIntegerBacked(type));
-    i64.push_back(value);
-    null.push_back(0);
-  }
-  void AppendFloat64(double value) {
-    T3_CHECK(type == ColumnType::kFloat64);
-    f64.push_back(value);
-    null.push_back(0);
-  }
-  void AppendString(std::string value) {
-    T3_CHECK(type == ColumnType::kString);
-    str.push_back(std::move(value));
-    null.push_back(0);
-  }
-  void AppendNull();
+  /// Appends rows `sel[0], sel[1], ...` of `source` (same type), in that
+  /// order. Every index must be < source.size().
+  void Gather(const ColumnVector& source, const std::vector<uint32_t>& sel);
 
-  /// Copies row `row` of `source` (same type) onto the end of this vector.
-  void AppendFrom(const ColumnVector& source, size_t row);
+  /// Appends rows [begin, end) of `source` (same type).
+  void AppendRange(const ColumnVector& source, size_t begin, size_t end);
 
   bool IsNull(size_t row) const { return null[row] != 0; }
-
-  /// Numeric view for predicates and sort keys: int64/date values cast to
-  /// double. Must not be called on string columns or NULL rows.
-  double NumericAt(size_t row) const {
-    return type == ColumnType::kFloat64 ? f64[row]
-                                        : static_cast<double>(i64[row]);
-  }
 };
 
 /// A batch of rows flowing through a pipeline: equally sized column
@@ -82,8 +65,12 @@ struct DataChunk {
     num_rows = 0;
   }
 
-  /// Copies row `row` of `source` (same schema) onto the end of this chunk.
-  void AppendRowFrom(const DataChunk& source, size_t row);
+  /// Appends rows `sel[0], sel[1], ...` of `source` (same schema), in that
+  /// order, one column at a time.
+  void Gather(const DataChunk& source, const std::vector<uint32_t>& sel);
+
+  /// Appends rows [begin, end) of `source` (same schema).
+  void AppendRange(const DataChunk& source, size_t begin, size_t end);
 };
 
 }  // namespace t3

@@ -1,6 +1,7 @@
 #include "engine/executor.h"
 
 #include <algorithm>
+#include <numeric>
 #include <unordered_map>
 
 #include "common/hash.h"
@@ -10,39 +11,32 @@
 namespace t3 {
 namespace {
 
-/// Join/group key of one row: [null0, value0, null1, value1, ...] over the
-/// integer-backed key columns. NULL slots keep a zero value so two NULL
-/// keys compare equal for grouping (NULLs form their own group; joins skip
-/// NULL keys before keys are ever compared).
-using KeyTuple = std::vector<int64_t>;
-
-struct KeyTupleHash {
-  size_t operator()(const KeyTuple& key) const {
-    Fnv1a fnv;
-    for (int64_t v : key) fnv.U64(static_cast<uint64_t>(v));
-    return static_cast<size_t>(fnv.hash());
-  }
-};
-
-/// Fills `key` from `row` of `chunk`; false when any key column is NULL.
-bool ExtractKey(const DataChunk& chunk, const std::vector<int>& key_columns,
-                size_t row, KeyTuple* key) {
-  key->clear();
-  bool any_null = false;
-  for (int column : key_columns) {
-    const ColumnVector& values = chunk.columns[static_cast<size_t>(column)];
-    const bool is_null = values.IsNull(row);
-    any_null |= is_null;
-    key->push_back(is_null ? 1 : 0);
-    key->push_back(is_null ? 0 : values.i64[row]);
-  }
-  return !any_null;
+/// Folds one key column's value into a running key hash. Joins and
+/// aggregation share it; a NULL hashes apart from every value.
+uint64_t HashKeyPart(uint64_t hash, bool is_null, int64_t value) {
+  return SplitMix64(hash ^ static_cast<uint64_t>(is_null ? 0 : value)) +
+         (is_null ? 1 : 0);
 }
 
-uint64_t HashKey(const KeyTuple& key) {
-  Fnv1a fnv;
-  for (int64_t v : key) fnv.U64(static_cast<uint64_t>(v));
-  return fnv.hash();
+/// Hash of one row's join key over the integer-backed key columns; the row
+/// must have no NULL key. The same function hashes build and probe rows.
+uint64_t HashJoinKey(const DataChunk& chunk,
+                     const std::vector<int>& key_columns, size_t row) {
+  uint64_t hash = kFnv64Offset;
+  for (int column : key_columns) {
+    hash = HashKeyPart(
+        hash, false, chunk.columns[static_cast<size_t>(column)].i64[row]);
+  }
+  return hash;
+}
+
+/// True when any of the key columns is NULL at `row`.
+bool AnyKeyNull(const DataChunk& chunk, const std::vector<int>& key_columns,
+                size_t row) {
+  for (int column : key_columns) {
+    if (chunk.columns[static_cast<size_t>(column)].IsNull(row)) return true;
+  }
+  return false;
 }
 
 /// Chained hash table over the materialized build side of a join. Chains
@@ -51,6 +45,8 @@ uint64_t HashKey(const KeyTuple& key) {
 struct JoinHashTable {
   DataChunk rows;                 // Materialized build-side output.
   std::vector<int> key_columns;   // Build key columns within `rows`.
+  std::vector<uint64_t> hashes;   // row -> key hash (rows with a NULL key
+                                  // are never chained).
   std::vector<uint32_t> heads;    // bucket -> row index + 1 (0 = empty).
   std::vector<uint32_t> next;     // row -> next row in bucket + 1.
   uint64_t mask = 0;
@@ -61,14 +57,31 @@ struct JoinHashTable {
     mask = buckets - 1;
     heads.assign(buckets, 0);
     next.assign(rows.num_rows, 0);
-    KeyTuple key;
+    hashes.assign(rows.num_rows, 0);
     // Reverse insertion + head chaining = forward emission order.
     for (size_t r = rows.num_rows; r-- > 0;) {
-      if (!ExtractKey(rows, key_columns, r, &key)) continue;
-      const size_t bucket = HashKey(key) & mask;
+      if (AnyKeyNull(rows, key_columns, r)) continue;
+      hashes[r] = HashJoinKey(rows, key_columns, r);
+      const size_t bucket = hashes[r] & mask;
       next[r] = heads[bucket];
       heads[bucket] = static_cast<uint32_t>(r) + 1;
     }
+  }
+
+  /// True when build row `build_row` (chained, so its key is not NULL)
+  /// has the same key as non-NULL probe row `probe_row` of `probe`.
+  bool KeysEqual(size_t build_row, const DataChunk& probe,
+                 const std::vector<int>& probe_keys, size_t probe_row) const {
+    for (size_t k = 0; k < key_columns.size(); ++k) {
+      const ColumnVector& build_values =
+          rows.columns[static_cast<size_t>(key_columns[k])];
+      const ColumnVector& probe_values =
+          probe.columns[static_cast<size_t>(probe_keys[k])];
+      if (build_values.i64[build_row] != probe_values.i64[probe_row]) {
+        return false;
+      }
+    }
+    return true;
   }
 };
 
@@ -82,10 +95,221 @@ struct Accumulator {
   std::string min_max_str;
 };
 
+/// Groups of one hash aggregation, numbered in first-seen order. Group g's
+/// key is `keys[g * width, (g + 1) * width)`: a (null flag, value) pair per
+/// group-by column, where a NULL keeps value 0 so NULLs form one group.
 struct AggregationState {
-  std::unordered_map<KeyTuple, size_t, KeyTupleHash> group_index;
-  std::vector<KeyTuple> group_keys;            // Insertion order.
-  std::vector<std::vector<Accumulator>> accs;  // [group][aggregate].
+  size_t width = 0;
+  std::vector<int64_t> keys;
+  std::vector<uint64_t> hashes;                // group -> key hash.
+  std::vector<uint32_t> slots;                 // Open addressing: group + 1.
+  std::vector<std::vector<Accumulator>> accs;  // [aggregate][group].
+
+  AggregationState(size_t key_columns, size_t aggregates)
+      : width(2 * key_columns), slots(16, 0), accs(aggregates) {}
+
+  size_t num_groups() const { return hashes.size(); }
+
+  uint32_t AddGroup(uint64_t hash) {
+    const uint32_t group = static_cast<uint32_t>(num_groups());
+    hashes.push_back(hash);
+    keys.resize(keys.size() + width);
+    for (std::vector<Accumulator>& column : accs) column.emplace_back();
+    return group;
+  }
+
+  /// The group of `row`'s key over `group_by` (hash `hash`), added with a
+  /// copy of the key when it is new.
+  uint32_t FindOrAdd(const DataChunk& chunk, const std::vector<int>& group_by,
+                     size_t row, uint64_t hash) {
+    const uint64_t mask = slots.size() - 1;
+    for (uint64_t slot = hash & mask;; slot = (slot + 1) & mask) {
+      if (slots[slot] == 0) {
+        const uint32_t group = AddGroup(hash);
+        int64_t* key = keys.data() + group * width;
+        for (size_t k = 0; k < group_by.size(); ++k) {
+          const ColumnVector& values =
+              chunk.columns[static_cast<size_t>(group_by[k])];
+          key[2 * k] = values.null[row];
+          key[2 * k + 1] = values.i64[row];  // 0 when NULL.
+        }
+        slots[slot] = group + 1;
+        if (2 * num_groups() > slots.size()) Grow();
+        return group;
+      }
+      const uint32_t group = slots[slot] - 1;
+      if (hashes[group] == hash && KeyEquals(group, chunk, group_by, row)) {
+        return group;
+      }
+    }
+  }
+
+ private:
+  bool KeyEquals(uint32_t group, const DataChunk& chunk,
+                 const std::vector<int>& group_by, size_t row) const {
+    const int64_t* key = keys.data() + group * width;
+    for (size_t k = 0; k < group_by.size(); ++k) {
+      const ColumnVector& values =
+          chunk.columns[static_cast<size_t>(group_by[k])];
+      if (key[2 * k] != values.null[row] ||
+          key[2 * k + 1] != values.i64[row]) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  void Grow() {
+    slots.assign(slots.size() * 2, 0);
+    const uint64_t mask = slots.size() - 1;
+    for (size_t group = 0; group < num_groups(); ++group) {
+      uint64_t slot = hashes[group] & mask;
+      while (slots[slot] != 0) slot = (slot + 1) & mask;
+      slots[slot] = static_cast<uint32_t>(group) + 1;
+    }
+  }
+};
+
+/// Applies `fold(accumulator, value)` to every non-NULL row of `values`, in
+/// row order, with the accumulator of the row's group.
+template <typename T, typename Fold>
+void FoldValues(const std::vector<T>& values, const std::vector<uint8_t>& null,
+                const std::vector<uint32_t>& groups,
+                std::vector<Accumulator>* accs, Fold fold) {
+  for (size_t r = 0; r < groups.size(); ++r) {
+    if (null[r] == 0) fold(&(*accs)[groups[r]], values[r]);
+  }
+}
+
+int64_t& MinMaxSlot(Accumulator* acc, int64_t) { return acc->min_max_i64; }
+double& MinMaxSlot(Accumulator* acc, double) { return acc->min_max_f64; }
+std::string& MinMaxSlot(Accumulator* acc, const std::string&) {
+  return acc->min_max_str;
+}
+
+/// Folds one chunk's input column into one aggregate's accumulators;
+/// `groups[r]` is row r's group. NULL inputs are skipped.
+void UpdateAggregate(const AggregateSpec& spec, const DataChunk& chunk,
+                     const std::vector<uint32_t>& groups,
+                     std::vector<Accumulator>* accs) {
+  if (spec.fn == AggFunc::kCountStar) {
+    for (uint32_t group : groups) ++(*accs)[group].count;
+    return;
+  }
+  const ColumnVector& values = chunk.columns[static_cast<size_t>(spec.column)];
+  switch (spec.fn) {
+    case AggFunc::kCount:
+      for (size_t r = 0; r < groups.size(); ++r) {
+        if (values.null[r] == 0) ++(*accs)[groups[r]].count;
+      }
+      break;
+    case AggFunc::kSum: {
+      const auto add = [](Accumulator* acc, auto value) {
+        acc->sum += static_cast<double>(value);
+        acc->has_value = true;
+      };
+      if (values.type == ColumnType::kFloat64) {
+        FoldValues(values.f64, values.null, groups, accs, add);
+      } else {
+        FoldValues(values.i64, values.null, groups, accs, add);
+      }
+      break;
+    }
+    case AggFunc::kMin:
+    case AggFunc::kMax: {
+      const bool want_min = spec.fn == AggFunc::kMin;
+      const auto keep = [want_min](Accumulator* acc, const auto& value) {
+        auto& best = MinMaxSlot(acc, value);
+        if (!acc->has_value || (want_min ? value < best : value > best)) {
+          best = value;
+        }
+        acc->has_value = true;
+      };
+      switch (values.type) {
+        case ColumnType::kInt64:
+        case ColumnType::kDate:
+          FoldValues(values.i64, values.null, groups, accs, keep);
+          break;
+        case ColumnType::kFloat64:
+          FoldValues(values.f64, values.null, groups, accs, keep);
+          break;
+        case ColumnType::kString:
+          FoldValues(values.str, values.null, groups, accs, keep);
+          break;
+      }
+      break;
+    }
+    case AggFunc::kCountStar:
+      break;
+  }
+}
+
+/// Writes one aggregate's per-group results into the empty `column`. Sum,
+/// min and max of a group that saw no input are NULL, with the zero/empty
+/// placeholder.
+void EmitAggregate(const AggregateSpec& spec,
+                   const std::vector<Accumulator>& accs, ColumnVector* column) {
+  const size_t groups = accs.size();
+  column->null.assign(groups, 0);
+  if (spec.fn == AggFunc::kCountStar || spec.fn == AggFunc::kCount) {
+    column->i64.resize(groups);
+    for (size_t g = 0; g < groups; ++g) {
+      column->i64[g] = static_cast<int64_t>(accs[g].count);
+    }
+    return;
+  }
+  for (size_t g = 0; g < groups; ++g) {
+    column->null[g] = accs[g].has_value ? 0 : 1;
+  }
+  if (spec.fn == AggFunc::kSum) {
+    column->f64.resize(groups);
+    for (size_t g = 0; g < groups; ++g) {
+      column->f64[g] = accs[g].has_value ? accs[g].sum : 0.0;
+    }
+    return;
+  }
+  switch (column->type) {  // kMin / kMax.
+    case ColumnType::kInt64:
+    case ColumnType::kDate:
+      column->i64.resize(groups);
+      for (size_t g = 0; g < groups; ++g) {
+        column->i64[g] = accs[g].has_value ? accs[g].min_max_i64 : 0;
+      }
+      break;
+    case ColumnType::kFloat64:
+      column->f64.resize(groups);
+      for (size_t g = 0; g < groups; ++g) {
+        column->f64[g] = accs[g].has_value ? accs[g].min_max_f64 : 0.0;
+      }
+      break;
+    case ColumnType::kString:
+      column->str.resize(groups);
+      for (size_t g = 0; g < groups; ++g) {
+        if (accs[g].has_value) column->str[g] = accs[g].min_max_str;
+      }
+      break;
+  }
+}
+
+/// One sort key resolved for the comparator: raw pointers into the sort
+/// buffer, numeric keys read as doubles.
+struct SortColumn {
+  const uint8_t* null = nullptr;
+  const double* numeric = nullptr;      // int64/date/float64 keys.
+  const std::string* str = nullptr;     // String keys.
+  bool ascending = true;
+
+  /// -1/0/1 three-way compare of two rows; NULLs order after every value
+  /// (so they come last ascending, first descending).
+  int Compare(uint32_t a, uint32_t b) const {
+    if (null[a] != 0 || null[b] != 0) return null[a] - null[b];
+    if (str != nullptr) {
+      const int cmp = str[a].compare(str[b]);
+      return (cmp > 0) - (cmp < 0);
+    }
+    if (numeric[a] < numeric[b]) return -1;
+    return numeric[a] == numeric[b] ? 0 : 1;
+  }
 };
 
 struct NodeState {
@@ -94,81 +318,148 @@ struct NodeState {
   std::unique_ptr<DataChunk> sort_buffer;
   /// Breaker output (aggregate/sort), scanned by the consumer pipeline.
   std::unique_ptr<DataChunk> materialized;
+  /// A streaming operator's output buffer, reused for every morsel.
+  std::unique_ptr<DataChunk> output;
 };
 
-/// Reads morsels out of a base table or a materialized chunk.
+/// Copies rows [begin, end) of a storage column onto the end of `out`
+/// (same type): the null bitmap decoded once, then one typed value loop.
+/// NULL rows get the zero/empty placeholder whatever the storage slot holds.
+void AppendColumnRange(const Column& column, size_t begin, size_t end,
+                       ColumnVector* out) {
+  const size_t base = out->size();
+  const size_t n = end - begin;
+  const std::vector<uint64_t>& words = column.null_words();
+  out->null.resize(base + n);
+  uint8_t* null = out->null.data() + base;
+  for (size_t i = 0; i < n; ++i) {
+    const size_t row = begin + i;
+    null[i] = static_cast<uint8_t>((words[row >> 6] >> (row & 63)) & 1);
+  }
+  switch (column.type()) {
+    case ColumnType::kInt64:
+    case ColumnType::kDate: {
+      out->i64.resize(base + n);
+      int64_t* values = out->i64.data() + base;
+      for (size_t i = 0; i < n; ++i) {
+        values[i] = null[i] != 0 ? 0 : column.Int64At(begin + i);
+      }
+      break;
+    }
+    case ColumnType::kFloat64: {
+      out->f64.resize(base + n);
+      double* values = out->f64.data() + base;
+      for (size_t i = 0; i < n; ++i) {
+        values[i] = null[i] != 0 ? 0.0 : column.Float64At(begin + i);
+      }
+      break;
+    }
+    case ColumnType::kString:
+      out->str.reserve(base + n);
+      for (size_t i = 0; i < n; ++i) {
+        if (null[i] != 0) {
+          out->str.emplace_back();
+        } else {
+          out->str.push_back(column.StringAt(begin + i));
+        }
+      }
+      break;
+  }
+}
+
+/// Reads morsels out of a base table or a materialized chunk into one
+/// buffer that every morsel of the pipeline reuses.
 class Source {
  public:
   Source(const Table* table, const std::vector<int>* columns,
-         const DataChunk* chunk, const std::vector<ColumnType>* schema)
-      : table_(table), columns_(columns), chunk_(chunk), schema_(schema) {}
+         const DataChunk* chunk, const std::vector<ColumnType>& schema)
+      : table_(table), columns_(columns), chunk_(chunk), morsel_(schema) {}
 
   size_t total_rows() const {
     return table_ != nullptr ? table_->num_rows() : chunk_->num_rows;
   }
 
-  /// Fills `out` with the next morsel; false at end of input.
-  bool Next(DataChunk* out) {
+  /// The next morsel, valid until the following call; nullptr at end of
+  /// input.
+  const DataChunk* Next() {
     const size_t total = total_rows();
-    if (offset_ >= total) return false;
+    if (offset_ >= total) return nullptr;
     const size_t end = std::min(total, offset_ + kMorselRows);
-    *out = DataChunk(*schema_);
+    morsel_.Clear();
     if (table_ != nullptr) {
       for (size_t c = 0; c < columns_->size(); ++c) {
-        const Column& column =
-            table_->column(static_cast<size_t>((*columns_)[c]));
-        ColumnVector& values = out->columns[c];
-        for (size_t r = offset_; r < end; ++r) {
-          if (column.IsNull(r)) {
-            values.AppendNull();
-            continue;
-          }
-          switch (column.type()) {
-            case ColumnType::kInt64:
-            case ColumnType::kDate:
-              values.AppendInt64(column.Int64At(r));
-              break;
-            case ColumnType::kFloat64:
-              values.AppendFloat64(column.Float64At(r));
-              break;
-            case ColumnType::kString:
-              values.AppendString(column.StringAt(r));
-              break;
-          }
-        }
+        AppendColumnRange(table_->column(static_cast<size_t>((*columns_)[c])),
+                          offset_, end, &morsel_.columns[c]);
       }
+      morsel_.num_rows = end - offset_;
     } else {
-      for (size_t r = offset_; r < end; ++r) out->AppendRowFrom(*chunk_, r);
+      morsel_.AppendRange(*chunk_, offset_, end);
     }
-    out->num_rows = end - offset_;
     offset_ = end;
-    return true;
+    return &morsel_;
   }
 
  private:
   const Table* table_;
   const std::vector<int>* columns_;
   const DataChunk* chunk_;
-  const std::vector<ColumnType>* schema_;
+  DataChunk morsel_;
   size_t offset_ = 0;
 };
 
-bool PredicatePasses(double value, const FilterPredicate& predicate) {
+/// Keeps the entries of `sel` whose row of `values` is not NULL and passes
+/// `value <cmp> constant`; the survivors stay in order. Returns their count.
+template <typename T, typename Cmp>
+size_t RefineSelection(const std::vector<T>& values,
+                       const std::vector<uint8_t>& null, double constant,
+                       Cmp cmp, std::vector<uint32_t>* sel) {
+  uint32_t* rows = sel->data();
+  size_t kept = 0;
+  for (size_t i = 0; i < sel->size(); ++i) {
+    const uint32_t row = rows[i];
+    const bool pass =
+        null[row] == 0 && cmp(static_cast<double>(values[row]), constant);
+    rows[kept] = row;
+    kept += pass ? 1 : 0;
+  }
+  return kept;
+}
+
+/// Narrows `sel` to the rows of `chunk` that pass `predicate` (NULL never
+/// passes). The comparison is done in double, int64/date values cast.
+void ApplyPredicate(const DataChunk& chunk, const FilterPredicate& predicate,
+                    std::vector<uint32_t>* sel) {
+  const ColumnVector& values =
+      chunk.columns[static_cast<size_t>(predicate.column)];
+  const auto refine = [&](auto cmp) {
+    return values.type == ColumnType::kFloat64
+               ? RefineSelection(values.f64, values.null, predicate.constant,
+                                 cmp, sel)
+               : RefineSelection(values.i64, values.null, predicate.constant,
+                                 cmp, sel);
+  };
+  size_t kept = 0;
   switch (predicate.cmp) {
     case CompareOp::kLt:
-      return value < predicate.constant;
+      kept = refine([](double v, double c) { return v < c; });
+      break;
     case CompareOp::kLe:
-      return value <= predicate.constant;
+      kept = refine([](double v, double c) { return v <= c; });
+      break;
     case CompareOp::kGt:
-      return value > predicate.constant;
+      kept = refine([](double v, double c) { return v > c; });
+      break;
     case CompareOp::kGe:
-      return value >= predicate.constant;
+      kept = refine([](double v, double c) { return v >= c; });
+      break;
     case CompareOp::kEq:
-      return value == predicate.constant;
+      kept = refine([](double v, double c) { return v == c; });
+      break;
     case CompareOp::kNe:
-      return value != predicate.constant;
+      kept = refine([](double v, double c) { return v != c; });
+      break;
   }
-  return false;
+  sel->resize(kept);
 }
 
 /// Execution of one plan; holds all per-query state.
@@ -229,26 +520,29 @@ class Run {
       T3_CHECK(materialized != nullptr);  // Topological pipeline order.
     }
     Source source(table, &source_node.columns, materialized,
-                  &Schema(source_id));
+                  Schema(source_id));
 
     const int sink_id = pipeline.sink();
     InitSink(pipeline, sink_id);
 
-    // Reset per-pipeline limit counters.
-    for (int id : pipeline.nodes) {
+    // Reset per-pipeline limit counters; give each streaming operator the
+    // output buffer it reuses for every morsel.
+    for (size_t n = 1; n + 1 < pipeline.nodes.size(); ++n) {
+      const int id = pipeline.nodes[n];
       if (Node(id).op == PlanOp::kLimit) {
         limit_remaining_[id] = Node(id).limit;
       }
+      State(id).output = std::make_unique<DataChunk>(Schema(id));
     }
 
-    DataChunk chunk;
     bool stop = false;
-    while (!stop && source.Next(&chunk)) {
+    const DataChunk* chunk = nullptr;
+    while (!stop && (chunk = source.Next()) != nullptr) {
       ++stats.morsels;
-      stats.source_rows += chunk.num_rows;
+      stats.source_rows += chunk->num_rows;
       if (source_node.op == PlanOp::kScan) {
-        Stats(source_id).rows_in += chunk.num_rows;
-        Stats(source_id).rows_out += chunk.num_rows;
+        Stats(source_id).rows_in += chunk->num_rows;
+        Stats(source_id).rows_out += chunk->num_rows;
       }
       // Stream through the chain; the last node is the sink. A limit that
       // exhausts mid-chain sets `stop` but its truncated chunk still flows
@@ -257,12 +551,12 @@ class Run {
         const int id = pipeline.nodes[n];
         const bool is_sink = n + 1 == pipeline.nodes.size();
         if (is_sink) {
-          AbsorbIntoSink(pipeline, id, chunk);
+          AbsorbIntoSink(pipeline, id, *chunk);
           break;
         }
         Status status = Transform(id, &chunk, &stop);
         if (!status.ok()) return status;
-        if (chunk.num_rows == 0) break;  // Nothing left for this morsel.
+        if (chunk->num_rows == 0) break;  // Nothing left for this morsel.
       }
     }
 
@@ -281,7 +575,8 @@ class Run {
       state.join->rows = DataChunk(Schema(sink.right));
       state.join->key_columns = sink.right_keys;
     } else if (sink.op == PlanOp::kHashAggregate) {
-      state.agg = std::make_unique<AggregationState>();
+      state.agg = std::make_unique<AggregationState>(sink.group_by.size(),
+                                                     sink.aggregates.size());
     } else if (sink.op == PlanOp::kSort) {
       state.sort_buffer = std::make_unique<DataChunk>(Schema(sink_id));
     } else if (sink.op == PlanOp::kOutput &&
@@ -296,27 +591,18 @@ class Run {
     OperatorStats& stats = Stats(sink_id);
     stats.rows_in += chunk.num_rows;
     if (pipeline.builds_hash_table) {
-      DataChunk& rows = State(sink_id).join->rows;
-      for (size_t r = 0; r < chunk.num_rows; ++r) {
-        rows.AppendRowFrom(chunk, r);
-      }
+      State(sink_id).join->rows.AppendRange(chunk, 0, chunk.num_rows);
       return;
     }
     switch (sink.op) {
       case PlanOp::kHashAggregate:
         AccumulateGroups(sink_id, chunk);
         break;
-      case PlanOp::kSort: {
-        DataChunk& buffer = *State(sink_id).sort_buffer;
-        for (size_t r = 0; r < chunk.num_rows; ++r) {
-          buffer.AppendRowFrom(chunk, r);
-        }
+      case PlanOp::kSort:
+        State(sink_id).sort_buffer->AppendRange(chunk, 0, chunk.num_rows);
         break;
-      }
       case PlanOp::kOutput:
-        for (size_t r = 0; r < chunk.num_rows; ++r) {
-          ea_.result.AppendRowFrom(chunk, r);
-        }
+        ea_.result.AppendRange(chunk, 0, chunk.num_rows);
         stats.rows_out += chunk.num_rows;
         break;
       default:
@@ -343,77 +629,50 @@ class Run {
     return Status::OK();
   }
 
-  /// Applies a streaming operator in place. Sets `stop` when a limit is
-  /// exhausted (the pipeline stops fetching morsels).
-  Status Transform(int id, DataChunk* chunk, bool* stop) {
+  /// Applies a streaming operator to `*chunk` and points it at the result:
+  /// the operator's own output buffer, or the input itself when every row
+  /// passes unchanged. Sets `stop` when a limit is exhausted (the pipeline
+  /// stops fetching morsels).
+  Status Transform(int id, const DataChunk** chunk, bool* stop) {
     const PlanNode& node = Node(id);
     OperatorStats& stats = Stats(id);
-    stats.rows_in += chunk->num_rows;
+    const DataChunk& in = **chunk;
+    DataChunk& out = *State(id).output;
+    stats.rows_in += in.num_rows;
     switch (node.op) {
       case PlanOp::kFilter: {
-        DataChunk out(Schema(id));
-        for (size_t r = 0; r < chunk->num_rows; ++r) {
-          bool pass = true;
-          for (const FilterPredicate& predicate : node.predicates) {
-            const ColumnVector& values =
-                chunk->columns[static_cast<size_t>(predicate.column)];
-            if (values.IsNull(r) ||
-                !PredicatePasses(values.NumericAt(r), predicate)) {
-              pass = false;
-              break;
-            }
-          }
-          if (pass) out.AppendRowFrom(*chunk, r);
+        sel_.resize(in.num_rows);
+        std::iota(sel_.begin(), sel_.end(), 0u);
+        for (const FilterPredicate& predicate : node.predicates) {
+          ApplyPredicate(in, predicate, &sel_);
         }
-        *chunk = std::move(out);
+        if (sel_.size() < in.num_rows) {
+          out.Clear();
+          out.Gather(in, sel_);
+          *chunk = &out;
+        }
         break;
       }
       case PlanOp::kProject: {
-        DataChunk out(Schema(id));
         for (size_t c = 0; c < node.columns.size(); ++c) {
-          out.columns[c] =
-              chunk->columns[static_cast<size_t>(node.columns[c])];
+          out.columns[c] = in.columns[static_cast<size_t>(node.columns[c])];
         }
-        out.num_rows = chunk->num_rows;
-        *chunk = std::move(out);
+        out.num_rows = in.num_rows;
+        *chunk = &out;
         break;
       }
       case PlanOp::kHashJoin: {
-        const JoinHashTable& join = *State(id).join;
-        DataChunk out(Schema(id));
-        KeyTuple probe_key;
-        KeyTuple build_key;
-        for (size_t r = 0; r < chunk->num_rows; ++r) {
-          if (!ExtractKey(*chunk, node.left_keys, r, &probe_key)) continue;
-          const size_t bucket = HashKey(probe_key) & join.mask;
-          for (uint32_t slot = join.heads[bucket]; slot != 0;
-               slot = join.next[slot - 1]) {
-            const size_t build_row = slot - 1;
-            ExtractKey(join.rows, join.key_columns, build_row, &build_key);
-            if (build_key != probe_key) continue;
-            // Emit probe columns then build columns.
-            for (size_t c = 0; c < chunk->columns.size(); ++c) {
-              out.columns[c].AppendFrom(chunk->columns[c], r);
-            }
-            for (size_t c = 0; c < join.rows.columns.size(); ++c) {
-              out.columns[chunk->columns.size() + c].AppendFrom(
-                  join.rows.columns[c], build_row);
-            }
-            ++out.num_rows;
-          }
-        }
-        *chunk = std::move(out);
+        ProbeJoin(node, *State(id).join, in, &out);
+        *chunk = &out;
         break;
       }
       case PlanOp::kLimit: {
         int64_t& remaining = limit_remaining_[id];
-        const int64_t rows = static_cast<int64_t>(chunk->num_rows);
+        const int64_t rows = static_cast<int64_t>(in.num_rows);
         if (rows >= remaining) {
-          DataChunk out(Schema(id));
-          for (int64_t r = 0; r < remaining; ++r) {
-            out.AppendRowFrom(*chunk, static_cast<size_t>(r));
-          }
-          *chunk = std::move(out);
+          out.Clear();
+          out.AppendRange(in, 0, static_cast<size_t>(remaining));
+          *chunk = &out;
           remaining = 0;
           *stop = true;
         } else {
@@ -426,167 +685,137 @@ class Run {
             StrFormat("node %d (%s) is not a streaming operator", id,
                       PlanOpName(node.op)));
     }
-    stats.rows_out += chunk->num_rows;
+    stats.rows_out += (*chunk)->num_rows;
     return Status::OK();
   }
 
+  /// Emits the matches of every probe row of `in` into `out`, probe columns
+  /// then build columns: probe rows in order, each one's matching build
+  /// rows ascending. Rows with a NULL key never match.
+  void ProbeJoin(const PlanNode& node, const JoinHashTable& join,
+                 const DataChunk& in, DataChunk* out) {
+    sel_.clear();
+    build_sel_.clear();
+    for (size_t r = 0; r < in.num_rows; ++r) {
+      if (AnyKeyNull(in, node.left_keys, r)) continue;
+      const uint64_t hash = HashJoinKey(in, node.left_keys, r);
+      for (uint32_t slot = join.heads[hash & join.mask]; slot != 0;
+           slot = join.next[slot - 1]) {
+        const size_t build_row = slot - 1;
+        if (join.hashes[build_row] != hash ||
+            !join.KeysEqual(build_row, in, node.left_keys, r)) {
+          continue;
+        }
+        sel_.push_back(static_cast<uint32_t>(r));
+        build_sel_.push_back(static_cast<uint32_t>(build_row));
+      }
+    }
+    out->Clear();
+    const size_t probe_columns = in.columns.size();
+    for (size_t c = 0; c < probe_columns; ++c) {
+      out->columns[c].Gather(in.columns[c], sel_);
+    }
+    for (size_t c = 0; c < join.rows.columns.size(); ++c) {
+      out->columns[probe_columns + c].Gather(join.rows.columns[c],
+                                             build_sel_);
+    }
+    out->num_rows = sel_.size();
+  }
+
+  /// Assigns every row of `chunk` its group (first-seen order), then folds
+  /// the chunk into each aggregate's accumulators, one aggregate at a time.
   void AccumulateGroups(int id, const DataChunk& chunk) {
     const PlanNode& node = Node(id);
     AggregationState& agg = *State(id).agg;
-    KeyTuple key;
-    for (size_t r = 0; r < chunk.num_rows; ++r) {
-      ExtractKey(chunk, node.group_by, r, &key);  // NULLs group together.
-      auto [it, inserted] = agg.group_index.try_emplace(key,
-                                                        agg.group_keys.size());
-      if (inserted) {
-        agg.group_keys.push_back(key);
-        agg.accs.emplace_back(node.aggregates.size());
-      }
-      std::vector<Accumulator>& accs = agg.accs[it->second];
-      for (size_t a = 0; a < node.aggregates.size(); ++a) {
-        UpdateAccumulator(node.aggregates[a], chunk, r, &accs[a]);
-      }
-    }
-  }
-
-  static void UpdateAccumulator(const AggregateSpec& spec,
-                                const DataChunk& chunk, size_t row,
-                                Accumulator* acc) {
-    if (spec.fn == AggFunc::kCountStar) {
-      ++acc->count;
-      return;
-    }
-    const ColumnVector& values =
-        chunk.columns[static_cast<size_t>(spec.column)];
-    if (values.IsNull(row)) return;  // NULL inputs are skipped.
-    switch (spec.fn) {
-      case AggFunc::kCount:
-        ++acc->count;
-        break;
-      case AggFunc::kSum:
-        acc->sum += values.NumericAt(row);
-        acc->has_value = true;
-        break;
-      case AggFunc::kMin:
-      case AggFunc::kMax: {
-        const bool want_min = spec.fn == AggFunc::kMin;
-        if (values.type == ColumnType::kString) {
-          const std::string& v = values.str[row];
-          if (!acc->has_value || (want_min ? v < acc->min_max_str
-                                           : v > acc->min_max_str)) {
-            acc->min_max_str = v;
-          }
-        } else if (values.type == ColumnType::kFloat64) {
-          const double v = values.f64[row];
-          if (!acc->has_value || (want_min ? v < acc->min_max_f64
-                                           : v > acc->min_max_f64)) {
-            acc->min_max_f64 = v;
-          }
-        } else {
-          const int64_t v = values.i64[row];
-          if (!acc->has_value || (want_min ? v < acc->min_max_i64
-                                           : v > acc->min_max_i64)) {
-            acc->min_max_i64 = v;
-          }
+    sel_.resize(chunk.num_rows);
+    if (node.group_by.empty()) {
+      if (agg.num_groups() == 0 && chunk.num_rows > 0) agg.AddGroup(0);
+      std::fill(sel_.begin(), sel_.end(), 0);
+    } else {
+      key_hashes_.assign(chunk.num_rows, kFnv64Offset);
+      for (int column : node.group_by) {
+        const ColumnVector& values = chunk.columns[static_cast<size_t>(column)];
+        for (size_t r = 0; r < chunk.num_rows; ++r) {
+          key_hashes_[r] =
+              HashKeyPart(key_hashes_[r], values.null[r] != 0, values.i64[r]);
         }
-        acc->has_value = true;
-        break;
       }
-      case AggFunc::kCountStar:
-        break;
+      for (size_t r = 0; r < chunk.num_rows; ++r) {
+        sel_[r] = agg.FindOrAdd(chunk, node.group_by, r, key_hashes_[r]);
+      }
+    }
+    for (size_t a = 0; a < node.aggregates.size(); ++a) {
+      UpdateAggregate(node.aggregates[a], chunk, sel_, &agg.accs[a]);
     }
   }
 
+  /// Writes one row per group, first-seen order: the group keys, then
+  /// each aggregate's results, one column at a time.
   void MaterializeGroups(int id) {
     const PlanNode& node = Node(id);
     AggregationState& agg = *State(id).agg;
     // Global aggregation produces its single group even on empty input.
-    if (node.group_by.empty() && agg.group_keys.empty()) {
-      agg.group_keys.emplace_back();
-      agg.accs.emplace_back(node.aggregates.size());
-    }
+    if (node.group_by.empty() && agg.num_groups() == 0) agg.AddGroup(0);
+    const size_t groups = agg.num_groups();
     auto out = std::make_unique<DataChunk>(Schema(id));
-    for (size_t g = 0; g < agg.group_keys.size(); ++g) {
-      const KeyTuple& key = agg.group_keys[g];
-      for (size_t k = 0; k < node.group_by.size(); ++k) {
-        ColumnVector& column = out->columns[k];
-        if (key[2 * k] != 0) {
-          column.AppendNull();
-        } else {
-          column.AppendInt64(key[2 * k + 1]);
-        }
+    for (size_t k = 0; k < node.group_by.size(); ++k) {
+      ColumnVector& column = out->columns[k];
+      column.null.resize(groups);
+      column.i64.resize(groups);
+      for (size_t g = 0; g < groups; ++g) {
+        const int64_t* key = agg.keys.data() + g * agg.width + 2 * k;
+        column.null[g] = static_cast<uint8_t>(key[0]);
+        column.i64[g] = key[1];  // 0 when NULL.
       }
-      for (size_t a = 0; a < node.aggregates.size(); ++a) {
-        const AggregateSpec& spec = node.aggregates[a];
-        const Accumulator& acc = agg.accs[g][a];
-        ColumnVector& column = out->columns[node.group_by.size() + a];
-        switch (spec.fn) {
-          case AggFunc::kCountStar:
-          case AggFunc::kCount:
-            column.AppendInt64(static_cast<int64_t>(acc.count));
-            break;
-          case AggFunc::kSum:
-            if (acc.has_value) {
-              column.AppendFloat64(acc.sum);
-            } else {
-              column.AppendNull();
-            }
-            break;
-          case AggFunc::kMin:
-          case AggFunc::kMax:
-            if (!acc.has_value) {
-              column.AppendNull();
-            } else if (column.type == ColumnType::kString) {
-              column.AppendString(acc.min_max_str);
-            } else if (column.type == ColumnType::kFloat64) {
-              column.AppendFloat64(acc.min_max_f64);
-            } else {
-              column.AppendInt64(acc.min_max_i64);
-            }
-            break;
-        }
-      }
-      ++out->num_rows;
     }
+    for (size_t a = 0; a < node.aggregates.size(); ++a) {
+      EmitAggregate(node.aggregates[a], agg.accs[a],
+                    &out->columns[node.group_by.size() + a]);
+    }
+    out->num_rows = groups;
     State(id).materialized = std::move(out);
   }
 
+  /// Stable sort of the buffered rows: a uint32_t row order sorted on the
+  /// resolved keys, then one gather.
   void MaterializeSorted(int id) {
     const PlanNode& node = Node(id);
     DataChunk& buffer = *State(id).sort_buffer;
-    std::vector<size_t> order(buffer.num_rows);
-    for (size_t r = 0; r < order.size(); ++r) order[r] = r;
-    std::stable_sort(
-        order.begin(), order.end(), [&](size_t a, size_t b) {
-          for (const SortKey& key : node.sort_keys) {
-            const ColumnVector& values =
-                buffer.columns[static_cast<size_t>(key.column)];
-            const int cmp = CompareRows(values, a, b);
-            if (cmp != 0) return key.ascending ? cmp < 0 : cmp > 0;
-          }
-          return false;
-        });
+    std::vector<std::vector<double>> casts;  // int64/date keys as doubles.
+    casts.reserve(node.sort_keys.size());
+    std::vector<SortColumn> keys;
+    for (const SortKey& key : node.sort_keys) {
+      const ColumnVector& values =
+          buffer.columns[static_cast<size_t>(key.column)];
+      SortColumn column;
+      column.null = values.null.data();
+      column.ascending = key.ascending;
+      if (values.type == ColumnType::kString) {
+        column.str = values.str.data();
+      } else if (values.type == ColumnType::kFloat64) {
+        column.numeric = values.f64.data();
+      } else {
+        casts.emplace_back(values.i64.begin(), values.i64.end());
+        column.numeric = casts.back().data();
+      }
+      keys.push_back(column);
+    }
+    std::vector<uint32_t> order(buffer.num_rows);
+    std::iota(order.begin(), order.end(), 0u);
+    std::stable_sort(order.begin(), order.end(),
+                     [&keys](uint32_t a, uint32_t b) {
+                       for (const SortColumn& key : keys) {
+                         const int cmp = key.Compare(a, b);
+                         if (cmp != 0) {
+                           return key.ascending ? cmp < 0 : cmp > 0;
+                         }
+                       }
+                       return false;
+                     });
     auto out = std::make_unique<DataChunk>(Schema(id));
-    for (size_t r : order) out->AppendRowFrom(buffer, r);
+    out->Gather(buffer, order);
     State(id).materialized = std::move(out);
     State(id).sort_buffer.reset();
-  }
-
-  /// -1/0/1 three-way compare of two rows of one column; NULLs order after
-  /// every value (so they come last ascending, first descending).
-  static int CompareRows(const ColumnVector& values, size_t a, size_t b) {
-    const bool null_a = values.IsNull(a);
-    const bool null_b = values.IsNull(b);
-    if (null_a || null_b) return (null_a ? 1 : 0) - (null_b ? 1 : 0);
-    if (values.type == ColumnType::kString) {
-      return values.str[a].compare(values.str[b]) < 0
-                 ? -1
-                 : (values.str[a] == values.str[b] ? 0 : 1);
-    }
-    const double va = values.NumericAt(a);
-    const double vb = values.NumericAt(b);
-    if (va < vb) return -1;
-    return va == vb ? 0 : 1;
   }
 
   const Catalog& catalog_;
@@ -595,6 +824,12 @@ class Run {
   PipelineDecomposition decomposition_;
   std::vector<NodeState> states_;
   std::unordered_map<int, int64_t> limit_remaining_;
+  // Selection vectors reused across morsels: filter survivors, a join
+  // probe's (probe row, build row) match pairs, and an aggregate input's
+  // group ids and key hashes.
+  std::vector<uint32_t> sel_;
+  std::vector<uint32_t> build_sel_;
+  std::vector<uint64_t> key_hashes_;
   ExplainAnalyze ea_;
 };
 

@@ -1,8 +1,9 @@
 // Cross-checks the vectorized executor against scalar reference
-// computations: NULL semantics on a hand-built table, filter/aggregate and
-// join/sort queries over generated datagen instances, and the
-// ExplainAnalyze invariants (per-pipeline times sum to ~total, operator
-// tuple counts match the data).
+// computations: NULL semantics on a hand-built table, strings and NULLs
+// through every copying operator, filter/aggregate and join/sort queries
+// over generated datagen instances, and the ExplainAnalyze invariants
+// (per-pipeline times sum to ~total, operator tuple counts match the data).
+// A digest over the generator's full query mix pins results bit for bit.
 
 #include <algorithm>
 #include <cmath>
@@ -17,9 +18,12 @@
 
 #include "datagen/generator.h"
 #include "datagen/spec.h"
+#include "common/hash.h"
 #include "engine/executor.h"
 #include "plan/pipeline.h"
 #include "plan/plan.h"
+#include "querygen/querygen.h"
+#include "querygen/suites.h"
 #include "storage/catalog.h"
 
 namespace t3 {
@@ -141,6 +145,239 @@ TEST(EngineTest, JoinSkipsNullKeysOnBothSides) {
   // NULL keys never match: rows 0, 2, 3 of fact match, NULLs drop out.
   EXPECT_EQ(run->result_rows(), 3u);
   EXPECT_EQ(run->operators[static_cast<size_t>(join)].rows_out, 3u);
+}
+
+/// One value of a hand-built string/NULL table, for scalar references.
+struct RefCell {
+  bool null = false;
+  int64_t i64 = 0;
+  double f64 = 0.0;
+  std::string str;
+};
+
+RefCell CellAt(const Column& column, size_t row) {
+  RefCell cell;
+  cell.null = column.IsNull(row);
+  if (cell.null) return cell;
+  switch (column.type()) {
+    case ColumnType::kInt64:
+    case ColumnType::kDate:
+      cell.i64 = column.Int64At(row);
+      break;
+    case ColumnType::kFloat64:
+      cell.f64 = column.Float64At(row);
+      break;
+    case ColumnType::kString:
+      cell.str = column.StringAt(row);
+      break;
+  }
+  return cell;
+}
+
+/// Asserts that row `row` of `got` holds `want`, including the zero/empty
+/// placeholder a NULL row carries.
+void ExpectCell(const ColumnVector& got, size_t row, const RefCell& want) {
+  ASSERT_EQ(got.IsNull(row), want.null) << row;
+  switch (got.type) {
+    case ColumnType::kInt64:
+    case ColumnType::kDate:
+      EXPECT_EQ(got.i64[row], want.i64) << row;
+      break;
+    case ColumnType::kFloat64:
+      EXPECT_EQ(got.f64[row], want.f64) << row;
+      break;
+    case ColumnType::kString:
+      EXPECT_EQ(got.str[row], want.str) << row;
+      break;
+  }
+}
+
+/// fact(k int64, s string, v float64) over several morsels and
+/// dim(k int64, name string) with a duplicate and a NULL key. Both string
+/// columns hold NULLs and empty strings.
+Catalog StringCatalog() {
+  constexpr size_t kFactRows = 2500;
+  Catalog catalog;
+  Table& fact = catalog.AddTable("fact");
+  Column& k = fact.AddColumn("k", ColumnType::kInt64);
+  for (size_t i = 0; i < kFactRows; ++i) {
+    if (i % 11 == 0) {
+      k.AppendNull();
+    } else {
+      k.AppendInt64(static_cast<int64_t>(i % 7));
+    }
+  }
+  Column& s = fact.AddColumn("s", ColumnType::kString);
+  for (size_t i = 0; i < kFactRows; ++i) {
+    if (i % 5 == 0) {
+      s.AppendNull();
+    } else if (i % 3 == 0) {
+      s.AppendString("");
+    } else {
+      s.AppendString("s" + std::to_string(i % 13));
+    }
+  }
+  Column& v = fact.AddColumn("v", ColumnType::kFloat64);
+  for (size_t i = 0; i < kFactRows; ++i) {
+    if (i % 17 == 0) {
+      v.AppendNull();
+    } else {
+      v.AppendFloat64(static_cast<double>(i % 100) * 0.5);
+    }
+  }
+  Table& dim = catalog.AddTable("dim");
+  Column& d_k = dim.AddColumn("k", ColumnType::kInt64);
+  for (int64_t key : {0, 1, 2, 3, 2, 5, -1}) {
+    if (key < 0) {
+      d_k.AppendNull();
+    } else {
+      d_k.AppendInt64(key);
+    }
+  }
+  Column& name = dim.AddColumn("name", ColumnType::kString);
+  name.AppendString("zero");
+  name.AppendNull();
+  name.AppendString("");
+  name.AppendString("three");
+  name.AppendString("two-b");
+  name.AppendNull();
+  name.AppendString("orphan");
+  return catalog;
+}
+
+/// Scalar reference for scan(fact) -> filter(v < threshold) ->
+/// join(fact.k = dim.k): probe rows in order, build rows ascending.
+std::vector<std::vector<RefCell>> ReferenceJoin(const Catalog& catalog,
+                                                double threshold) {
+  const Table& fact = **catalog.FindTable("fact");
+  const Table& dim = **catalog.FindTable("dim");
+  std::vector<std::vector<RefCell>> rows;
+  for (size_t f = 0; f < fact.num_rows(); ++f) {
+    const RefCell v = CellAt(fact.column(2), f);
+    if (v.null || !(v.f64 < threshold)) continue;
+    const RefCell key = CellAt(fact.column(0), f);
+    if (key.null) continue;
+    for (size_t d = 0; d < dim.num_rows(); ++d) {
+      const RefCell build_key = CellAt(dim.column(0), d);
+      if (build_key.null || build_key.i64 != key.i64) continue;
+      rows.push_back({CellAt(fact.column(0), f), CellAt(fact.column(1), f), v,
+                      build_key, CellAt(dim.column(1), d)});
+    }
+  }
+  return rows;
+}
+
+TEST(EngineTest, StringsAndNullsFlowThroughEveryOperator) {
+  const Catalog catalog = StringCatalog();
+  constexpr double kThreshold = 40.0;
+  constexpr int64_t kLimit = 300;
+  std::vector<std::vector<RefCell>> expected =
+      ReferenceJoin(catalog, kThreshold);
+  ASSERT_GT(expected.size(), static_cast<size_t>(kLimit));
+
+  // Sort by dim.name ascending, then fact.s descending; NULLs after every
+  // value ascending and before it descending; ties keep input order.
+  auto compare = [](const RefCell& a, const RefCell& b) {
+    if (a.null || b.null) return (a.null ? 1 : 0) - (b.null ? 1 : 0);
+    return a.str < b.str ? -1 : (a.str == b.str ? 0 : 1);
+  };
+  std::stable_sort(expected.begin(), expected.end(),
+                   [&](const std::vector<RefCell>& a,
+                       const std::vector<RefCell>& b) {
+                     const int by_name = compare(a[4], b[4]);
+                     if (by_name != 0) return by_name < 0;
+                     return compare(a[1], b[1]) > 0;
+                   });
+  expected.resize(static_cast<size_t>(kLimit));
+
+  PlanBuilder builder(&catalog);
+  const int probe = *builder.Scan("fact");
+  const int filter =
+      *builder.Filter(probe, {{2, CompareOp::kLt, kThreshold}});
+  const int build = *builder.Scan("dim");
+  const int join = *builder.HashJoin(filter, build, {0}, {0});
+  const int sort = *builder.Sort(join, {{4, true}, {1, false}});
+  const int limit = *builder.Limit(sort, kLimit);
+  const PhysicalPlan plan = *builder.Output(limit);
+
+  const Executor executor(catalog);
+  Result<ExplainAnalyze> run = executor.Execute(plan);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const DataChunk& result = run->result;
+  ASSERT_EQ(result.num_rows, expected.size());
+  ASSERT_EQ(result.columns.size(), 5u);
+  for (size_t c = 0; c < result.columns.size(); ++c) {
+    SCOPED_TRACE(c);
+    ASSERT_EQ(result.columns[c].size(), result.num_rows);
+    for (size_t r = 0; r < result.num_rows; ++r) {
+      ExpectCell(result.columns[c], r, expected[r][c]);
+    }
+  }
+}
+
+TEST(EngineTest, StringMinMaxMatchesScalarReference) {
+  const Catalog catalog = StringCatalog();
+  constexpr double kThreshold = 1e9;  // Keeps every non-NULL v.
+  const std::vector<std::vector<RefCell>> joined =
+      ReferenceJoin(catalog, kThreshold);
+
+  // Groups on fact.k in first-seen order; min/max skip NULL inputs and
+  // yield NULL for a group that saw none.
+  struct RefGroup {
+    int64_t key = 0;
+    std::optional<std::string> min_s, max_s, min_name, max_name;
+  };
+  std::vector<RefGroup> expected;
+  auto fold = [](const RefCell& cell, std::optional<std::string>* min,
+                 std::optional<std::string>* max) {
+    if (cell.null) return;
+    if (!min->has_value() || cell.str < **min) *min = cell.str;
+    if (!max->has_value() || cell.str > **max) *max = cell.str;
+  };
+  for (const std::vector<RefCell>& row : joined) {
+    auto it = std::find_if(expected.begin(), expected.end(),
+                           [&](const RefGroup& g) {
+                             return g.key == row[0].i64;
+                           });
+    if (it == expected.end()) {
+      expected.push_back(RefGroup{row[0].i64, {}, {}, {}, {}});
+      it = expected.end() - 1;
+    }
+    fold(row[1], &it->min_s, &it->max_s);
+    fold(row[4], &it->min_name, &it->max_name);
+  }
+
+  PlanBuilder builder(&catalog);
+  const int probe = *builder.Scan("fact");
+  const int filter =
+      *builder.Filter(probe, {{2, CompareOp::kLt, kThreshold}});
+  const int build = *builder.Scan("dim");
+  const int join = *builder.HashJoin(filter, build, {0}, {0});
+  const int agg = *builder.HashAggregate(
+      join, {0},
+      {{AggFunc::kMin, 1}, {AggFunc::kMax, 1}, {AggFunc::kMin, 4},
+       {AggFunc::kMax, 4}});
+  const PhysicalPlan plan = *builder.Output(agg);
+
+  const Executor executor(catalog);
+  Result<ExplainAnalyze> run = executor.Execute(plan);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const DataChunk& result = run->result;
+  ASSERT_EQ(result.num_rows, expected.size());
+  auto as_cell = [](const std::optional<std::string>& value) {
+    RefCell cell;
+    cell.null = !value.has_value();
+    if (value.has_value()) cell.str = *value;
+    return cell;
+  };
+  for (size_t g = 0; g < expected.size(); ++g) {
+    SCOPED_TRACE(g);
+    EXPECT_EQ(result.columns[0].i64[g], expected[g].key);
+    ExpectCell(result.columns[1], g, as_cell(expected[g].min_s));
+    ExpectCell(result.columns[2], g, as_cell(expected[g].max_s));
+    ExpectCell(result.columns[3], g, as_cell(expected[g].min_name));
+    ExpectCell(result.columns[4], g, as_cell(expected[g].max_name));
+  }
 }
 
 TEST(EngineTest, EmptyInputGlobalAggregateEmitsOneRow) {
@@ -419,6 +656,78 @@ TEST(EngineTest, ExplainAnalyzeInvariantsHold) {
   const std::string rendered = run->ToString(plan);
   EXPECT_NE(rendered.find("pipeline 0"), std::string::npos);
   EXPECT_NE(rendered.find("hash_join"), std::string::npos);
+}
+
+/// Folds one result chunk into `fnv`: types, null flags and values, column
+/// by column in row order.
+void DigestChunk(const DataChunk& chunk, Fnv1a* fnv) {
+  fnv->U64(chunk.num_rows);
+  fnv->U64(chunk.columns.size());
+  for (const ColumnVector& column : chunk.columns) {
+    fnv->U64(static_cast<uint64_t>(column.type));
+    for (size_t r = 0; r < chunk.num_rows; ++r) {
+      fnv->U64(column.null[r]);
+      switch (column.type) {
+        case ColumnType::kInt64:
+        case ColumnType::kDate:
+          fnv->U64(static_cast<uint64_t>(column.i64[r]));
+          break;
+        case ColumnType::kFloat64:
+          fnv->F64(column.f64[r]);
+          break;
+        case ColumnType::kString:
+          fnv->LengthPrefixedString(column.str[r]);
+          break;
+      }
+    }
+  }
+}
+
+TEST(EngineTest, GeneratedQueryResultsArePinned) {
+  // Every generated and fixed-suite query over three instances, digested:
+  // result values, NULL flags and row order, per-operator tuple counts and
+  // per-pipeline source rows and morsels. Any change to what the engine
+  // computes (not how fast) moves the digest.
+  constexpr int kQueriesPerGroup = 6;
+  constexpr uint64_t kPinnedDigest = 0xe252fc06c32471e5ULL;
+  Fnv1a fnv;
+  size_t queries = 0;
+  for (const std::string instance :
+       {"tpch_sf0", "retail_small", "tpcds_sf0"}) {
+    SCOPED_TRACE(instance);
+    const Catalog catalog = GenerateSmall(instance);
+    QueryGenerator generator(&catalog, 42);
+    std::vector<GeneratedQuery> suite =
+        generator.GenerateAll(kQueriesPerGroup);
+    Result<const InstanceSpec*> spec = FindInstance(instance);
+    ASSERT_TRUE(spec.ok());
+    Result<std::vector<GeneratedQuery>> fixed =
+        FixedSuiteForFamily(catalog, (*spec)->family);
+    ASSERT_TRUE(fixed.ok()) << fixed.status().ToString();
+    for (GeneratedQuery& query : *fixed) suite.push_back(std::move(query));
+
+    const Executor executor(catalog);
+    for (const GeneratedQuery& query : suite) {
+      SCOPED_TRACE(query.name);
+      Result<ExplainAnalyze> run = executor.Execute(query.plan);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      fnv.CString(query.name);
+      DigestChunk(run->result, &fnv);
+      for (const OperatorStats& stats : run->operators) {
+        fnv.U64(stats.rows_in);
+        fnv.U64(stats.rows_out);
+      }
+      for (const PipelineStats& stats : run->pipelines) {
+        fnv.U64(stats.source_rows);
+        fnv.U64(stats.morsels);
+      }
+      ++queries;
+    }
+  }
+  EXPECT_GT(queries, 100u);
+  EXPECT_EQ(fnv.hash(), kPinnedDigest)
+      << "digest 0x" << std::hex << fnv.hash() << " over " << std::dec
+      << queries << " queries";
 }
 
 TEST(EngineTest, InvalidPlansAreErrorsNotCrashes) {
