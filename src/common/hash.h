@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 namespace t3 {
 
@@ -33,7 +34,7 @@ class Fnv1a {
     U64(bits);
   }
   /// Length-prefixed, so ("a,", "b") and ("a", ",b") hash differently.
-  void LengthPrefixedString(const std::string& s) {
+  void LengthPrefixedString(std::string_view s) {
     U64(s.size());
     Bytes(s.data(), s.size());
   }

@@ -21,6 +21,9 @@ void GatherValues(const std::vector<T>& source,
 
 void ColumnVector::Gather(const ColumnVector& source,
                           const std::vector<uint32_t>& sel) {
+  // A dead column's source may be dead (empty) too, so this returns before
+  // the index check; a live column's source never is.
+  if (!live) return;
   T3_CHECK(source.type == type);
 #ifndef NDEBUG
   // Debug builds (and so the sanitizer job) check every index; release
@@ -39,14 +42,14 @@ void ColumnVector::Gather(const ColumnVector& source,
       GatherValues(source.f64, sel, &f64);
       break;
     case ColumnType::kString:
-      str.reserve(str.size() + sel.size());
-      for (uint32_t row : sel) str.push_back(source.str[row]);
+      GatherValues(source.str, sel, &str);
       break;
   }
 }
 
 void ColumnVector::AppendRange(const ColumnVector& source, size_t begin,
                                size_t end) {
+  if (!live) return;
   T3_CHECK(source.type == type && begin <= end && end <= source.size());
   const auto append = [begin, end](const auto& from, auto* to) {
     to->insert(to->end(), from.begin() + static_cast<std::ptrdiff_t>(begin),

@@ -49,7 +49,10 @@ struct ExplainAnalyze {
   double total_seconds = 0.0;
   std::vector<PipelineStats> pipelines;
   std::vector<OperatorStats> operators;  ///< Indexed by plan node id.
-  DataChunk result;                      ///< Materialized query output.
+  /// Materialized query output. Its string cells view the executed
+  /// Catalog's column storage: they stay valid while that Catalog lives
+  /// and is not modified.
+  DataChunk result;
 
   uint64_t result_rows() const { return result.num_rows; }
 
