@@ -174,8 +174,7 @@ void CheckLiftedTreeSemantics(const Tree& tree, const LiftedTree& lifted,
       });
 }
 
-}  // namespace
-
+/// Step 0 of the pipeline (translation_validator.h).
 AnalysisReport CheckEquivalencePreconditions(const Forest& forest,
                                              size_t num_regions) {
   AnalysisReport report;
@@ -192,6 +191,8 @@ AnalysisReport CheckEquivalencePreconditions(const Forest& forest,
   return report;
 }
 
+/// Steps 2 and 3 for each tree of `forest` against `lifted[i]` (one
+/// error-free lift per tree).
 void CheckLiftedForest(const Forest& forest,
                        const std::vector<LiftedTree>& lifted,
                        AnalysisReport* report) {
@@ -209,6 +210,8 @@ void CheckLiftedForest(const Forest& forest,
   }
 }
 
+}  // namespace
+
 AnalysisReport TranslationValidator::Validate(
     const Forest& forest, const uint8_t* code, size_t size,
     const std::vector<size_t>& entries) const {
@@ -217,6 +220,18 @@ AnalysisReport TranslationValidator::Validate(
   std::vector<LiftedTree> lifted;
   report = TreeLifter().LiftForest(code, size, entries, forest.num_features,
                                    &lifted);
+  if (!report.HasErrors()) CheckLiftedForest(forest, lifted, &report);
+  return report;
+}
+
+AnalysisReport BatchEquivalenceValidator::Validate(
+    const Forest& forest, const uint8_t* code, size_t size,
+    const std::vector<size_t>& entries, size_t pool_begin) const {
+  AnalysisReport report = CheckEquivalencePreconditions(forest, entries.size());
+  if (report.HasErrors()) return report;
+  std::vector<LiftedTree> lifted;
+  report = TreeLifter().LiftBatchForest(code, size, entries, pool_begin,
+                                        forest.num_features, &lifted);
   if (!report.HasErrors()) CheckLiftedForest(forest, lifted, &report);
   return report;
 }

@@ -6,32 +6,27 @@
 #include <vector>
 
 #include "common/report.h"
-#include "analysis/tree_lifter.h"
 #include "gbt/forest.h"
 
 namespace t3 {
 
-/// Preconditions both validators check before lifting: the IR side must
-/// pass Forest::Validate (`invalid-forest`) and have one tree per code
-/// region (`tree-count-mismatch`).
-AnalysisReport CheckEquivalencePreconditions(const Forest& forest,
-                                             size_t num_regions);
-
-/// The equivalence proof both validators share once their lift passed:
-/// steps 2 and 3 of the TranslationValidator pipeline below, for each tree
-/// of `forest` against `lifted[i]` (one error-free lift per tree).
-void CheckLiftedForest(const Forest& forest,
-                       const std::vector<LiftedTree>& lifted,
-                       AnalysisReport* report);
-
-/// Translation validator: a static proof that the machine code TreeJit
-/// emitted computes exactly the forest it was emitted from.
-///
-/// Pipeline, per tree region [entries[i], entries[i+1]):
-///  1. TreeLifter::LiftForest decodes the bytes once and lifts them back
-///     into decision trees — feature index, threshold bits, NaN-routing
-///     polarity, and leaf bits per path. The lift is also the safety proof
-///     (contained control flow, in-bounds loads; analysis/tree_lifter.h).
+/// Translation validation: static proofs that the machine code TreeJit
+/// emitted computes exactly the forest it was emitted from. One validator
+/// per artifact — TranslationValidator for the scalar tree functions
+/// (EmitForestCode), BatchEquivalenceValidator for the AVX batch kernels
+/// (EmitForestBatchCode) — and both share one pipeline, per code region
+/// [entries[i], entries[i+1]):
+///  0. Preconditions: the IR side must pass Forest::Validate
+///     (`invalid-forest`) and have one tree per code region
+///     (`tree-count-mismatch`).
+///  1. Lift (analysis/tree_lifter.h): decode the bytes once and lift each
+///     region back into a decision tree — feature index, threshold bits,
+///     NaN-routing polarity, and leaf bits per path. The lift is also the
+///     safety proof (whitelisted grammar, contained control flow, in-bounds
+///     loads, spills and pool reads). The batch lift reconstructs the tree
+///     each kernel computes per lane; because its grammar fixes how masks
+///     are narrowed, spilled and resumed, any per-lane divergence from tree
+///     evaluation fails the parse.
 ///  2. Structural pass against gbt::Forest tree i: simultaneous descent
 ///     under the emitters' common correspondence (IR left child = branch
 ///     target / mask-true child, right child = fallthrough / mask-false
@@ -53,17 +48,28 @@ void CheckLiftedForest(const Forest& forest,
 /// The semantic pass runs for a tree only when its structural pass reported
 /// an Error: a clean structural pass implies every cell agrees, and a
 /// structurally different buffer still gets a semantic verdict with a
-/// concrete witness row. Per-tree equivalence
-/// plus identical summation order in CompiledForest::Predict gives forest
-/// equivalence. The pass is pure byte inspection and runs on any host.
+/// concrete witness row. Per-tree equivalence plus identical summation
+/// order (CompiledForest::Predict; the kernels' fixed `acc += leaf`
+/// epilogue, one add per tree in tree order after the caller seeds
+/// base_score) gives bit-identical forest predictions. The passes are pure
+/// byte inspection and run on any host.
 class TranslationValidator {
  public:
-  /// Validates emitted code (`code`/`size`, tree functions at `entries`)
-  /// against `forest`: CheckEquivalencePreconditions, the lift, then
-  /// CheckLiftedForest.
+  /// Validates emitted scalar code (`code`/`size`, tree functions at
+  /// `entries`) against `forest`.
   AnalysisReport Validate(const Forest& forest, const uint8_t* code,
                           size_t size,
                           const std::vector<size_t>& entries) const;
+};
+
+class BatchEquivalenceValidator {
+ public:
+  /// Validates emitted batch code (`code`/`size`, kernels at `entries`,
+  /// constant pool from `pool_begin` rounded up to 8 bytes) against
+  /// `forest`, per lane.
+  AnalysisReport Validate(const Forest& forest, const uint8_t* code,
+                          size_t size, const std::vector<size_t>& entries,
+                          size_t pool_begin) const;
 };
 
 }  // namespace t3

@@ -71,8 +71,8 @@ struct LiftedTree {
 /// skip whole subtrees, and a shared lifter would have to branch on which
 /// emitter it serves at every node.
 ///
-/// The lifts prove safety only; the validators (translation_validator.h,
-/// batch_equivalence_validator.h) prove the lifted trees equal the forest.
+/// The lifts prove safety only; the validators (translation_validator.h)
+/// prove the lifted trees equal the forest.
 /// Both are pure byte inspection and run on any host.
 class TreeLifter {
  public:

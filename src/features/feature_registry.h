@@ -13,6 +13,15 @@ namespace t3 {
 /// here; tests/features_test.cc pins every index <-> name pair.
 inline constexpr int kFeatureDim = 48;
 
+/// Feature vector of one pipeline (the paper's getFeatureVectors, Listing 1):
+/// the featurizer's output and the corpus "FT"/"FE" lines (features under
+/// true resp. estimated cardinalities).
+struct PipelineFeatures {
+  int pipeline = 0;                ///< Pipeline index within the query.
+  double input_cardinality = 0.0;  ///< Pipeline driving cardinality.
+  std::vector<double> values;      ///< Dense, kFeatureDim entries.
+};
+
 /// One registered feature: its stable display name ("HashJoin_Probe_
 /// out_percentage", "Pred_range_int_percentage"), its kind, and its origin —
 /// either an operator-stage of StageCatalog() or a predicate class.

@@ -24,7 +24,7 @@ void Add(std::vector<double>* values, int stage, FeatureKind kind,
 
 }  // namespace
 
-Result<std::vector<PipelineFeatureVector>> ComputePipelineFeatures(
+Result<std::vector<PipelineFeatures>> ComputePipelineFeatures(
     const Catalog& catalog, const PhysicalPlan& plan,
     const PipelineDecomposition& decomposition,
     const std::vector<double>& node_output_rows) {
@@ -59,11 +59,11 @@ Result<std::vector<PipelineFeatureVector>> ComputePipelineFeatures(
   }
 
   const FeatureRegistry& registry = FeatureRegistry::Get();
-  std::vector<PipelineFeatureVector> result;
+  std::vector<PipelineFeatures> result;
   result.reserve(decomposition.pipelines.size());
 
   for (const Pipeline& pipeline : decomposition.pipelines) {
-    PipelineFeatureVector features;
+    PipelineFeatures features;
     features.pipeline = pipeline.id;
     features.values.assign(static_cast<size_t>(registry.num_features()), 0.0);
 

@@ -11,14 +11,9 @@
 
 namespace t3 {
 
-/// Feature vector of one pipeline (the paper's getFeatureVectors, Listing 1).
-/// Mirrors harness PipelineFeatures; defined here so src/features does not
-/// depend on src/harness (the corpus builder copies the values over).
-struct PipelineFeatureVector {
-  int pipeline = 0;
-  double input_cardinality = 0.0;  ///< Pipeline driving cardinality.
-  std::vector<double> values;      ///< Dense, kFeatureDim entries.
-};
+/// Earlier name of PipelineFeatures (features/feature_registry.h), still
+/// spelled by perfbench.
+using PipelineFeatureVector = PipelineFeatures;
 
 /// Per-node output cardinalities from the plan's own annotations — the
 /// "estimated cardinalities" input of ComputePipelineFeatures (corpus "FE"
@@ -49,7 +44,7 @@ std::vector<double> NodeOutputRowsFromPlan(const PhysicalPlan& plan);
 /// must also carry payloads (a live plan), while a predicate-free skeleton
 /// — e.g. a prediction-server kPredictPlan request — featurizes fine with
 /// an empty catalog (its predicate-class slots just stay zero).
-Result<std::vector<PipelineFeatureVector>> ComputePipelineFeatures(
+Result<std::vector<PipelineFeatures>> ComputePipelineFeatures(
     const Catalog& catalog, const PhysicalPlan& plan,
     const PipelineDecomposition& decomposition,
     const std::vector<double>& node_output_rows);

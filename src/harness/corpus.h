@@ -6,17 +6,10 @@
 #include <vector>
 
 #include "common/status.h"
+#include "features/feature_registry.h"
 #include "plan/plan_record.h"
 
 namespace t3 {
-
-/// Feature vector of one pipeline of one executed query ("FT"/"FE" corpus
-/// lines — features under true resp. estimated cardinalities).
-struct PipelineFeatures {
-  int pipeline = 0;                ///< Pipeline index within the query.
-  double input_cardinality = 0.0;  ///< Tuples entering the pipeline.
-  std::vector<double> values;      ///< Dense feature vector.
-};
 
 /// Measured times of one pipeline ("P" lines): per-run seconds + median.
 struct PipelineTiming {

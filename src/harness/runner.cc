@@ -16,24 +16,6 @@
 #include "querygen/suites.h"
 
 namespace t3 {
-namespace {
-
-/// Copies featurizer vectors into the corpus representation.
-std::vector<PipelineFeatures> ToCorpusFeatures(
-    const std::vector<PipelineFeatureVector>& vectors) {
-  std::vector<PipelineFeatures> out;
-  out.reserve(vectors.size());
-  for (const PipelineFeatureVector& vector : vectors) {
-    PipelineFeatures features;
-    features.pipeline = vector.pipeline;
-    features.input_cardinality = vector.input_cardinality;
-    features.values = vector.values;
-    out.push_back(std::move(features));
-  }
-  return out;
-}
-
-}  // namespace
 
 Result<Database> GenerateDatabase(const std::string& instance, uint64_t seed,
                                   double scale_override, ThreadPool* pool) {
@@ -98,10 +80,10 @@ Result<QueryRecord> BenchmarkQuery(const Database& db,
     }
   }
 
-  Result<std::vector<PipelineFeatureVector>> feat_true =
+  Result<std::vector<PipelineFeatures>> feat_true =
       ComputePipelineFeatures(db.catalog(), plan, *decomposition, true_rows);
   if (!feat_true.ok()) return feat_true.status();
-  Result<std::vector<PipelineFeatureVector>> feat_est = ComputePipelineFeatures(
+  Result<std::vector<PipelineFeatures>> feat_est = ComputePipelineFeatures(
       db.catalog(), plan, *decomposition, NodeOutputRowsFromPlan(plan));
   if (!feat_est.ok()) return feat_est.status();
 
@@ -122,8 +104,8 @@ Result<QueryRecord> BenchmarkQuery(const Database& db,
     timing.run_seconds = std::move(pipeline_seconds[p]);
     record.pipeline_times.push_back(std::move(timing));
   }
-  record.feat_true = ToCorpusFeatures(*feat_true);
-  record.feat_est = ToCorpusFeatures(*feat_est);
+  record.feat_true = *std::move(feat_true);
+  record.feat_est = *std::move(feat_est);
   return record;
 }
 

@@ -22,13 +22,13 @@ Result<PlanPredictionInput> BuildPlanPredictionInput(
   // Skeletons carry no filter payloads, so featurization never touches the
   // catalog (see ComputePipelineFeatures); an empty one satisfies the API.
   const Catalog empty_catalog;
-  Result<std::vector<PipelineFeatureVector>> features =
+  Result<std::vector<PipelineFeatures>> features =
       ComputePipelineFeatures(empty_catalog, *plan, *decomposition,
                               NodeOutputRowsFromPlan(*plan));
   if (!features.ok()) return features.status();
 
   PlanPredictionInput input;
-  for (const PipelineFeatureVector& pipeline : *features) {
+  for (const PipelineFeatures& pipeline : *features) {
     if (input.num_features == 0) {
       input.num_features = pipeline.values.size();
       input.rows.reserve(features->size() * input.num_features);

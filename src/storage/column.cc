@@ -56,18 +56,4 @@ void Column::AppendNull() {
   SetNull(size_ - 1);
 }
 
-Int64ColumnRef Column::Int64Ref() const {
-  T3_CHECK(type_ == ColumnType::kInt64);
-  return Int64ColumnRef(this);
-}
-
-Float64ColumnRef Column::Float64Ref() const { return Float64ColumnRef(this); }
-
-StringColumnRef Column::StringRef() const { return StringColumnRef(this); }
-
-Int64ColumnRef Column::DateRef() const {
-  T3_CHECK(type_ == ColumnType::kDate);
-  return Int64ColumnRef(this);
-}
-
 }  // namespace t3

@@ -11,10 +11,6 @@
 
 namespace t3 {
 
-class Int64ColumnRef;
-class Float64ColumnRef;
-class StringColumnRef;
-
 /// One in-memory column: a typed value buffer plus a null bitmap (bit set =
 /// NULL). Values of NULL rows are zero/empty placeholders so buffers stay
 /// densely indexed by row.
@@ -63,22 +59,11 @@ class Column {
   double Float64At(size_t row) const { return data_f64_[row]; }
   const std::string& StringAt(size_t row) const { return data_str_[row]; }
 
-  /// Typed accessors; each T3_CHECKs the column's type.
-  Int64ColumnRef Int64Ref() const;
-  Float64ColumnRef Float64Ref() const;
-  StringColumnRef StringRef() const;
-  /// Dates read through the int64 interface (days since epoch).
-  Int64ColumnRef DateRef() const;
-
   /// Null bitmap words (size() / 64 rounded up; bit set = NULL; trailing bits
   /// past size() are zero).
   const std::vector<uint64_t>& null_words() const { return null_words_; }
 
  private:
-  friend class Int64ColumnRef;
-  friend class Float64ColumnRef;
-  friend class StringColumnRef;
-
   std::string name_;
   ColumnType type_;
   size_t size_ = 0;
@@ -86,49 +71,6 @@ class Column {
   std::vector<int64_t> data_i64_;   // kInt64, kDate
   std::vector<double> data_f64_;    // kFloat64
   std::vector<std::string> data_str_;  // kString
-};
-
-/// Borrowed typed view of a Column. Valid only while the column is alive and
-/// not resized.
-class Int64ColumnRef {
- public:
-  explicit Int64ColumnRef(const Column* column) : column_(column) {
-    T3_CHECK(IsIntegerBacked(column->type()));
-  }
-  size_t size() const { return column_->size_; }
-  bool IsNull(size_t row) const { return column_->IsNull(row); }
-  int64_t operator[](size_t row) const { return column_->data_i64_[row]; }
-
- private:
-  const Column* column_;
-};
-
-class Float64ColumnRef {
- public:
-  explicit Float64ColumnRef(const Column* column) : column_(column) {
-    T3_CHECK(column->type() == ColumnType::kFloat64);
-  }
-  size_t size() const { return column_->size_; }
-  bool IsNull(size_t row) const { return column_->IsNull(row); }
-  double operator[](size_t row) const { return column_->data_f64_[row]; }
-
- private:
-  const Column* column_;
-};
-
-class StringColumnRef {
- public:
-  explicit StringColumnRef(const Column* column) : column_(column) {
-    T3_CHECK(column->type() == ColumnType::kString);
-  }
-  size_t size() const { return column_->size_; }
-  bool IsNull(size_t row) const { return column_->IsNull(row); }
-  const std::string& operator[](size_t row) const {
-    return column_->data_str_[row];
-  }
-
- private:
-  const Column* column_;
 };
 
 }  // namespace t3

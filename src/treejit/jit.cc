@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "analysis/batch_equivalence_validator.h"
 #include "analysis/translation_validator.h"
 #include "analysis/tree_lifter.h"
 #include "common/cpu_features.h"
@@ -566,24 +565,6 @@ Result<std::unique_ptr<CompiledForest>> CompiledForest::Compile(
   for (const size_t entry : batch->entries) {
     compiled->batch_fns_.push_back(reinterpret_cast<BatchFn>(
         static_cast<uint8_t*>(compiled->batch_code_) + entry));
-  }
-
-  if (options.validate_batch) {
-    // Belt and braces after mapping: run the mapped kernels themselves
-    // over one witness row per leaf cell and bit-compare against the
-    // scalar path. (Exercises the real dispatch only where the runtime
-    // probe allows it; otherwise both sides take the scalar path.)
-    const CompiledForest* self = compiled.get();
-    const AnalysisReport differential = BatchDifferentialCheck(
-        forest, [self](const double* rows, size_t num_rows,
-                       size_t num_features, double* out) {
-          self->PredictBatch(rows, num_rows, num_features, out);
-        });
-    if (differential.HasErrors()) {
-      return InternalError(
-          StrFormat("batch differential check rejected mapped kernels: %s",
-                    differential.ToStatus().message().c_str()));
-    }
   }
 #endif  // T3_BATCH_JIT
 

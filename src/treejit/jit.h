@@ -88,10 +88,9 @@ struct JitCompileOptions {
   bool validate_translation = true;
 #endif
   /// Lift the batch kernels and prove each equals its tree per lane
-  /// (analysis/batch_equivalence_validator.h), then run an exhaustive
-  /// per-cell differential check of the mapped kernels against the scalar
-  /// path. Implies the `audit` lift of the batch code. Same debug-on
-  /// contract as validate_translation.
+  /// (BatchEquivalenceValidator, analysis/translation_validator.h): the
+  /// batch counterpart of validate_translation. Implies the `audit` lift of
+  /// the batch code. Same debug-on contract as validate_translation.
 #ifdef NDEBUG
   bool validate_batch = false;
 #else

@@ -1,10 +1,10 @@
 // Tests of the batch-kernel analysis stack over the bytes
 // EmitForestBatchCode produces: the batch lift (TreeLifter::LiftBatchForest,
-// the safety proof), BatchEquivalenceValidator (lift + equivalence) and the
-// BatchDifferentialCheck dynamic fallback. The adversarial core is the
-// byte-flip battery: every single-bit and whole-byte corruption of the
-// emitted code (pad bytes excluded — they are never read) must be rejected
-// by the validator alone.
+// the safety proof) and BatchEquivalenceValidator (lift + equivalence). The
+// adversarial core is the byte-flip battery: every single-bit and
+// whole-byte corruption of the emitted code (pad bytes excluded — they are
+// never read) must be rejected by the validator alone. The end-to-end test
+// runs one witness row per leaf cell through the mapped kernels.
 
 #include <algorithm>
 #include <cstdint>
@@ -15,9 +15,10 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/batch_equivalence_validator.h"
-#include "common/report.h"
+#include "analysis/interval_domain.h"
+#include "analysis/translation_validator.h"
 #include "analysis/tree_lifter.h"
+#include "common/report.h"
 #include "analysis/x86_decoder.h"
 #include "common/random.h"
 #include "gbt/forest.h"
@@ -77,6 +78,13 @@ AnalysisReport LiftBatch(const BatchJitArtifact& artifact) {
       artifact.pool_begin, artifact.num_features, &lifted);
 }
 
+constexpr const char* kFixtures[] = {
+    "/data/model_ablation_per_pipeline.txt",
+    "/data/model_ablation_per_query.txt",
+    "/data/model_autowlm_per_query.txt",
+    "/data/model_loo_airline.txt",
+};
+
 bool HasError(const AnalysisReport& report, const std::string& check) {
   for (const Diagnostic& d : report.diagnostics()) {
     if (d.check == check && d.severity == Severity::kError) return true;
@@ -121,13 +129,7 @@ TEST(BatchEquivalenceTest, CleanOnFixtureModels) {
   if (!BatchJitSupported()) {
     GTEST_SKIP() << "batch JIT not supported in this build";
   }
-  const char* fixtures[] = {
-      "/data/model_ablation_per_pipeline.txt",
-      "/data/model_ablation_per_query.txt",
-      "/data/model_autowlm_per_query.txt",
-      "/data/model_loo_airline.txt",
-  };
-  for (const char* fixture : fixtures) {
+  for (const char* fixture : kFixtures) {
     const std::string path = std::string(T3_SOURCE_DIR) + fixture;
     Result<Forest> forest = Forest::LoadFromFile(path);
     ASSERT_TRUE(forest.ok()) << path << ": " << forest.status().ToString();
@@ -549,61 +551,59 @@ TEST_F(BatchLiftCorruptionTest, BadEntriesAreRejected) {
   EXPECT_TRUE(HasError(LiftBatch(artifact_), "bad-entry"));
 }
 
-// BatchDifferentialCheck is host-independent: it exercises whatever batched
-// entry point it is handed, here the portable evaluators.
-TEST(BatchEquivalenceTest, DifferentialCheckAcceptsFaithfulPredictor) {
-  Rng rng(21);
-  const Forest forest = MakeRandomForest(&rng, 5, 4, 4);
-  ASSERT_TRUE(forest.Validate().ok());
-  const AnalysisReport report = BatchDifferentialCheck(
-      forest, [&forest](const double* rows, size_t num_rows,
-                        size_t num_features, double* out) {
-        for (size_t i = 0; i < num_rows; ++i) {
-          out[i] = forest.Predict(rows + i * num_features);
-        }
-      });
-  EXPECT_FALSE(report.HasErrors()) << report.ToString();
-}
-
-TEST(BatchEquivalenceTest, DifferentialCheckDetectsMismatch) {
-  Rng rng(22);
-  const Forest forest = MakeRandomForest(&rng, 5, 4, 4);
-  ASSERT_TRUE(forest.Validate().ok());
-  Forest skewed = forest;
-  skewed.base_score += 0.5;
-  const AnalysisReport report = BatchDifferentialCheck(
-      forest, [&skewed](const double* rows, size_t num_rows,
-                        size_t num_features, double* out) {
-        for (size_t i = 0; i < num_rows; ++i) {
-          out[i] = skewed.Predict(rows + i * num_features);
-        }
-      });
-  ASSERT_TRUE(report.HasErrors());
-  EXPECT_EQ(report.diagnostics()[0].check, "batch-differential-mismatch");
-}
-
 // End to end: Compile with every proof forced on (the release defaults
-// leave them off) accepts every random forest.
+// leave them off) accepts every random forest and fixture model, and the
+// mapped kernels bit-equal Forest::Predict on one witness row per leaf cell
+// of every tree, zero-padded to whole 8-row blocks so none lands in the
+// per-row tail.
 TEST(BatchEquivalenceTest, CompileWithFullValidationSucceeds) {
   if (!BatchJitSupported()) {
     GTEST_SKIP() << "batch JIT not supported in this build";
   }
+  std::vector<Forest> forests;
   Rng rng(33);
   for (int trial = 0; trial < 10; ++trial) {
     const int num_features = 1 + static_cast<int>(rng.UniformInt(0, 5));
-    const Forest forest = MakeRandomForest(
+    forests.push_back(MakeRandomForest(
         &rng, num_features, 1 + static_cast<int>(rng.UniformInt(0, 4)),
-        1 + static_cast<int>(rng.UniformInt(0, 4)));
-    JitCompileOptions options;
-    options.audit = true;
-    options.validate_translation = true;
-    options.validate_batch = true;
+        1 + static_cast<int>(rng.UniformInt(0, 4))));
+  }
+  for (const char* fixture : kFixtures) {
+    Result<Forest> forest =
+        Forest::LoadFromFile(std::string(T3_SOURCE_DIR) + fixture);
+    ASSERT_TRUE(forest.ok()) << fixture << ": " << forest.status().ToString();
+    forests.push_back(*std::move(forest));
+  }
+  JitCompileOptions options;
+  options.audit = true;
+  options.validate_translation = true;
+  options.validate_batch = true;
+  for (size_t i = 0; i < forests.size(); ++i) {
+    const Forest& forest = forests[i];
     Result<std::unique_ptr<CompiledForest>> compiled =
         CompiledForest::Compile(forest, options);
     ASSERT_TRUE(compiled.ok())
-        << "trial " << trial << ": " << compiled.status().ToString();
+        << "forest " << i << ": " << compiled.status().ToString();
     EXPECT_TRUE((*compiled)->has_batch_kernels());
     EXPECT_GT((*compiled)->batch_code_size(), 0u);
+    const size_t width = static_cast<size_t>(forest.num_features);
+    std::vector<double> rows;
+    for (const Tree& tree : forest.trees) {
+      ForEachLeafCell(tree, FeatureBox::Full(forest.num_features),
+                      [&rows](int, const FeatureBox& cell) {
+                        const std::vector<double> row = cell.Witness();
+                        rows.insert(rows.end(), row.begin(), row.end());
+                      });
+    }
+    const size_t num_witness = rows.size() / width;
+    rows.resize((num_witness + 7) / 8 * 8 * width);
+    std::vector<double> got(rows.size() / width);
+    (*compiled)->PredictBatch(rows.data(), got.size(), width, got.data());
+    for (size_t r = 0; r < num_witness; ++r) {
+      ASSERT_EQ(DoubleBits(got[r]),
+                DoubleBits(forest.Predict(&rows[r * width])))
+          << "forest " << i << ": witness row " << r;
+    }
   }
 }
 

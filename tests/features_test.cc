@@ -121,10 +121,10 @@ const Catalog& TestCatalog() {
   return *catalog;
 }
 
-std::vector<PipelineFeatureVector> Featurize(const PhysicalPlan& plan) {
+std::vector<PipelineFeatures> Featurize(const PhysicalPlan& plan) {
   Result<PipelineDecomposition> decomposition = DecomposePipelines(plan);
   T3_CHECK_OK(decomposition);
-  Result<std::vector<PipelineFeatureVector>> features = ComputePipelineFeatures(
+  Result<std::vector<PipelineFeatures>> features = ComputePipelineFeatures(
       TestCatalog(), plan, *decomposition, NodeOutputRowsFromPlan(plan));
   T3_CHECK_OK(features);
   return *features;
@@ -159,7 +159,7 @@ TEST(FeaturizerTest, ScanFilterOutputPipeline) {
 
   const auto features = Featurize(*plan);
   ASSERT_EQ(features.size(), 1u);
-  const PipelineFeatureVector& f = features[0];
+  const PipelineFeatures& f = features[0];
   const double rows = static_cast<double>((*lineitem)->num_rows());
   EXPECT_EQ(f.input_cardinality, rows);
   ASSERT_EQ(f.values.size(), static_cast<size_t>(kFeatureDim));
@@ -193,7 +193,7 @@ TEST(FeaturizerTest, DuplicateStagesAddTheirContributions) {
 
   const auto features = Featurize(*plan);
   ASSERT_EQ(features.size(), 1u);
-  const PipelineFeatureVector& f = features[0];
+  const PipelineFeatures& f = features[0];
   // Two filter occurrences in one pipeline: counts and percentages add
   // (Listing 1's += on repeated stages).
   EXPECT_EQ(f.values[Index("Filter_PassThrough_count")], 2.0);
@@ -229,7 +229,7 @@ TEST(FeaturizerTest, JoinAndAggregatePipelinesCarryStageFeatures) {
   // Build-side pipeline, probe+agg-build pipeline, agg-scan+output pipeline.
   ASSERT_EQ(features.size(), 3u);
   double build_count = 0, probe_count = 0, groupby_scan = 0;
-  for (const PipelineFeatureVector& f : features) {
+  for (const PipelineFeatures& f : features) {
     build_count += f.values[Index("HashJoin_Build_count")];
     probe_count += f.values[Index("HashJoin_Probe_count")];
     groupby_scan += f.values[Index("GroupBy_Scan_count")];
@@ -239,7 +239,7 @@ TEST(FeaturizerTest, JoinAndAggregatePipelinesCarryStageFeatures) {
   EXPECT_EQ(groupby_scan, 1.0);
   // The probe pipeline's right_percentage is build rows / driving rows.
   bool found_probe = false;
-  for (const PipelineFeatureVector& f : features) {
+  for (const PipelineFeatures& f : features) {
     if (f.values[Index("HashJoin_Probe_count")] == 0.0) continue;
     found_probe = true;
     const double right = f.values[Index("HashJoin_Probe_right_percentage")];
@@ -260,7 +260,7 @@ TEST(FeaturizerTest, RejectsMismatchedCardinalityVector) {
   ASSERT_TRUE(plan.ok());
   Result<PipelineDecomposition> decomposition = DecomposePipelines(*plan);
   ASSERT_TRUE(decomposition.ok());
-  Result<std::vector<PipelineFeatureVector>> features =
+  Result<std::vector<PipelineFeatures>> features =
       ComputePipelineFeatures(catalog, *plan, *decomposition, {1.0});
   EXPECT_FALSE(features.ok());
 }

@@ -36,11 +36,10 @@ TEST(ColumnTest, AppendAndReadBack) {
   col.AppendNull();
   col.AppendInt64(-3);
   ASSERT_EQ(col.size(), 3u);
-  Int64ColumnRef ref = col.Int64Ref();
-  EXPECT_EQ(ref[0], 7);
-  EXPECT_TRUE(ref.IsNull(1));
-  EXPECT_FALSE(ref.IsNull(0));
-  EXPECT_EQ(ref[2], -3);
+  EXPECT_EQ(col.Int64At(0), 7);
+  EXPECT_TRUE(col.IsNull(1));
+  EXPECT_FALSE(col.IsNull(0));
+  EXPECT_EQ(col.Int64At(2), -3);
 }
 
 TEST(ColumnTest, ResizeSetMatchesAppend) {
@@ -64,8 +63,9 @@ TEST(ColumnTest, StringsWithEmbeddedSeparators) {
       "newline\ninside", "quote\"inside", " leading and trailing ", ""};
   Column col("s", ColumnType::kString);
   for (const std::string& v : values) col.AppendString(v);
-  StringColumnRef ref = col.StringRef();
-  for (size_t i = 0; i < values.size(); ++i) EXPECT_EQ(ref[i], values[i]);
+  for (size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(col.StringAt(i), values[i]);
+  }
 
   // Separator bytes must flow into the checksum; "a,b" split differently from
   // {"a," "b"} must not collide thanks to length prefixing.

@@ -18,12 +18,12 @@
 //                               (bit-equal constants, identical NaN
 //                               routing, equal outputs over every
 //                               threshold-induced input cell),
-//   4. batch-equivalence      — BatchEquivalenceValidator over the AVX
-//                               batch kernels: the batch lift (lane loads /
-//                               spills / pool reads in bounds, straight-
-//                               line control flow) and a per-lane proof
-//                               that the masked kernels compute the same
-//                               forest.
+//   4. batch-equivalence      — BatchEquivalenceValidator (the same
+//                               module) over the AVX batch kernels: the
+//                               batch lift (lane loads / spills / pool
+//                               reads in bounds, forward-only dead-subtree
+//                               guards) and a per-lane proof that the
+//                               masked kernels compute the same forest.
 //   Pass 3 needs the x86-64 emitter (pass 4 additionally a build with
 //   batch kernels enabled); both run only when the forest IR is error-free
 //   (the emitter's preconditions are exactly the verifier's Error checks)
@@ -66,7 +66,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/batch_equivalence_validator.h"
 #include "analysis/corpus_auditor.h"
 #include "analysis/feature_auditor.h"
 #include "analysis/forest_verifier.h"
