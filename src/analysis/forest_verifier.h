@@ -18,10 +18,10 @@ namespace t3 {
 /// Warning-severity checks run on every tree without an Error (model still
 /// loads; the trainer should never produce these, so they flag a corrupt or
 /// hand-edited file):
-///  - `dead-branch`: a child no input can reach, proven by propagating the
-///    per-feature interval each ancestor split implies (NaN routing
-///    included: a numerically empty side is only dead if NaN cannot be
-///    routed there either).
+///  - `dead-branch`: a child whose range on its parent's split feature is
+///    empty in the FeatureBox the ancestor splits leave
+///    (analysis/interval_domain.h; NaN routing included: a numerically
+///    empty side is only dead if NaN cannot be routed there either).
 ///  - `duplicate-threshold`: a split repeating an ancestor's exact
 ///    (feature, threshold) pair — one side is necessarily dead.
 ///  - `inconsistent-nan-routing`: a feature split with default_left=true in

@@ -46,12 +46,75 @@ void ReportFeatureOob(int feature, int num_features, size_t offset,
                         offset, feature, num_features));
 }
 
-/// The instruction starting exactly at `offset`, or nullptr when `offset`
-/// is past `end` or not an instruction boundary.
-const JitInstruction* At(const DecodedCode& decoded, size_t offset,
-                         size_t end) {
-  return offset < end ? decoded.At(offset) : nullptr;
-}
+/// Reads one region [begin, end) front to back, decoding each instruction
+/// in place when the grammar asks for it. The decoder sees the whole
+/// instruction span [0, span): bytes that do not decode there fail as
+/// `undecodable-<what>`, an instruction that ends past the region as
+/// `unliftable-<what>`. After either, the cursor yields nothing more and
+/// failed() tells the grammar not to add a diagnostic of its own.
+class InstructionCursor {
+ public:
+  InstructionCursor(const uint8_t* code, size_t span, size_t begin,
+                    size_t end, const char* what, int tree_index,
+                    AnalysisReport* report)
+      : code_(code),
+        span_(span),
+        end_(end),
+        what_(what),
+        tree_index_(tree_index),
+        report_(report),
+        at_(begin) {}
+
+  size_t at() const { return at_; }
+  bool failed() const { return failed_; }
+
+  /// The instruction at the cursor, or nullptr at the region's end or after
+  /// a failure.
+  const JitInstruction* Peek() {
+    if (failed_ || at_ >= end_) return nullptr;
+    if (decoded_) return &instruction_;
+    if (!DecodeInstruction(code_, span_, at_, &instruction_)) {
+      return Fail("undecodable-",
+                  StrFormat("byte 0x%02X at offset %zu is not in the emitter "
+                            "whitelist",
+                            code_[at_], at_));
+    }
+    if (instruction_.length > end_ - at_) {
+      return Fail("unliftable-",
+                  StrFormat("instruction at byte offset %zu runs past its "
+                            "region's end at %zu",
+                            at_, end_));
+    }
+    decoded_ = true;
+    return &instruction_;
+  }
+
+  /// Steps past the instruction Peek returns.
+  void Take() {
+    if (Peek() == nullptr) return;
+    at_ += instruction_.length;
+    decoded_ = false;
+  }
+
+ private:
+  const JitInstruction* Fail(const char* check, const std::string& message) {
+    report_->Add(Severity::kError, check + std::string(what_), tree_index_,
+                 static_cast<int>(at_), message);
+    failed_ = true;
+    return nullptr;
+  }
+
+  const uint8_t* code_;
+  size_t span_;
+  size_t end_;
+  const char* what_;  // "code" or "batch-code".
+  int tree_index_;
+  AnalysisReport* report_;
+  size_t at_;
+  bool decoded_ = false;  // instruction_ holds the instruction at at_.
+  bool failed_ = false;
+  JitInstruction instruction_;
+};
 
 /// Index of the lifted node starting exactly at `offset`, or -1. Nodes are
 /// lifted front to back, so `nodes` is ordered by offset.
@@ -63,12 +126,15 @@ int NodeAt(const std::vector<LiftedNode>& nodes, size_t offset) {
   return static_cast<int>(it - nodes.begin());
 }
 
-/// Lifts one scalar region [begin, end) of the decoded buffer, appending
-/// any diagnostics with `tree_index` as location.
-void LiftScalarTree(const DecodedCode& decoded, size_t begin,
+/// Lifts one scalar region [begin, end) of the `size`-byte buffer,
+/// appending any diagnostics with `tree_index` as location.
+void LiftScalarTree(const uint8_t* code, size_t size, size_t begin,
                     size_t end, int num_features, int tree_index,
                     LiftedTree* out, AnalysisReport* report) {
+  InstructionCursor cursor(code, size, begin, end, "code", tree_index,
+                           report);
   const auto fail = [&](size_t offset, const std::string& message) {
+    if (cursor.failed()) return;
     report->Add(Severity::kError, "unliftable-code", tree_index,
                 static_cast<int>(offset), message);
   };
@@ -77,37 +143,35 @@ void LiftScalarTree(const DecodedCode& decoded, size_t begin,
   // back. Every node starts with `mov rax, imm64`; the following
   // instruction discriminates leaf from inner node.
   std::vector<size_t> jump_targets;  // Per inner node.
-  std::vector<size_t> fall_offsets;  // Per inner node.
-  size_t at = begin;
-  while (at < end) {
-    const JitInstruction* head = At(decoded, at, end);
-    if (head == nullptr) {
-      return fail(at, "node start is not an instruction boundary");
-    }
-    if (head->op != JitOp::kMovRaxImm64) {
+  while (cursor.at() < end) {
+    const size_t at = cursor.at();
+    const JitInstruction* head = cursor.Peek();
+    if (head == nullptr || head->op != JitOp::kMovRaxImm64) {
       return fail(at, "node does not start with mov rax, imm64");
     }
     LiftedNode node;
     node.offset = at;
-    const JitInstruction* select = At(decoded, at + head->length, end);
+    const uint64_t imm = head->imm;
+    cursor.Take();
+    const JitInstruction* select = cursor.Peek();
     if (select == nullptr) {
       return fail(at, "truncated node after mov rax, imm64");
     }
     if (select->op == JitOp::kMovqXmm0Rax) {
       // Leaf: mov rax, value; movq xmm0, rax; ret.
-      const JitInstruction* ret =
-          At(decoded, select->offset + select->length, end);
+      cursor.Take();
+      const JitInstruction* ret = cursor.Peek();
       if (ret == nullptr || ret->op != JitOp::kRet) {
         return fail(at, "leaf shape not closed by ret");
       }
+      cursor.Take();
       node.is_leaf = true;
-      node.value_bits = head->imm;
-      at = ret->offset + ret->length;
+      node.value_bits = imm;
     } else if (select->op == JitOp::kMovqXmm1Rax) {
       // Inner: mov rax, threshold; movq xmm1, rax; movsd xmm0, [rdi+8k];
       // ucomisd; jcc.
-      const JitInstruction* load =
-          At(decoded, select->offset + select->length, end);
+      cursor.Take();
+      const JitInstruction* load = cursor.Peek();
       if (load == nullptr || (load->op != JitOp::kLoadFeature8 &&
                               load->op != JitOp::kLoadFeature32)) {
         return fail(at, "inner node missing its feature load");
@@ -118,14 +182,17 @@ void LiftScalarTree(const DecodedCode& decoded, size_t begin,
                               "aligned",
                               load->disp));
       }
-      const JitInstruction* compare =
-          At(decoded, load->offset + load->length, end);
+      const size_t load_offset = load->offset;
+      const int feature = static_cast<int>(load->disp / 8);
+      cursor.Take();
+      const JitInstruction* compare = cursor.Peek();
       if (compare == nullptr || (compare->op != JitOp::kUcomisdXmm1Xmm0 &&
                                  compare->op != JitOp::kUcomisdXmm0Xmm1)) {
         return fail(at, "inner node missing its ucomisd");
       }
-      const JitInstruction* branch =
-          At(decoded, compare->offset + compare->length, end);
+      const bool threshold_first = compare->op == JitOp::kUcomisdXmm1Xmm0;
+      cursor.Take();
+      const JitInstruction* branch = cursor.Peek();
       if (branch == nullptr ||
           (branch->op != JitOp::kJa && branch->op != JitOp::kJb)) {
         return fail(at, "inner node missing its conditional branch");
@@ -133,38 +200,35 @@ void LiftScalarTree(const DecodedCode& decoded, size_t begin,
       // The four ucomisd/jcc combinations, lifted to exact semantics (see
       // LiftedNode). ucomisd a, b + ja is taken iff a > b ordered;
       // + jb iff a < b *or* unordered (unordered sets ZF = PF = CF = 1).
-      const bool threshold_first = compare->op == JitOp::kUcomisdXmm1Xmm0;
       const bool jump_above = branch->op == JitOp::kJa;
+      jump_targets.push_back(branch->target);
+      cursor.Take();
       node.is_leaf = false;
-      node.threshold_bits = head->imm;
-      node.feature = static_cast<int>(load->disp / 8);
+      node.threshold_bits = imm;
+      node.feature = feature;
       if (node.feature >= num_features) {
-        ReportFeatureOob(node.feature, num_features, load->offset,
-                         tree_index, report);
+        ReportFeatureOob(node.feature, num_features, load_offset, tree_index,
+                         report);
       }
       node.cmp = threshold_first == jump_above ? LiftedNode::Cmp::kLt
                                                : LiftedNode::Cmp::kGt;
       node.nan_jumps = !jump_above;
-      jump_targets.push_back(branch->target);
-      fall_offsets.push_back(branch->offset + branch->length);
-      at = branch->offset + branch->length;
     } else {
       return fail(at, "mov rax, imm64 followed by neither movq form");
     }
     out->nodes.push_back(node);
   }
 
-  // Pass 2: link children. Fallthroughs point at the next group by
-  // construction unless the region's last node is an inner node; jump
-  // targets must land on a lifted node boundary of this region (an
-  // instruction boundary is not enough — jumping into the middle of a
-  // node's compare sequence has no tree meaning).
+  // Pass 2: link children. Nodes tile the region, so an inner node falls
+  // through to the next one unless it is the region's last; jump targets
+  // must land on a lifted node boundary of this region (an instruction
+  // boundary is not enough — jumping into the middle of a node's compare
+  // sequence has no tree meaning).
   size_t inner = 0;
-  for (LiftedNode& node : out->nodes) {
+  for (size_t i = 0; i < out->nodes.size(); ++i) {
+    LiftedNode& node = out->nodes[i];
     if (node.is_leaf) continue;
-    const size_t target = jump_targets[inner];
-    const size_t fall = fall_offsets[inner];
-    ++inner;
+    const size_t target = jump_targets[inner++];
     node.jump_child = NodeAt(out->nodes, target);
     if (node.jump_child < 0) {
       return fail(node.offset,
@@ -172,11 +236,11 @@ void LiftScalarTree(const DecodedCode& decoded, size_t begin,
                             "node boundary",
                             target));
     }
-    node.fall_child = NodeAt(out->nodes, fall);
-    if (node.fall_child < 0) {
+    if (i + 1 == out->nodes.size()) {
       return fail(node.offset,
                   "inner node falls through past the end of its region");
     }
+    node.fall_child = static_cast<int>(i + 1);
   }
 
   // Pass 3: the lifted graph must be acyclic — cyclic machine code can
@@ -245,10 +309,11 @@ constexpr uint32_t kFeatureStrideBytes = 64;  // 8 lanes per feature
 /// `bad-guard`.
 class KernelParser {
  public:
-  KernelParser(const DecodedCode& decoded, const uint8_t* code,
-               size_t size, size_t pool_begin, size_t begin, size_t end,
-               int num_features, int tree_index, AnalysisReport* report)
-      : decoded_(decoded),
+  KernelParser(const uint8_t* code, size_t size, size_t pool_begin,
+               size_t begin, size_t end, int num_features, int tree_index,
+               AnalysisReport* report)
+      : cursor_(code, pool_begin, begin, end, "batch-code", tree_index,
+                report),
         code_(code),
         size_(size),
         pool_begin_(pool_begin),
@@ -259,11 +324,8 @@ class KernelParser {
         report_(report) {}
 
   bool Parse(LiftedTree* out) {
-    at_ = begin_;
     const JitInstruction* instr = Peek();
-    if (instr == nullptr) {
-      return Fail("kernel entry is not an instruction boundary");
-    }
+    if (instr == nullptr) return false;  // The cursor reported why.
     const bool has_frame = instr->op == JitOp::kSubRspImm32;
     const uint32_t frame = has_frame ? instr->disp : 0;
     if (has_frame) Take();
@@ -313,7 +375,9 @@ class KernelParser {
     const JitInstruction* ret = Peek();
     if (ret == nullptr || ret->op != JitOp::kRet) return Fail("expected ret");
     Take();
-    if (at_ != end_) return Fail("instructions after the kernel's ret");
+    if (cursor_.at() != end_) {
+      return Fail("instructions after the kernel's ret");
+    }
     return true;
   }
 
@@ -330,23 +394,22 @@ class KernelParser {
     size_t guard_target;
   };
 
-  const JitInstruction* Peek() { return At(decoded_, at_, end_); }
-
-  void Take() {
-    const JitInstruction* instr = Peek();
-    if (instr != nullptr) at_ += instr->length;
-  }
+  const JitInstruction* Peek() { return cursor_.Peek(); }
+  void Take() { cursor_.Take(); }
 
   bool Fail(const char* what) {
+    if (cursor_.failed()) return false;
+    const size_t at = cursor_.at();
     report_->Add(Severity::kError, "unliftable-batch-code", tree_index_,
-                 static_cast<int>(at_),
+                 static_cast<int>(at),
                  StrFormat("batch kernel diverges from the emitter grammar "
                            "at byte offset %zu: %s",
-                           at_, what));
+                           at, what));
     return false;
   }
 
   bool FailGuard(size_t offset, const std::string& what) {
+    if (cursor_.failed()) return false;
     report_->Add(Severity::kError, "bad-guard", tree_index_,
                  static_cast<int>(offset),
                  StrFormat("dead-subtree guard at byte offset %zu: %s",
@@ -359,7 +422,7 @@ class KernelParser {
   /// the jz target. It skips the next node when both path masks are zero,
   /// so it must test exactly those two registers.
   bool ParseGuard(size_t* target) {
-    const size_t guard = at_;
+    const size_t guard = cursor_.at();
     const JitInstruction* merge = Peek();
     if (merge->dst != kScratch || merge->src1 != kMask0 ||
         merge->src2 != kMask1) {
@@ -388,11 +451,11 @@ class KernelParser {
   /// and it skips nothing but the subtree, whose spills only go to deeper
   /// slots that nothing after it reads.
   bool CheckGuardTarget(const Pending& split) {
-    if (!split.guarded || split.guard_target == at_) return true;
+    if (!split.guarded || split.guard_target == cursor_.at()) return true;
     return FailGuard(split.guard_offset,
                      StrFormat("jz lands at byte offset %zu, but the split "
                                "child it guards ends at %zu",
-                               split.guard_target, at_));
+                               split.guard_target, cursor_.at()));
   }
 
   bool ExpectRR(JitOp op, uint8_t dst, uint8_t src1, uint8_t src2,
@@ -467,7 +530,7 @@ class KernelParser {
   bool ParseBody(LiftedTree* out) {
     std::vector<Pending> pending;
     for (;;) {
-      const size_t guard_offset = at_;
+      const size_t guard_offset = cursor_.at();
       const JitInstruction* head = Peek();
       const bool guarded = !pending.empty() && head != nullptr &&
                            head->op == JitOp::kVorpd;
@@ -594,7 +657,7 @@ class KernelParser {
     }
   }
 
-  const DecodedCode& decoded_;
+  InstructionCursor cursor_;  // Decodes in [0, pool_begin): the pool is data.
   const uint8_t* code_;
   size_t size_;
   size_t pool_begin_;
@@ -603,7 +666,6 @@ class KernelParser {
   int num_features_;
   int tree_index_;
   AnalysisReport* report_;
-  size_t at_ = 0;
   int max_depth_ = -1;  // Deepest split seen; -1 while there is none.
 };
 
@@ -616,17 +678,8 @@ AnalysisReport TreeLifter::LiftForest(const uint8_t* code, size_t size,
   AnalysisReport report;
   out->assign(entries.size(), LiftedTree{});
   if (!CheckEntries(entries, size, &report)) return report;
-  const DecodedCode decoded = DecodeLinear(code, size);
-  if (!decoded.ok) {
-    report.Add(Severity::kError, "undecodable-code", -1,
-               static_cast<int>(decoded.error_offset),
-               StrFormat("byte 0x%02X at offset %zu is not in the emitter "
-                         "whitelist",
-                         code[decoded.error_offset], decoded.error_offset));
-    return report;
-  }
   for (size_t i = 0; i < entries.size(); ++i) {
-    LiftScalarTree(decoded, entries[i],
+    LiftScalarTree(code, size, entries[i],
                    RegionEnd(entries, i, size), num_features,
                    static_cast<int>(i), &(*out)[i], &report);
   }
@@ -648,19 +701,8 @@ AnalysisReport TreeLifter::LiftBatchForest(const uint8_t* code, size_t size,
     return report;
   }
   if (!CheckEntries(entries, pool_begin, &report)) return report;
-  // Only [0, pool_begin) is instructions; the pool is data and decoding
-  // into it would desynchronize on constant bytes.
-  const DecodedCode decoded = DecodeLinear(code, pool_begin);
-  if (!decoded.ok) {
-    report.Add(Severity::kError, "undecodable-batch-code", -1,
-               static_cast<int>(decoded.error_offset),
-               StrFormat("batch code is not whitelisted-decodable at byte "
-                         "offset %zu",
-                         decoded.error_offset));
-    return report;
-  }
   for (size_t i = 0; i < entries.size(); ++i) {
-    KernelParser(decoded, code, size, pool_begin, entries[i],
+    KernelParser(code, size, pool_begin, entries[i],
                  RegionEnd(entries, i, pool_begin), num_features,
                  static_cast<int>(i), &report)
         .Parse(&(*out)[i]);

@@ -53,12 +53,14 @@ struct LiftedTree {
 
 /// The lift is the only reader of emitted machine code, and it is the whole
 /// safety proof: an artifact is safe to map executable iff its lift reports
-/// no Error. Each lift decodes its buffer once with the shared whitelist
-/// decoder (analysis/x86_decoder.h) and parses every region
-/// [entries[i], entries[i+1]) against its emitter's closed grammar, so an
-/// instruction outside the grammar, a register out of role or a byte no
-/// grammar rule owns fails the lift. On top of the grammar, both lifts
-/// enforce (all Error):
+/// no Error. Each lift parses every region [entries[i], entries[i+1])
+/// against its emitter's closed grammar, decoding each instruction in place
+/// with the shared whitelist decoder (analysis/x86_decoder.h) as the
+/// grammar reads it, so an instruction outside the grammar, a register out
+/// of role or a byte no grammar rule owns fails the lift. A clean parse
+/// reads its region front to back and ends exactly at the region's end, so
+/// together the parses decode every instruction byte once. On top of the
+/// grammar, both lifts enforce (all Error):
 ///
 ///  - `bad-entry`: the regions tile the instruction bytes — entries ascend
 ///    from offset 0 and each lies inside them, so every byte belongs to
@@ -81,11 +83,13 @@ class TreeLifter {
   /// ret`; inner: `mov rax, bits; movq xmm1, rax; movsd xmm0, [rdi+8k];
   /// ucomisd; jcc`. Beyond the shared checks:
   ///
-  ///  - `undecodable-code`: the buffer does not linearly decode.
+  ///  - `undecodable-code`: bytes where the grammar reads an instruction
+  ///    are not in the whitelist.
   ///  - `unliftable-code`: a region does not group into the two node
-  ///    shapes, a branch does not land on a node start in its own region,
-  ///    a feature load is not 8-byte aligned, or the last node falls
-  ///    through past the region's end.
+  ///    shapes, an instruction runs past the region's end, a branch does
+  ///    not land on a node start in its own region, a feature load is not
+  ///    8-byte aligned, or the last node falls through past the region's
+  ///    end.
   ///  - `lifted-cycle`: a branch creates a control-flow cycle — the machine
   ///    code can loop forever, which no decision tree does.
   ///  - `unreachable-node`: a node no path from the region entry reaches.
@@ -116,8 +120,10 @@ class TreeLifter {
   /// routes NaN right, NLE_UQ left), each broadcast-and-or block to a leaf
   /// returning the pool constant's exact bits. Beyond the shared checks:
   ///
-  ///  - `undecodable-batch-code`: [0, pool_begin) does not linearly decode.
-  ///  - `unliftable-batch-code`: a region diverges from the grammar.
+  ///  - `undecodable-batch-code`: bytes where the grammar reads an
+  ///    instruction are not in the whitelist.
+  ///  - `unliftable-batch-code`: a region diverges from the grammar, or an
+  ///    instruction runs past the region's end.
   ///  - `bad-frame`: a split at depth d spills its masks to
   ///    [rsp + 64d, rsp + 64d + 64), so the `sub rsp` frame must be exactly
   ///    64 * (deepest split depth + 1) bytes, and absent without splits:

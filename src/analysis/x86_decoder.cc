@@ -46,9 +46,7 @@ uint64_t Read64(const uint8_t* code, size_t offset) {
 
 /// Decodes the VEX-encoded batch-kernel vocabulary: 2-byte-VEX ymm ops with
 /// pp=01 plus the two 3-byte-VEX ops (vbroadcastsd, vptest), the rsp frame
-/// bookkeeping around them and the jz of the dead-subtree guards. Kept
-/// separate from the scalar whitelist so the scalar emitter's tight matching
-/// above stays byte-for-byte unchanged.
+/// bookkeeping around them and the jz of the dead-subtree guards.
 bool DecodeBatchInstruction(const uint8_t* code, size_t size, size_t offset,
                             JitInstruction* out) {
   const auto read32 = [code](size_t at) { return Read32(code, at); };
@@ -248,28 +246,6 @@ bool DecodeInstruction(const uint8_t* code, size_t size, size_t offset,
     return true;
   }
   return DecodeBatchInstruction(code, size, offset, out);
-}
-
-DecodedCode DecodeLinear(const uint8_t* code, size_t size) {
-  DecodedCode decoded;
-  // Emitted instructions average 5-7 bytes in both grammars.
-  decoded.instructions.reserve(size / 5 + 1);
-  decoded.index_at.assign(size, DecodedCode::kNoInstruction);
-  size_t offset = 0;
-  while (offset < size) {
-    JitInstruction instruction;
-    if (!DecodeInstruction(code, size, offset, &instruction)) {
-      decoded.ok = false;
-      decoded.error_offset = offset;
-      return decoded;
-    }
-    decoded.index_at[offset] =
-        static_cast<uint32_t>(decoded.instructions.size());
-    decoded.instructions.push_back(instruction);
-    offset += instruction.length;
-  }
-  decoded.ok = true;
-  return decoded;
 }
 
 }  // namespace t3

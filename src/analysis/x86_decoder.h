@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace t3 {
 
@@ -67,38 +66,13 @@ struct JitInstruction {
   uint8_t pred = 0;   ///< kVcmppd*: comparison predicate immediate.
 };
 
-/// Decodes one instruction at `offset` against the emitter whitelist; false
-/// when the bytes match nothing in it. Pure byte inspection — works on any
-/// host, including non-x86-64 builds proving serialized buffers.
+/// Decodes one instruction at `offset` of the `size`-byte buffer against the
+/// emitter whitelist; false when the bytes match nothing in it or run past
+/// `size`. The lifts call it where their grammar reads the next
+/// instruction. Pure byte inspection — works on any host, including
+/// non-x86-64 builds proving serialized buffers.
 bool DecodeInstruction(const uint8_t* code, size_t size, size_t offset,
                        JitInstruction* out);
-
-/// A whole buffer decoded front to back. On failure `instructions` holds
-/// everything decoded before the stream desynchronized at `error_offset`.
-struct DecodedCode {
-  /// Instructions in offset order; they tile the decoded bytes.
-  std::vector<JitInstruction> instructions;
-  bool ok = false;
-  size_t error_offset = 0;  ///< First undecodable offset (when !ok).
-
-  /// The instruction starting exactly at `offset`, or nullptr when `offset`
-  /// is not an instruction boundary (branch targets, tree entries and node
-  /// starts are all checked this way). O(1).
-  const JitInstruction* At(size_t offset) const {
-    if (offset >= index_at.size()) return nullptr;
-    const uint32_t index = index_at[offset];
-    return index == kNoInstruction ? nullptr : &instructions[index];
-  }
-
-  static constexpr uint32_t kNoInstruction = UINT32_MAX;
-  /// Per decoded byte: the index of the instruction starting there, or
-  /// kNoInstruction inside an instruction.
-  std::vector<uint32_t> index_at;
-};
-
-/// Linearly decodes `size` bytes starting at offset 0. Every byte must
-/// belong to exactly one whitelisted instruction for `ok` to hold.
-DecodedCode DecodeLinear(const uint8_t* code, size_t size);
 
 }  // namespace t3
 

@@ -13,7 +13,7 @@
 
 namespace t3 {
 
-/// The live corpus pipeline (ROADMAP item 1, now closed): querygen emits
+/// The live corpus pipeline: querygen emits
 /// plans, the engine executes them on generated instances, the featurizer
 /// turns timed pipelines into the corpus rows harness/corpus.cc parses.
 

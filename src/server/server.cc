@@ -184,7 +184,7 @@ std::string PredictionServer::StatsText() const {
   text += StrFormat("model_features %d\n", model->num_features());
   text += StrFormat("model_trees %zu\n", model->model.forest().trees.size());
   text += StrFormat("simd_batch_kernels %d\n",
-                    model->simd_batch_kernels() ? 1 : 0);
+                    model->simd_batch_kernels ? 1 : 0);
   text += StrFormat("workers %zu\n", workers_.size());
   text += StrFormat("connections_accepted %llu\n",
                     static_cast<unsigned long long>(
@@ -323,8 +323,8 @@ void PredictionServer::PredictParsed(Worker* worker) {
     }
   }
   worker->raw.resize(batch.num_rows());
-  model->evaluator().PredictBatch(batch.rows().data(), batch.num_rows(), dim,
-                                  worker->raw.data());
+  model->evaluator->PredictBatch(batch.rows().data(), batch.num_rows(), dim,
+                                 worker->raw.data());
 
   size_t query = 0;
   for (const PredictJob& job : worker->parsed) {

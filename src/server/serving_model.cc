@@ -6,6 +6,7 @@
 #include "common/cpu_features.h"
 #include "common/string_util.h"
 #include "common/timer.h"
+#include "treejit/jit.h"
 
 namespace t3 {
 
@@ -43,22 +44,20 @@ Result<std::shared_ptr<const ServingModel>> Prepare(T3Model model,
   Result<std::unique_ptr<CompiledForest>> compiled =
       CompiledForest::Compile(serving->model.forest());
   if (compiled.ok()) {
-    serving->compiled = *std::move(compiled);
+    serving->simd_batch_kernels =
+        (*compiled)->has_batch_kernels() && BatchKernelsEnabled();
+    serving->evaluator = *std::move(compiled);
   } else {
     // Compile failure (non-x86-64, mmap denial) is not fatal: the
     // interpreter is bit-identical, just slower.
-    serving->flat = std::make_unique<FlatEvaluator>(serving->model.forest());
+    serving->evaluator =
+        std::make_unique<FlatEvaluator>(serving->model.forest());
   }
   serving->timings.compile_ms = watch.ElapsedSeconds() * 1e3;
   return std::shared_ptr<const ServingModel>(std::move(serving));
 }
 
 }  // namespace
-
-bool ServingModel::simd_batch_kernels() const {
-  return compiled != nullptr && compiled->has_batch_kernels() &&
-         BatchKernelsEnabled();
-}
 
 std::string ServingModel::TimingsText() const {
   return StrFormat("load %.3g ms, proof %.3g ms, compile %.3g ms",

@@ -9,7 +9,6 @@
 
 #include "model/t3_model.h"
 #include "treejit/evaluator.h"
-#include "treejit/jit.h"
 
 namespace t3 {
 
@@ -21,11 +20,14 @@ namespace t3 {
 /// or served by a half-swapped model.
 struct ServingModel {
   T3Model model;
-  /// JIT-compiled forest (with the SIMD batch kernels when available);
-  /// null when compilation is unsupported on this host.
-  std::unique_ptr<CompiledForest> compiled;
-  /// The interpreter, built only when `compiled` is null.
-  std::unique_ptr<FlatEvaluator> flat;
+  /// The JIT-compiled forest (with the SIMD batch kernels when available),
+  /// or the FlatEvaluator where compilation is unsupported on this host.
+  /// Both are bit-identical to Forest::Predict, so the choice never changes
+  /// results.
+  std::unique_ptr<const ForestEvaluator> evaluator;
+  /// True when evaluator->PredictBatch runs the AVX batch kernels: they
+  /// are compiled in and dispatched on this host (BatchKernelsEnabled).
+  bool simd_batch_kernels = false;
   uint32_t version = 0;
   std::string source;  ///< File path or a descriptive tag, for stats.
 
@@ -38,18 +40,6 @@ struct ServingModel {
   Timings timings;
   /// "load <x> ms, proof <y> ms, compile <z> ms", for log lines.
   std::string TimingsText() const;
-
-  /// The evaluator (compiled, else flat). Both are bit-identical to
-  /// Forest::Predict, so the choice never changes results.
-  const ForestEvaluator& evaluator() const {
-    return compiled != nullptr
-               ? static_cast<const ForestEvaluator&>(*compiled)
-               : *flat;
-  }
-
-  /// True when evaluator().PredictBatch runs the AVX batch kernels: they
-  /// are compiled in and dispatched on this host (BatchKernelsEnabled).
-  bool simd_batch_kernels() const;
 
   int num_features() const { return model.forest().num_features; }
 };

@@ -165,12 +165,11 @@ TEST(ForestVerifierTest, WarnsOnDeadBranch) {
 }
 
 TEST(ForestVerifierTest, NanRoutingKeepsNumericallyDeadBranchAlive) {
-  // As above (right child of node 1 numerically unreachable), but NaN is
-  // routed right at the root's left... no: NaN routing is per split. Make
-  // both splits route NaN right (default_left=false): NaN reaches node 1
-  // only if the root sent it left, which it does not — so the branch stays
-  // dead. With the root routing NaN left (default_left=true) and node 1
-  // routing NaN right, NaN *does* reach node 1's right child: not dead.
+  // As above, node 1's right child is numerically unreachable. When both
+  // splits route NaN right (default_left=false), NaN never reaches node 1,
+  // so the branch stays dead. When the root routes NaN left
+  // (default_left=true) and node 1 routes it right, NaN reaches node 1's
+  // right child, which is therefore alive.
   const Forest dead = OneTreeForest(
       {Inner(0, 0.5, 1, 2, /*default_left=*/false),
        Inner(0, 0.8, 3, 4, /*default_left=*/false), Leaf(1.0), Leaf(2.0),
@@ -185,6 +184,35 @@ TEST(ForestVerifierTest, NanRoutingKeepsNumericallyDeadBranchAlive) {
   EXPECT_FALSE(HasWarning(report, "dead-branch")) << report.ToString();
   // Mixed default_left on feature 0 trips the consistency lint instead.
   EXPECT_TRUE(HasWarning(report, "inconsistent-nan-routing"));
+}
+
+TEST(ForestVerifierTest, SignedZeroSplitsShareOneBound) {
+  // -0.0 == 0.0, whichever split carries which sign: on the root's right
+  // path (x0 >= 0) a nested x0 < 0 admits nothing, and on its left path
+  // (x0 < 0) a nested x0 >= 0 admits nothing. Both nested splits repeat
+  // the root's threshold.
+  for (const double root : {0.0, -0.0}) {
+    const double nested = -root;
+    const Forest forest = OneTreeForest(
+        {Inner(0, root, 1, 2), Inner(0, nested, 3, 4),
+         Inner(0, nested, 5, 6), Leaf(1.0), Leaf(2.0), Leaf(3.0),
+         Leaf(4.0)});
+    const AnalysisReport report = ForestVerifier().Verify(forest);
+    std::vector<std::string> found;
+    for (const Diagnostic& d : report.diagnostics()) {
+      found.push_back(d.check + " " + std::to_string(d.node) + " " +
+                      d.message.substr(0, d.message.find(':')));
+    }
+    // The walk reports a node, then its right subtree, then its left.
+    EXPECT_EQ(found, (std::vector<std::string>{
+                         "duplicate-threshold 2 repeats an ancestor split on "
+                         "feature 0",
+                         "dead-branch 2 left child unreachable",
+                         "duplicate-threshold 1 repeats an ancestor split on "
+                         "feature 0",
+                         "dead-branch 1 right child unreachable"}))
+        << "root threshold " << root << ":\n" << report.ToString();
+  }
 }
 
 TEST(ForestVerifierTest, WarnsOnDuplicateThreshold) {
@@ -588,6 +616,21 @@ TEST_F(ScalarLiftCorruptionTest, TruncatedBufferIsRejected) {
   // would fall off the end of the region.
   artifact_.code.pop_back();
   EXPECT_TRUE(HasError(Lift(), "unliftable-code")) << Lift().ToString();
+}
+
+TEST_F(ScalarLiftCorruptionTest, UndecodableByteIsReportedInItsOwnRegion) {
+  // The final ret belongs to the second tree's region: only that region
+  // fails, at that byte, and the first still lifts.
+  const size_t last = artifact_.code.size() - 1;
+  ASSERT_EQ(artifact_.code[last], 0xC3);
+  ASSERT_GT(last, artifact_.entries[1]);
+  artifact_.code[last] = 0xC2;
+  const AnalysisReport report = Lift();
+  ASSERT_EQ(report.diagnostics().size(), 1u) << report.ToString();
+  const Diagnostic& d = report.diagnostics()[0];
+  EXPECT_EQ(d.check, "undecodable-code");
+  EXPECT_EQ(d.tree, 1);
+  EXPECT_EQ(d.node, static_cast<int>(last));
 }
 
 TEST_F(ScalarLiftCorruptionTest, TruncatedInstructionIsRejected) {

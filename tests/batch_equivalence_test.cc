@@ -85,6 +85,20 @@ constexpr const char* kFixtures[] = {
     "/data/model_loo_airline.txt",
 };
 
+/// The instructions of [0, size), decoded front to back.
+std::vector<JitInstruction> DecodeAll(const uint8_t* code, size_t size) {
+  std::vector<JitInstruction> instructions;
+  JitInstruction instruction;
+  for (size_t offset = 0; offset < size; offset += instruction.length) {
+    if (!DecodeInstruction(code, size, offset, &instruction)) {
+      ADD_FAILURE() << "undecodable at offset " << offset;
+      break;
+    }
+    instructions.push_back(instruction);
+  }
+  return instructions;
+}
+
 bool HasError(const AnalysisReport& report, const std::string& check) {
   for (const Diagnostic& d : report.diagnostics()) {
     if (d.check == check && d.severity == Severity::kError) return true;
@@ -268,18 +282,44 @@ TEST(BatchEquivalenceTest, WildBroadcastBeforeAlignedPoolIsRejected) {
   Result<BatchJitArtifact> artifact = EmitForestBatchCode(forest);
   ASSERT_TRUE(artifact.ok());
   ASSERT_EQ(artifact->pool_begin % 8, 7u);
-  const DecodedCode decoded =
-      DecodeLinear(artifact->code.data(), artifact->pool_begin);
-  ASSERT_TRUE(decoded.ok);
   size_t broadcast = 0;
-  while (decoded.At(broadcast)->op != JitOp::kVbroadcastsd) {
-    broadcast += decoded.At(broadcast)->length;
+  for (const JitInstruction& instruction :
+       DecodeAll(artifact->code.data(), artifact->pool_begin)) {
+    if (instruction.op == JitOp::kVbroadcastsd) {
+      broadcast = instruction.offset;
+      break;
+    }
   }
+  ASSERT_NE(broadcast, 0u);
   // The top byte of the disp32: the operand now reads ~16 MiB before the
   // buffer.
   artifact->code[broadcast + 8] ^= 0xFF;
   EXPECT_TRUE(HasError(AnalyzeBatch(forest, *artifact), "bad-pool-ref"))
       << AnalyzeBatch(forest, *artifact).ToString();
+}
+
+// An undecodable byte in the second kernel fails that kernel alone, at that
+// byte; the first kernel still lifts.
+TEST(BatchEquivalenceTest, UndecodableByteIsReportedInItsOwnKernel) {
+  if (!BatchJitSupported()) {
+    GTEST_SKIP() << "batch JIT not supported in this build";
+  }
+  Rng rng(9);
+  const Forest forest = MakeRandomForest(&rng, 3, 2, 2);
+  Result<BatchJitArtifact> artifact = EmitForestBatchCode(forest);
+  ASSERT_TRUE(artifact.ok());
+  ASSERT_EQ(artifact->entries.size(), 2u);
+  // The last kernel ends `vzeroupper; ret` (C5 F8 77 C3).
+  const size_t vzeroupper = artifact->pool_begin - 4;
+  ASSERT_GT(vzeroupper, artifact->entries[1]);
+  ASSERT_EQ(artifact->code[vzeroupper], 0xC5);
+  artifact->code[vzeroupper] = 0x90;  // nop is not in the whitelist.
+  const AnalysisReport report = LiftBatch(*artifact);
+  ASSERT_EQ(report.diagnostics().size(), 1u) << report.ToString();
+  const Diagnostic& d = report.diagnostics()[0];
+  EXPECT_EQ(d.check, "undecodable-batch-code");
+  EXPECT_EQ(d.tree, 1);
+  EXPECT_EQ(d.node, static_cast<int>(vzeroupper));
 }
 
 /// Each case corrupts one batch safety obligation the emitter grammar
@@ -320,11 +360,9 @@ class BatchLiftCorruptionTest : public ::testing::Test {
 
   /// Offsets of every instruction of kind `op`, in order.
   std::vector<size_t> AllOps(JitOp op) const {
-    const DecodedCode decoded =
-        DecodeLinear(artifact_.code.data(), artifact_.pool_begin);
-    EXPECT_TRUE(decoded.ok);
     std::vector<size_t> offsets;
-    for (const JitInstruction& instruction : decoded.instructions) {
+    for (const JitInstruction& instruction :
+         DecodeAll(artifact_.code.data(), artifact_.pool_begin)) {
       if (instruction.op == op) offsets.push_back(instruction.offset);
     }
     return offsets;
@@ -351,8 +389,8 @@ class BatchLiftCorruptionTest : public ::testing::Test {
   /// target.
   void Splice(size_t at, size_t erase, const std::vector<uint8_t>& insert) {
     const std::vector<uint8_t>& old = artifact_.code;
-    const DecodedCode decoded = DecodeLinear(old.data(), artifact_.pool_begin);
-    ASSERT_TRUE(decoded.ok);
+    const std::vector<JitInstruction> decoded =
+        DecodeAll(old.data(), artifact_.pool_begin);
     const auto moved = [&](size_t offset) {
       return offset < at + erase ? offset : offset - erase + insert.size();
     };
@@ -366,7 +404,7 @@ class BatchLiftCorruptionTest : public ::testing::Test {
     const size_t pool = code.size();
     code.insert(code.end(), old.begin() + static_cast<long>(old_pool),
                 old.end());
-    for (const JitInstruction& instruction : decoded.instructions) {
+    for (const JitInstruction& instruction : decoded) {
       if (instruction.offset >= at && instruction.offset < at + erase) {
         continue;
       }
@@ -473,18 +511,21 @@ TEST_F(BatchLiftCorruptionTest, AccumulatorStoreOutsideOutputBlockIsRejected) {
 
 TEST_F(BatchLiftCorruptionTest, GuardJumpingOffItsChildsEndIsRejected) {
   const size_t jz = Guard() + 9;
-  const DecodedCode decoded =
-      DecodeLinear(artifact_.code.data(), artifact_.pool_begin);
-  ASSERT_TRUE(decoded.ok);
-  const size_t child_end = decoded.At(jz)->target;
-  ASSERT_NE(decoded.At(child_end), nullptr);
+  size_t child_end = 0;
   size_t last = 0;  // The child's last instruction.
-  for (const JitInstruction& instruction : decoded.instructions) {
+  size_t one_late = 0;
+  for (const JitInstruction& instruction :
+       DecodeAll(artifact_.code.data(), artifact_.pool_begin)) {
+    if (instruction.offset == jz) child_end = instruction.target;
+    if (child_end == 0) continue;
     if (instruction.offset + instruction.length == child_end) {
       last = instruction.offset;
     }
+    if (instruction.offset == child_end) {
+      one_late = child_end + instruction.length;
+    }
   }
-  const size_t one_late = child_end + decoded.At(child_end)->length;
+  ASSERT_NE(one_late, 0u);
   for (const size_t target : {last, one_late}) {
     Patch32(jz + 2, static_cast<uint32_t>(target - (jz + 6)));
     EXPECT_TRUE(HasError(LiftBatch(artifact_), "bad-guard"))

@@ -248,11 +248,15 @@ class MutationTest : public TranslationValidatorTest {
   /// Offsets of every instruction of kind `op` across the buffer.
   std::vector<size_t> AllOps(JitOp op) const {
     std::vector<size_t> offsets;
-    const DecodedCode decoded =
-        DecodeLinear(artifact_.code.data(), artifact_.code.size());
-    EXPECT_TRUE(decoded.ok);
-    for (const JitInstruction& instruction : decoded.instructions) {
-      if (instruction.op == op) offsets.push_back(instruction.offset);
+    JitInstruction instruction;
+    for (size_t offset = 0; offset < artifact_.code.size();
+         offset += instruction.length) {
+      if (!DecodeInstruction(artifact_.code.data(), artifact_.code.size(),
+                             offset, &instruction)) {
+        ADD_FAILURE() << "undecodable at offset " << offset;
+        break;
+      }
+      if (instruction.op == op) offsets.push_back(offset);
     }
     return offsets;
   }
