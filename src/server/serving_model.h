@@ -25,8 +25,9 @@ struct ServingModel {
   /// Both are bit-identical to Forest::Predict, so the choice never changes
   /// results.
   std::unique_ptr<const ForestEvaluator> evaluator;
-  /// True when evaluator->PredictBatch runs the AVX batch kernels: they
-  /// are compiled in and dispatched on this host (BatchKernelsEnabled).
+  /// True when evaluator->PredictBatch runs the AVX batch kernels on
+  /// batches of at least CompiledForest::kMinKernelRows rows: they are
+  /// compiled in and dispatched on this host (BatchKernelsEnabled).
   bool simd_batch_kernels = false;
   uint32_t version = 0;
   std::string source;  ///< File path or a descriptive tag, for stats.

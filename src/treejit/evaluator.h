@@ -11,11 +11,11 @@ namespace t3 {
 
 class ThreadPool;
 
-/// Common interface of the two forest evaluators (flattened-array
-/// interpretation, JIT-compiled native code). Both produce predictions
-/// bit-identical to Forest::Predict, the reference semantics: same split
-/// predicate (see GoesLeft), same NaN routing, same summation order
-/// (base_score first, then trees in order).
+/// Common interface of the forest evaluators (flattened-array
+/// interpretation, QuickScorer's bitvector traversal, JIT-compiled native
+/// code). All produce predictions bit-identical to Forest::Predict, the
+/// reference semantics: same split predicate (see GoesLeft), same NaN
+/// routing, same summation order (base_score first, then trees in order).
 class ForestEvaluator {
  public:
   virtual ~ForestEvaluator() = default;

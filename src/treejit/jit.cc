@@ -9,6 +9,7 @@
 
 #include "analysis/translation_validator.h"
 #include "analysis/tree_lifter.h"
+#include "common/check.h"
 #include "common/cpu_features.h"
 #include "common/string_util.h"
 
@@ -28,8 +29,8 @@
 
 // Batch kernels are plain AVX encodings, but the dispatch contract is
 // AVX2-gated (the issue of record for non-AVX2 x86-64) and the CMake option
-// T3_DISABLE_AVX2 turns emission off entirely to prove PredictBatch's
-// per-row loop alone stays bit-identical.
+// T3_DISABLE_AVX2 turns emission off entirely to prove PredictBatch stays
+// bit-identical with QuickScorer alone.
 #if T3_JIT_X86_64 && !defined(T3_DISABLE_AVX2)
 #define T3_BATCH_JIT 1
 #else
@@ -522,8 +523,7 @@ Result<std::unique_ptr<CompiledForest>> CompiledForest::Compile(
     if (!proven.ok()) return proven;
   }
 
-  std::unique_ptr<CompiledForest> compiled(new CompiledForest());
-  compiled->base_score_ = forest.base_score;
+  std::unique_ptr<CompiledForest> compiled(new CompiledForest(forest));
   Status mapped = MapExecutable(artifact->code, &compiled->code_,
                                 &compiled->mapped_size_);
   if (!mapped.ok()) return mapped;
@@ -560,7 +560,6 @@ Result<std::unique_ptr<CompiledForest>> CompiledForest::Compile(
                                       &compiled->batch_mapped_size_);
   if (!batch_mapped.ok()) return batch_mapped;
   compiled->batch_code_size_ = batch->code.size();
-  compiled->num_features_ = batch->num_features;
   compiled->batch_fns_.reserve(batch->entries.size());
   for (const size_t entry : batch->entries) {
     compiled->batch_fns_.push_back(reinterpret_cast<BatchFn>(
@@ -600,6 +599,11 @@ CompiledForest::~CompiledForest() = default;
 
 #endif  // T3_JIT_X86_64
 
+CompiledForest::CompiledForest(const Forest& forest)
+    : base_score_(forest.base_score),
+      num_features_(forest.num_features),
+      quick_scorer_(forest) {}
+
 double CompiledForest::Predict(const double* row) const {
   double sum = base_score_;
   for (const TreeFn fn : tree_fns_) sum += fn(row);
@@ -618,7 +622,7 @@ constexpr size_t kChunkBlocks = 64;
 /// layout the kernels read. A chunk of blocks runs tree by tree, so one
 /// tree's code stays hot over the chunk instead of the whole forest's code
 /// streaming through once per block. Each row still adds the trees in
-/// forest order, so the sums are bit-identical to the per-row path.
+/// forest order, so the sums are bit-identical to Forest::Predict.
 template <typename Fn>
 size_t RunBatchKernels(const std::vector<Fn>& fns, double base_score,
                        const double* rows, size_t num_rows,
@@ -653,28 +657,32 @@ size_t RunBatchKernels(const std::vector<Fn>& fns, double base_score,
 
 void CompiledForest::PredictBatch(const double* rows, size_t num_rows,
                                   size_t num_features, double* out) const {
+#ifndef NDEBUG
+  T3_CHECK(num_rows == 0 || num_features >= static_cast<size_t>(num_features_));
+#endif
   size_t done = 0;
-  if (!batch_fns_.empty() && BatchKernelsEnabled() &&
+  if (num_rows >= kMinKernelRows && !batch_fns_.empty() &&
+      BatchKernelsEnabled() &&
       num_features == static_cast<size_t>(num_features_)) {
     done = RunBatchKernels(batch_fns_, base_score_, rows, num_rows,
                            num_features, out);
   }
   // Everything the kernels did not take, including the (< 8)-row tail.
-  ForestEvaluator::PredictBatch(rows + done * num_features, num_rows - done,
-                                num_features, out + done);
+  quick_scorer_.PredictBatch(rows + done * num_features, num_rows - done,
+                             num_features, out + done);
 }
 
 #if !T3_BATCH_JIT
 
 // Batch emission is compiled out (non-x86-64 host, or -DT3_DISABLE_AVX2=ON).
 // CompiledForest::Compile never populates batch_fns_, so PredictBatch
-// predicts every row with its per-row loop.
+// predicts every row with QuickScorer.
 Result<BatchJitArtifact> EmitForestBatchCode(const Forest& forest) {
   Status valid = forest.Validate();
   if (!valid.ok()) return valid;
   return UnavailableError(
       "AVX batch kernels require an x86-64 host and a build without "
-      "T3_DISABLE_AVX2; PredictBatch predicts row by row");
+      "T3_DISABLE_AVX2; PredictBatch runs QuickScorer");
 }
 
 #endif  // !T3_BATCH_JIT

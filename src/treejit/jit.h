@@ -7,6 +7,7 @@
 
 #include "common/status.h"
 #include "treejit/evaluator.h"
+#include "treejit/quick_scorer.h"
 
 namespace t3 {
 
@@ -107,7 +108,14 @@ struct JitCompileOptions {
 /// (System V AMD64: row in rdi, result in xmm0); Predict sums the tree
 /// results after base_score in tree order, so predictions are bit-identical
 /// to Forest::Predict. Where BatchJitSupported(), Compile also emits the AVX
-/// batch kernels (EmitForestBatchCode).
+/// batch kernels (EmitForestBatchCode). Next to the machine code, Compile
+/// builds a QuickScorer for the batches the kernels do not take.
+///
+/// Which evaluator answers what:
+///  - Predict, one row: the scalar JIT walk (the paper's compiled
+///    artifact; Table 1, Figure 5).
+///  - PredictBatch: the AVX kernels over whole 8-row blocks of batches of
+///    at least kMinKernelRows rows; QuickScorer for every other row.
 ///
 /// Code lives in mmap'd memory managed W^X: pages are writable during
 /// emission, then flipped to read+execute — never both.
@@ -118,6 +126,19 @@ struct JitCompileOptions {
 ///  - a structurally invalid forest.
 class CompiledForest : public ForestEvaluator {
  public:
+  /// Fewest rows for which PredictBatch runs the AVX kernels. A kernel call
+  /// streams all of the kernels' code (790 KB on a 200-tree fixture) and
+  /// evicts QuickScorer's ~150 KB of arrays. Per call on model_loo_airline
+  /// over the mini corpus's rows, after an 8 MiB sweep cools the caches as
+  /// other work does between a serving worker's batches (median of 101,
+  /// three runs, 4-vCPU Xeon VM): 8 rows 31-63 us kernels vs 29-33 us
+  /// QuickScorer, 16 rows 46-79 vs 50-57, 32 rows 63-105 vs 105-108, 64
+  /// rows 104-157 vs 113-198. Warm, the kernels win from 8 rows
+  /// (bench_micro_inference). 64 keeps point batches, a request or two of
+  /// 1-8 rows, off the kernels; BENCH_serve_point.json has the end-to-end
+  /// effect.
+  static constexpr size_t kMinKernelRows = 64;
+
   static Result<std::unique_ptr<CompiledForest>> Compile(
       const Forest& forest, const JitCompileOptions& options = {});
 
@@ -126,11 +147,12 @@ class CompiledForest : public ForestEvaluator {
   CompiledForest& operator=(const CompiledForest&) = delete;
 
   double Predict(const double* row) const override;
-  /// Runs the AVX kernels over whole 8-row blocks when they are compiled
-  /// and dispatched (BatchKernelsEnabled) and `num_features` is the
-  /// forest's width; every other row (short batches, tails, a width
-  /// mismatch, builds or hosts without kernels) takes the per-row loop.
-  /// Bit-identical either way.
+  /// Runs the AVX kernels over whole 8-row blocks when the batch has at
+  /// least kMinKernelRows rows, the kernels are compiled and dispatched
+  /// (BatchKernelsEnabled) and `num_features` is the forest's width; every
+  /// other row (short batches, tails, a wider stride, builds or hosts
+  /// without kernels) goes through QuickScorer. Bit-identical either way.
+  /// The row stride `num_features` must be at least the forest's width.
   void PredictBatch(const double* rows, size_t num_rows, size_t num_features,
                     double* out) const override;
 
@@ -138,7 +160,8 @@ class CompiledForest : public ForestEvaluator {
   size_t code_size() const { return code_size_; }
 
   /// True when AVX batch kernels were compiled in. PredictBatch runs them
-  /// only when the runtime probe (BatchKernelsEnabled) also passes.
+  /// only when the runtime probe (BatchKernelsEnabled) also passes, and
+  /// only on batches of at least kMinKernelRows rows.
   bool has_batch_kernels() const { return !batch_fns_.empty(); }
 
   /// Bytes of emitted batch-kernel code + constant pool (0 when none).
@@ -148,7 +171,7 @@ class CompiledForest : public ForestEvaluator {
   using TreeFn = double (*)(const double*);
   using BatchFn = void (*)(const double*, double*);
 
-  CompiledForest() = default;
+  explicit CompiledForest(const Forest& forest);
 
   double base_score_ = 0.0;
   std::vector<TreeFn> tree_fns_;
@@ -160,6 +183,7 @@ class CompiledForest : public ForestEvaluator {
   size_t batch_mapped_size_ = 0;
   size_t batch_code_size_ = 0;
   int num_features_ = 0;
+  QuickScorer quick_scorer_;
 };
 
 /// True when this build can JIT-compile forests (x86-64 with mmap).

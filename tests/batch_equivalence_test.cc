@@ -595,8 +595,9 @@ TEST_F(BatchLiftCorruptionTest, BadEntriesAreRejected) {
 // End to end: Compile with every proof forced on (the release defaults
 // leave them off) accepts every random forest and fixture model, and the
 // mapped kernels bit-equal Forest::Predict on one witness row per leaf cell
-// of every tree, zero-padded to whole 8-row blocks so none lands in the
-// per-row tail.
+// of every tree, zero-padded to whole 8-row blocks and to at least
+// CompiledForest::kMinKernelRows rows, so every witness runs through the
+// kernels and none lands in QuickScorer's tail.
 TEST(BatchEquivalenceTest, CompileWithFullValidationSucceeds) {
   if (!BatchJitSupported()) {
     GTEST_SKIP() << "batch JIT not supported in this build";
@@ -637,7 +638,9 @@ TEST(BatchEquivalenceTest, CompileWithFullValidationSucceeds) {
                       });
     }
     const size_t num_witness = rows.size() / width;
-    rows.resize((num_witness + 7) / 8 * 8 * width);
+    rows.resize(std::max((num_witness + 7) / 8 * 8,
+                         CompiledForest::kMinKernelRows) *
+                width);
     std::vector<double> got(rows.size() / width);
     (*compiled)->PredictBatch(rows.data(), got.size(), width, got.data());
     for (size_t r = 0; r < num_witness; ++r) {

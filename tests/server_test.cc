@@ -661,6 +661,57 @@ TEST(PredictionServerTest, HotSwapUnderLoadDropsNothingAndBitMatches) {
   (*server)->Stop();
 }
 
+// Requests on both sides of CompiledForest::kMinKernelRows, one at a time
+// so each is one PredictBatch call, before and after a hot swap: below the
+// threshold QuickScorer answers every row, from it the AVX kernels (where
+// dispatched) take the whole 8-row blocks. Every answer bit-matches the
+// model version it names.
+TEST(PredictionServerTest, BatchesAroundKernelThresholdBitMatchAcrossSwap) {
+  const int kFeatures = 12;
+  const T3Model model_v1 = MakeRandomModel(3001, kFeatures, 30);
+  const T3Model model_v2 = MakeRandomModel(3002, kFeatures, 30);
+  const std::string swap_path =
+      testing::TempDir() + "/t3_server_threshold_model.txt";
+  ASSERT_TRUE(model_v2.SaveToFile(swap_path).ok());
+
+  std::shared_ptr<const ServingModel> serving;
+  ASSERT_NO_FATAL_FAILURE(MakeTestServingModel(3001, kFeatures, 30, &serving));
+  Result<std::unique_ptr<PredictionServer>> server =
+      PredictionServer::Start(std::move(serving), TestServerOptions());
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  Result<PredictionClient> client =
+      PredictionClient::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  constexpr size_t kMin = CompiledForest::kMinKernelRows;
+  uint64_t seed = 500;
+  for (const uint32_t version : {1u, 2u}) {
+    if (version == 2) {
+      Result<uint32_t> swapped = client->Swap(swap_path);
+      ASSERT_TRUE(swapped.ok()) << swapped.status().ToString();
+      ASSERT_EQ(*swapped, 2u);
+    }
+    const T3Model& model = version == 1 ? model_v1 : model_v2;
+    for (const size_t num_rows : {size_t{1}, kMin - 1, kMin, kMin + 9}) {
+      const PredictRowsRequest request =
+          MakeRandomRequest(seed++, num_rows, kFeatures);
+      Result<PredictResponse> response = client->PredictRows(request);
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      EXPECT_EQ(response->model_version, version);
+      ASSERT_EQ(response->predictions.size(), num_rows);
+      for (size_t i = 0; i < num_rows; ++i) {
+        EXPECT_EQ(response->predictions[i],
+                  model.PredictPipelineSeconds(
+                      request.rows.data() + i * kFeatures,
+                      request.input_cardinalities[i]))
+            << "version " << version << ", " << num_rows << " rows, row "
+            << i;
+      }
+    }
+  }
+  (*server)->Stop();
+}
+
 TEST(PredictionServerTest, SwapRejectsFeatureCountMismatch) {
   const T3Model narrow = MakeRandomModel(31, 4, 3);
   const std::string narrow_path =

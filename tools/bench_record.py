@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""Runs one perfbench workload and appends its record to BENCH_<workload>.json.
+
+    python3 tools/bench_record.py --workload <serve_point|serve_bulk|offline_build>
+                                  --seed <n> --seconds <s> [--trace 0|1]
+                                  [--checkout DIR]
+    python3 tools/bench_record.py --show <workload>
+
+The first form runs `python3 perfbench/run.py` in the checkout DIR (default:
+this repository) and appends {"meta": ..., "result": ...} to
+BENCH_<workload>.json at this repository's root: "meta" is perfbench's meta
+line (git sha, seed, dispatch, ...), "result" its final JSON line. The file
+is a JSON list, so a record's index never changes once written; CHANGES.md
+cites records by index. A checkout whose tracked code differs from its HEAD
+is refused, so every record's sha names the code that ran. perfbench builds
+into the checkout's own .bench_build/ (or $CARGO_TARGET_DIR).
+
+The second form prints one line per record of a workload: index, sha, seed,
+seconds, trace, correctness and the end-to-end metrics.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+
+WORKLOADS = ("serve_point", "serve_bulk", "offline_build")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def fail(message):
+    print("bench_record: " + message, file=sys.stderr)
+    sys.exit(2)
+
+
+def bench_path(workload):
+    return os.path.join(ROOT, "BENCH_%s.json" % workload)
+
+
+def load_records(workload):
+    path = bench_path(workload)
+    if not os.path.exists(path):
+        return []
+    with open(path) as f:
+        records = json.load(f)
+    if not isinstance(records, list):
+        fail("%s is not a JSON list" % path)
+    return records
+
+
+def save_records(workload, records):
+    path = bench_path(workload)
+    tmp = path + ".tmp"
+    with open(tmp, "w") as f:
+        json.dump(records, f, indent=1, sort_keys=True)
+        f.write("\n")
+    os.replace(tmp, path)
+
+
+def check_clean(checkout):
+    # Records and notes may change while pairs run; code may not.
+    diff = subprocess.run(
+        ["git", "-C", checkout, "diff", "--quiet", "HEAD", "--", ".",
+         ":(exclude)BENCH_*.json", ":(exclude)*.md"])
+    if diff.returncode != 0:
+        fail("%s has uncommitted code changes; commit them so the record's "
+             "sha names the code that ran" % checkout)
+
+
+def run_once(args):
+    checkout = os.path.abspath(args.checkout or ROOT)
+    check_clean(checkout)
+    command = [sys.executable, "perfbench/run.py", "--workload",
+               args.workload, "--seed", str(args.seed), "--seconds",
+               repr(args.seconds), "--trace", args.trace]
+    completed = subprocess.run(command, cwd=checkout, stdout=subprocess.PIPE,
+                               text=True)
+    lines = completed.stdout.strip().splitlines()
+    if completed.returncode != 0 or not lines:
+        sys.stdout.write(completed.stdout)
+        fail("perfbench exited %d" % completed.returncode)
+    meta = None
+    for line in lines:
+        if line.startswith("meta "):
+            meta = json.loads(line[len("meta "):])
+    if meta is None:
+        fail("no meta line in perfbench's output")
+    result = json.loads(lines[-1])
+    records = load_records(args.workload)
+    records.append({"meta": meta, "result": result})
+    save_records(args.workload, records)
+    print(format_record(len(records) - 1, records[-1]))
+
+
+def format_record(index, record):
+    meta = record["meta"]
+    result = record["result"]
+    metrics = " ".join(
+        "%s=%.6g" % (name, value["value"])
+        for name, value in sorted(result.get("metrics", {}).items()))
+    return "%d %s seed=%s seconds=%s trace=%s correct=%s %s" % (
+        index, meta.get("git_sha", "?")[:8], meta.get("seed"),
+        meta.get("seconds"), meta.get("trace"), result.get("correct"),
+        metrics)
+
+
+def show(workload):
+    for index, record in enumerate(load_records(workload)):
+        print(format_record(index, record))
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", choices=WORKLOADS)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--seconds", type=float)
+    parser.add_argument("--trace", choices=("0", "1"), default="0")
+    parser.add_argument("--checkout")
+    parser.add_argument("--show", choices=WORKLOADS)
+    args = parser.parse_args()
+    if args.show:
+        show(args.show)
+    elif args.workload and args.seed is not None and args.seconds:
+        run_once(args)
+    else:
+        parser.error("give --show, or --workload, --seed and --seconds")
+
+
+if __name__ == "__main__":
+    main()
