@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks of the raw forest evaluators:
 // flattened-array interpretation, QuickScorer's bitvector traversal and
-// JIT-compiled native code, single-row across forest sizes and batched
-// across batch sizes, on controlled synthetic forests;
+// JIT-compiled native code, single-row (cycling through 1024 distinct
+// rows) across forest sizes and batched across batch sizes, on controlled
+// synthetic forests;
 // BM_CompiledBatchFixture adds one trained model over real feature rows
 // and BM_BuildFixture the cost of building each evaluator on the checked-in
 // fixtures under data/.
@@ -66,14 +67,30 @@ std::vector<double> MakeRow(uint64_t seed) {
   return row;
 }
 
+// Distinct rows the single-row benchmarks cycle through, so the branch
+// predictor cannot learn one row's path through the forest.
+constexpr size_t kRowPool = 1024;
+
+// One Predict call per iteration, on the next row of the pool.
+template <typename Evaluator>
+void RunSingleRow(benchmark::State& state, const Evaluator& evaluator) {
+  std::vector<double> rows;
+  rows.reserve(kRowPool * kFeatures);
+  for (size_t i = 0; i < kRowPool; ++i) {
+    const std::vector<double> row = MakeRow(7 + i);
+    rows.insert(rows.end(), row.begin(), row.end());
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(evaluator.Predict(rows.data() + next * kFeatures));
+    next = next + 1 == kRowPool ? 0 : next + 1;
+  }
+}
+
 void BM_Flat(benchmark::State& state) {
   const Forest forest =
       MakeForest(static_cast<int>(state.range(0)), 31, 42);
-  const FlatEvaluator evaluator(forest);
-  const auto row = MakeRow(7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(evaluator.Predict(row.data()));
-  }
+  RunSingleRow(state, FlatEvaluator(forest));
 }
 BENCHMARK(BM_Flat)->Arg(10)->Arg(50)->Arg(200);
 
@@ -82,21 +99,14 @@ void BM_Compiled(benchmark::State& state) {
       MakeForest(static_cast<int>(state.range(0)), 31, 42);
   auto compiled = CompiledForest::Compile(forest);
   T3_CHECK(compiled.ok());
-  const auto row = MakeRow(7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize((*compiled)->Predict(row.data()));
-  }
+  RunSingleRow(state, **compiled);
 }
 BENCHMARK(BM_Compiled)->Arg(10)->Arg(50)->Arg(200);
 
 void BM_QuickScorer(benchmark::State& state) {
   const Forest forest =
       MakeForest(static_cast<int>(state.range(0)), 31, 42);
-  const QuickScorer evaluator(forest);
-  const auto row = MakeRow(7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(evaluator.Predict(row.data()));
-  }
+  RunSingleRow(state, QuickScorer(forest));
 }
 BENCHMARK(BM_QuickScorer)->Arg(10)->Arg(50)->Arg(200);
 

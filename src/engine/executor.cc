@@ -294,10 +294,12 @@ void EmitAggregate(const AggregateSpec& spec,
 }
 
 /// One sort key resolved for the comparator: raw pointers into the sort
-/// buffer, numeric keys read as doubles.
+/// buffer, each key compared in its own type (int64 and date keys as
+/// int64, so keys beyond 2^53 stay distinct).
 struct SortColumn {
   const uint8_t* null = nullptr;
-  const double* numeric = nullptr;        // int64/date/float64 keys.
+  const int64_t* i64 = nullptr;           // Int64/date keys.
+  const double* f64 = nullptr;            // Float64 keys.
   const std::string_view* str = nullptr;  // String keys.
   bool ascending = true;
 
@@ -309,8 +311,9 @@ struct SortColumn {
       const int cmp = str[a].compare(str[b]);
       return (cmp > 0) - (cmp < 0);
     }
-    if (numeric[a] < numeric[b]) return -1;
-    return numeric[a] == numeric[b] ? 0 : 1;
+    if (i64 != nullptr) return (i64[a] > i64[b]) - (i64[a] < i64[b]);
+    if (f64[a] < f64[b]) return -1;
+    return f64[a] == f64[b] ? 0 : 1;
   }
 };
 
@@ -881,8 +884,6 @@ class Run {
   void MaterializeSorted(int id) {
     const PlanNode& node = Node(id);
     DataChunk& buffer = *State(id).sort_buffer;
-    std::vector<std::vector<double>> casts;  // int64/date keys as doubles.
-    casts.reserve(node.sort_keys.size());
     std::vector<SortColumn> keys;
     for (const SortKey& key : node.sort_keys) {
       const ColumnVector& values =
@@ -893,10 +894,9 @@ class Run {
       if (values.type == ColumnType::kString) {
         column.str = values.str.data();
       } else if (values.type == ColumnType::kFloat64) {
-        column.numeric = values.f64.data();
+        column.f64 = values.f64.data();
       } else {
-        casts.emplace_back(values.i64.begin(), values.i64.end());
-        column.numeric = casts.back().data();
+        column.i64 = values.i64.data();
       }
       keys.push_back(column);
     }
