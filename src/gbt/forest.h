@@ -115,7 +115,7 @@ struct Forest {
 /// base_score by bits, and per node is_leaf, then for a leaf its value by
 /// bits, for an inner node feature, threshold by bits, left, right and
 /// default_left. Equal forests compute the same function bit for bit, so
-/// this linear check is the serving and cache round-trip proof
+/// this linear check is the model cache's round-trip proof
 /// (ToText -> FromText -> SameForest). It accepts a subset of what
 /// analysis::ForestDiff bounding the divergence at zero accepts: it also
 /// tells -0.0 from +0.0 and rejects structural rewrites that compute the

@@ -150,11 +150,6 @@ void PredictionServer::Stop() {
   listener_.Reset();
 }
 
-Result<std::shared_ptr<const ServingModel>> PredictionServer::SwapFromFile(
-    const std::string& path) {
-  return registry_.SwapFromFile(path);
-}
-
 ServerStats PredictionServer::stats() const {
   ServerStats stats;
   stats.connections_accepted =
@@ -262,7 +257,7 @@ void PredictionServer::HandleFrame(Worker* worker, Connection* conn,
         return;
       }
       Result<std::shared_ptr<const ServingModel>> swapped =
-          SwapFromFile(path);
+          registry_.SwapFromFile(path);
       if (!swapped.ok()) {
         reply(EncodeErrorResponse(swapped.status()));
         return;
@@ -364,7 +359,7 @@ void PredictionServer::ExecuteQueuedSwap() {
     return;
   }
   Result<std::shared_ptr<const ServingModel>> swapped =
-      SwapFromFile(options_.default_swap_path);
+      registry_.SwapFromFile(options_.default_swap_path);
   if (swapped.ok()) {
     LogSwap(**swapped);
   } else {

@@ -72,8 +72,10 @@ struct ServerStats {
 ///    crosses threads between reading a request and writing its response,
 ///    and each connection's responses leave in the order its frames came;
 ///  - models are versioned snapshots swapped atomically through the
-///    ModelRegistry (release/acquire shared_ptr publish) — swaps never
-///    drop or stall in-flight requests;
+///    ModelRegistry (release/acquire shared_ptr publish), so a swap never
+///    drops an in-flight request. The worker that parsed a kSwapModel
+///    frame (or saw RequestSwap) loads and compiles the new model itself,
+///    and its own connections wait for that load + compile;
 ///  - client misbehavior (disconnects mid-frame, oversized or malformed
 ///    frames) costs at most that connection: bad frames get a kError
 ///    response and a close, aborted sockets are reaped, SIGPIPE is ignored
@@ -98,12 +100,6 @@ class PredictionServer {
   /// Graceful stop: stop accepting, answer every request already parsed,
   /// flush sockets (bounded by a deadline), join the workers. Idempotent.
   void Stop();
-
-  /// Hot-swaps to the model at `path`, re-proving serialization
-  /// bit-exactness before the atomic publish, and returns the published
-  /// snapshot. Thread-safe; callable while serving at full load.
-  Result<std::shared_ptr<const ServingModel>> SwapFromFile(
-      const std::string& path);
 
   /// Signal-safe swap trigger: queues a swap to the options' default swap
   /// path, executed by a worker on its next loop iteration. The t3_serve

@@ -32,38 +32,31 @@ struct ServingModel {
   uint32_t version = 0;
   std::string source;  ///< File path or a descriptive tag, for stats.
 
-  /// Wall time of each step that made this snapshot servable. The proof
-  /// and the compile run side by side, each timed on its own thread, so
-  /// prepare_ms is about the larger of the two, not their sum.
+  /// Wall time of each step that made this snapshot servable, one after
+  /// the other on the preparing thread.
   struct Timings {
     double load_ms = 0.0;     ///< Read and parse; 0 for an in-memory model.
-    double proof_ms = 0.0;    ///< Text round trip and SameForest.
     double compile_ms = 0.0;  ///< JIT with its proofs, or FlatEvaluator.
-    double prepare_ms = 0.0;  ///< Proof and compile together, start to join.
   };
   Timings timings;
-  /// "load <w> ms, proof <x> ms, compile <y> ms, prepare <z> ms", for log
-  /// lines.
+  /// "load <x> ms, compile <y> ms", for log lines.
   std::string TimingsText() const;
 
   int num_features() const { return model.forest().num_features; }
 };
 
-/// Wraps `model` as a serving snapshot: re-proves text-format bit-exactness
-/// (serialize -> reparse -> SameForest, field-by-field bit equality — the
-/// same proof Workbench::GetModel runs on freshly written caches) on one
-/// helper thread while the calling thread compiles the forest. Both only
-/// read the forest; the helper is joined before this returns, on every
-/// path. The proof is checked before the compile result is used:
-/// InternalError when it fails, and a model that cannot be proven is never
-/// published. Where the JIT is unavailable the proven forest is flattened
-/// instead. If no helper thread can be started the proof runs inline, with
-/// the same result.
+/// Wraps `model` as a serving snapshot: compiles its forest on the calling
+/// thread (CompiledForest::Compile validates it first). Only an Unavailable
+/// compile (non-x86-64 host, mmap or mprotect denied) falls back to the
+/// bit-identical FlatEvaluator; any other error (an invalid forest, or a JIT
+/// proof that rejected the emitted code) is returned and no evaluator is
+/// built. The text format's bit-exactness is a property of the serializer,
+/// proven by gbt_test's ForestIoTest suite, not re-proven per model here.
 Result<std::shared_ptr<const ServingModel>> MakeServingModel(
     T3Model model, uint32_t version, std::string source);
 
 /// MakeServingModel over T3Model::LoadFromFile(path) — the hot-swap loader:
-/// a snapshot is servable after load + max(proof, compile).
+/// a snapshot is servable after load + compile.
 Result<std::shared_ptr<const ServingModel>> LoadServingModel(
     const std::string& path, uint32_t version);
 
@@ -96,11 +89,11 @@ class ModelRegistry {
     return current_;
   }
 
-  /// Loads `path`, re-proves bit-exactness, rejects a model whose feature
-  /// count differs from the currently served one (in-flight requests were
-  /// validated against that width), assigns the next version, publishes,
-  /// and returns the published snapshot. Serialized internally; concurrent
-  /// swaps queue.
+  /// Loads and compiles `path` (LoadServingModel) on the calling thread,
+  /// rejects a model whose feature count differs from the currently served
+  /// one (in-flight requests were validated against that width), assigns
+  /// the next version, publishes, and returns the published snapshot.
+  /// Serialized internally; concurrent swaps queue.
   Result<std::shared_ptr<const ServingModel>> SwapFromFile(
       const std::string& path);
 

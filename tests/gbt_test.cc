@@ -1,6 +1,9 @@
 #include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -276,6 +279,81 @@ TEST(ForestIoTest, SameForestRejectsEachSingleFieldChange) {
   EXPECT_FALSE(SameForest(forest, fewer_trees));
 }
 
+namespace {
+
+// A double for a threshold, a leaf or base_score, drawn from an edge pool:
+// a signed format edge, a one-ulp neighbour of one, or a random finite bit
+// pattern.
+double EdgeDouble(Rng* rng) {
+  static constexpr double kEdges[] = {0.0, DBL_TRUE_MIN, DBL_MIN, DBL_MAX, 0.1, 1.0};
+  const double edge =
+      kEdges[rng->UniformInt(0, static_cast<int64_t>(std::size(kEdges)) - 1)];
+  const double sign = rng->Bernoulli(0.5) ? -1.0 : 1.0;
+  switch (rng->UniformInt(0, 2)) {
+    case 0:
+      return sign * edge;
+    case 1:
+      return sign * std::nextafter(edge, rng->Bernoulli(0.5) ? 0.0 : DBL_MAX);
+    default:
+      for (;;) {
+        const uint64_t bits = rng->Next();
+        double value;
+        std::memcpy(&value, &bits, sizeof(value));
+        if (std::isfinite(value)) return value;
+      }
+  }
+}
+
+// Appends a random subtree of at most `depth` levels to `tree`, numbered in
+// preorder, and returns its root's index.
+int AddEdgeSubtree(Tree* tree, Rng* rng, int num_features, int depth) {
+  const int index = static_cast<int>(tree->nodes.size());
+  tree->nodes.emplace_back();
+  if (depth == 0 || rng->Bernoulli(0.3)) {
+    tree->nodes[index].is_leaf = true;
+    tree->nodes[index].value = EdgeDouble(rng);
+    return index;
+  }
+  TreeNode split;
+  split.feature = static_cast<int>(rng->UniformInt(0, num_features - 1));
+  split.threshold = EdgeDouble(rng);
+  split.default_left = rng->Bernoulli(0.5);
+  split.left = AddEdgeSubtree(tree, rng, num_features, depth - 1);
+  split.right = AddEdgeSubtree(tree, rng, num_features, depth - 1);
+  tree->nodes[index] = split;
+  return index;
+}
+
+}  // namespace
+
+// The serializer's contract over random forests whose every number comes
+// from the edge pool: the text reparses, the reparsed forest is SameForest
+// with the original both ways, and ToText is a fixed point. No model needs
+// to re-prove this when it is served.
+TEST(ForestIoTest, RandomEdgeValueForestsRoundTripBitExact) {
+  Rng rng(20240917);
+  for (int i = 0; i < 1000; ++i) {
+    Forest forest;
+    forest.num_features = 1 + static_cast<int>(rng.UniformInt(0, 7));
+    forest.base_score = EdgeDouble(&rng);
+    const int num_trees = 1 + static_cast<int>(rng.UniformInt(0, 3));
+    for (int t = 0; t < num_trees; ++t) {
+      forest.trees.emplace_back();
+      AddEdgeSubtree(&forest.trees.back(), &rng, forest.num_features,
+                     static_cast<int>(rng.UniformInt(0, 4)));
+    }
+    ASSERT_TRUE(forest.Validate().ok()) << i << ": " << forest.Validate().ToString();
+
+    const std::string text = forest.ToText();
+    Result<Forest> reparsed = Forest::FromText(text);
+    ASSERT_TRUE(reparsed.ok()) << i << ": " << reparsed.status().ToString() << "\n"
+                               << text;
+    ASSERT_TRUE(SameForest(forest, *reparsed)) << i << ":\n" << text;
+    ASSERT_TRUE(SameForest(*reparsed, forest)) << i << ":\n" << text;
+    ASSERT_EQ(reparsed->ToText(), text) << i;
+  }
+}
+
 TEST(ForestIoTest, EveryCheckedInFixtureRoundTripsBitExact) {
   // Load(Save(f)) must reproduce every checked-in model bit-exactly: the
   // harness caches trained models through this serializer, and the
@@ -297,7 +375,7 @@ TEST(ForestIoTest, EveryCheckedInFixtureRoundTripsBitExact) {
     ASSERT_TRUE(reloaded.ok()) << name << ": "
                                << reloaded.status().ToString();
     // Text equality and field-by-field bit equality: the bit-exactness
-    // proof the server and the workbench cache run.
+    // proof the workbench cache runs.
     EXPECT_EQ(reloaded->ToText(), forest->ToText()) << name;
     EXPECT_TRUE(SameForest(*reloaded, *forest)) << name;
   }

@@ -3,7 +3,6 @@
 // misbehavior (disconnects, malformed frames), and the hot-swap contract
 // (zero dropped requests, per-version bit-matching) under concurrent load.
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -752,21 +751,16 @@ TEST(ModelRegistryTest, SwapReturnsThePublishedSnapshotWithItsTimings) {
   EXPECT_EQ((*swapped)->version, 2u);
   EXPECT_EQ((*swapped)->source, path);
   EXPECT_GT((*swapped)->timings.load_ms, 0.0);
-  EXPECT_GT((*swapped)->timings.proof_ms, 0.0);
   EXPECT_GT((*swapped)->timings.compile_ms, 0.0);
-  // The proof and the compile overlap: their wall time together covers
-  // each of them, not their sum.
-  const ServingModel::Timings& timings = (*swapped)->timings;
-  EXPECT_GE(timings.prepare_ms, std::max(timings.proof_ms, timings.compile_ms));
   const std::string text = (*swapped)->TimingsText();
-  EXPECT_NE(text.find(" ms, proof "), std::string::npos) << text;
-  EXPECT_NE(text.find(" ms, prepare "), std::string::npos) << text;
+  EXPECT_EQ(text.rfind("load ", 0), 0u) << text;
+  EXPECT_NE(text.find(" ms, compile "), std::string::npos) << text;
 }
 
-// A child index out of range: the round trip's reparse rejects the forest,
-// so the overlapped prepare refuses it with InternalError. The compile
-// beside the proof refuses it too (its own Validate runs before any code is
-// emitted), and the FlatEvaluator fallback is never built for it.
+// A child index out of range: Compile's Validate refuses the forest before
+// any code is emitted, and MakeServingModel returns that InvalidArgument.
+// Only an Unavailable compile falls back to the FlatEvaluator, which would
+// index the bad child unchecked, so no evaluator is built for it.
 TEST(ModelRegistryTest, MalformedForestIsRefusedWithoutAnEvaluator) {
   Forest forest = MakeRandomForest(50, 8, 4);
   TreeNode* split = nullptr;
@@ -777,20 +771,19 @@ TEST(ModelRegistryTest, MalformedForestIsRefusedWithoutAnEvaluator) {
   }
   ASSERT_NE(split, nullptr);
   split->right = 1 << 20;
-  ASSERT_FALSE(forest.Validate().ok());
-  EXPECT_FALSE(CompiledForest::Compile(forest).ok());
+  const Status invalid = forest.Validate();
+  ASSERT_EQ(invalid.code(), StatusCode::kInvalidArgument);
 
   Result<std::shared_ptr<const ServingModel>> serving = MakeServingModel(
       T3Model(std::move(forest), PredictionTarget::kPerTuple), 1, "test:malformed");
   ASSERT_FALSE(serving.ok());
-  EXPECT_EQ(serving.status().code(), StatusCode::kInternal);
-  EXPECT_NE(serving.status().message().find("round trip"), std::string::npos)
-      << serving.status().ToString();
+  EXPECT_EQ(serving.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(serving.status().message(), invalid.message());
 }
 
 // Four threads prepare snapshots of the 200-tree fixtures at once, two
 // through MakeServingModel and two through one registry's SwapFromFile, so
-// several proofs and compiles overlap. Every snapshot must predict the
+// several compiles overlap. Every snapshot must predict the
 // mini corpus's rows bit for bit like its fixture's Forest::Predict, row
 // by row and batched.
 TEST(ModelRegistryTest, ConcurrentPreparesBitMatchTheFixtures) {

@@ -7,9 +7,11 @@
     python3 tools/bench_record.py --show <workload>
 
 The first form runs `python3 perfbench/run.py` in the checkout DIR (default:
-this repository) and appends {"meta": ..., "result": ...} to
-BENCH_<workload>.json at this repository's root: "meta" is perfbench's meta
-line (git sha, seed, dispatch, ...), "result" its final JSON line. The file
+this repository) and appends {"meta": ..., "notes": [...], "result": ...}
+to BENCH_<workload>.json at this repository's root: "meta" is perfbench's
+meta line (git sha, seed, dispatch, ...), "notes" its report lines (among
+them the set-up process CPU beside setup_s), "result" its final JSON line.
+Records written before notes were kept have no "notes". The file
 is a JSON list, so a record's index never changes once written; CHANGES.md
 cites records by index. A checkout whose tracked code differs from its HEAD
 is refused, so every record's sha names the code that ran. perfbench builds
@@ -81,14 +83,17 @@ def run_once(args):
         sys.stdout.write(completed.stdout)
         fail("perfbench exited %d" % completed.returncode)
     meta = None
-    for line in lines:
+    notes = []
+    for line in lines[:-1]:
         if line.startswith("meta "):
             meta = json.loads(line[len("meta "):])
+        else:
+            notes.append(line)
     if meta is None:
         fail("no meta line in perfbench's output")
     result = json.loads(lines[-1])
     records = load_records(args.workload)
-    records.append({"meta": meta, "result": result})
+    records.append({"meta": meta, "notes": notes, "result": result})
     save_records(args.workload, records)
     print(format_record(len(records) - 1, records[-1]))
 
