@@ -3,9 +3,9 @@
 // JIT-compiled native code, single-row (cycling through 1024 distinct
 // rows) across forest sizes and batched across batch sizes, on controlled
 // synthetic forests;
-// BM_CompiledBatchFixture adds one trained model over real feature rows
-// and BM_BuildFixture the cost of building each evaluator on the checked-in
-// fixtures under data/.
+// BM_CompiledBatchFixture and BM_OneRowScanFixture add one trained model
+// over real feature rows, and BM_BuildFixture the cost of building each
+// evaluator on the checked-in fixtures under data/.
 
 #include <benchmark/benchmark.h>
 
@@ -127,15 +127,15 @@ void RunBatch(benchmark::State& state, const ForestEvaluator& evaluator) {
 }
 
 // The flat interpreter's batch call is its per-row loop: the baseline the
-// compiled batch kernels are measured against at the same batch sizes.
+// compiled batch call is measured against at the same batch sizes.
 void BM_FlatBatch(benchmark::State& state) {
   const FlatEvaluator evaluator(MakeForest(200, 31, 42));
   RunBatch(state, evaluator);
 }
 BENCHMARK(BM_FlatBatch)->Arg(16)->Arg(256)->Arg(4096);
 
-// Below CompiledForest::kMinKernelRows rows the compiled batch call runs
-// QuickScorer; from there on the AVX kernels take whole 8-row blocks.
+// The compiled batch call is QuickScorer's: the 8-lane AVX2 scan over
+// whole 8-row blocks (where dispatched), the one-row scan for the rest.
 void BM_CompiledBatch(benchmark::State& state) {
   auto compiled = CompiledForest::Compile(MakeForest(200, 31, 42));
   T3_CHECK(compiled.ok());
@@ -150,12 +150,18 @@ BENCHMARK(BM_CompiledBatch)
     ->Arg(256)
     ->Arg(4096);
 
-// The compiled batch call on what it serves: the trained 200-tree
-// model_loo_airline fixture over the mini corpus's pipeline feature rows,
-// cycled to fill the batch. Real rows share paths, so most subtrees are
-// dead for most 8-row blocks, and a row leaves far fewer split nodes to
-// the right than a uniform row does, unlike BM_CompiledBatch's rows.
-void BM_CompiledBatchFixture(benchmark::State& state) {
+// The trained 200-tree model_loo_airline fixture and `state.range(0)` of
+// the mini corpus's pipeline feature rows, cycled to fill the batch. Real
+// rows share paths, and a row leaves far fewer split nodes to the right
+// than a uniform row does, unlike BM_CompiledBatch's rows.
+struct FixtureBatch {
+  Forest forest;
+  std::vector<double> rows;
+  size_t dim = 0;
+  size_t batch = 0;
+};
+
+FixtureBatch LoadFixtureBatch(const benchmark::State& state) {
   const std::string data = std::string(T3_SOURCE_DIR) + "/data/";
   Result<Forest> forest = Forest::LoadFromFile(data + "model_loo_airline.txt");
   T3_CHECK_OK(forest);
@@ -170,23 +176,62 @@ void BM_CompiledBatchFixture(benchmark::State& state) {
       }
     }
   }
-  const size_t dim = static_cast<size_t>(forest->num_features);
-  const size_t batch = static_cast<size_t>(state.range(0));
-  std::vector<double> rows(batch * dim);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    rows[i] = features[i % features.size()];
+  FixtureBatch fixture;
+  fixture.forest = *std::move(forest);
+  fixture.dim = static_cast<size_t>(fixture.forest.num_features);
+  fixture.batch = static_cast<size_t>(state.range(0));
+  fixture.rows.resize(fixture.batch * fixture.dim);
+  for (size_t i = 0; i < fixture.rows.size(); ++i) {
+    fixture.rows[i] = features[i % features.size()];
   }
-  auto compiled = CompiledForest::Compile(*forest);
-  T3_CHECK(compiled.ok());
-  std::vector<double> out(batch);
+  return fixture;
+}
+
+// One `predict(rows, batch, dim, out)` call per iteration.
+template <typename Predict>
+void RunFixtureBatch(benchmark::State& state, const FixtureBatch& fixture,
+                     const Predict& predict) {
+  std::vector<double> out(fixture.batch);
   for (auto _ : state) {
-    (*compiled)->PredictBatch(rows.data(), batch, dim, out.data());
+    predict(fixture.rows.data(), fixture.batch, fixture.dim, out.data());
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(batch));
+                          static_cast<int64_t>(fixture.batch));
+}
+
+// The compiled batch call on what it serves: the 8-lane scan over whole
+// 8-row blocks where dispatched (not under T3_FORCE_SCALAR=1), the one-row
+// scan for the rest.
+void BM_CompiledBatchFixture(benchmark::State& state) {
+  const FixtureBatch fixture = LoadFixtureBatch(state);
+  auto compiled = CompiledForest::Compile(fixture.forest);
+  T3_CHECK(compiled.ok());
+  RunFixtureBatch(state, fixture,
+                  [&](const double* rows, size_t n, size_t dim, double* out) {
+                    (*compiled)->PredictBatch(rows, n, dim, out);
+                  });
 }
 BENCHMARK(BM_CompiledBatchFixture)
+    ->Arg(8)
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(64)
+    ->Arg(128)
+    ->Arg(2048);
+
+// The same rows through the one-row scan alone: the 8-lane scan's
+// baseline at each batch size.
+void BM_OneRowScanFixture(benchmark::State& state) {
+  const FixtureBatch fixture = LoadFixtureBatch(state);
+  const QuickScorer scorer(fixture.forest);
+  RunFixtureBatch(state, fixture,
+                  [&](const double* rows, size_t n, size_t dim, double* out) {
+                    scorer.PredictEachRow(rows, n, dim, out);
+                  });
+}
+BENCHMARK(BM_OneRowScanFixture)
     ->Arg(8)
     ->Arg(16)
     ->Arg(32)

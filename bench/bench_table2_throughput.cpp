@@ -74,9 +74,10 @@ void Run() {
   PrintExperimentHeader(
       "Table 2: Throughput of tree evaluators in predictions per second",
       StrFormat("single-row calls vs one PredictBatch over %zu pipeline rows "
-                "(%zu queries); compiled batch kernels: %s.",
+                "(%zu queries); compiled batch call: %s.",
                 num_rows, kBatchQueries,
-                simd ? "SIMD (AVX 8-wide)" : "off, per-row loop"));
+                simd ? "QuickScorer's 8-lane AVX2 scan"
+                     : "QuickScorer's one-row scan"));
   ReportTable table({"Evaluator", "Single preds/s", "Batched preds/s",
                      "Batch p50", "Batch p99", "Gain"});
   auto row = [&](const char* name, double single_tput,

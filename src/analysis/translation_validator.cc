@@ -224,16 +224,4 @@ AnalysisReport TranslationValidator::Validate(
   return report;
 }
 
-AnalysisReport BatchEquivalenceValidator::Validate(
-    const Forest& forest, const uint8_t* code, size_t size,
-    const std::vector<size_t>& entries, size_t pool_begin) const {
-  AnalysisReport report = CheckEquivalencePreconditions(forest, entries.size());
-  if (report.HasErrors()) return report;
-  std::vector<LiftedTree> lifted;
-  report = TreeLifter().LiftBatchForest(code, size, entries, pool_begin,
-                                        forest.num_features, &lifted);
-  if (!report.HasErrors()) CheckLiftedForest(forest, lifted, &report);
-  return report;
-}
-
 }  // namespace t3

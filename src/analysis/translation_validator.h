@@ -10,12 +10,9 @@
 
 namespace t3 {
 
-/// Translation validation: static proofs that the machine code TreeJit
-/// emitted computes exactly the forest it was emitted from. One validator
-/// per artifact — TranslationValidator for the scalar tree functions
-/// (EmitForestCode), BatchEquivalenceValidator for the AVX batch kernels
-/// (EmitForestBatchCode) — and both share one pipeline, per code region
-/// [entries[i], entries[i+1]):
+/// Translation validation: a static proof that the machine code TreeJit
+/// emitted (EmitForestCode) computes exactly the forest it was emitted
+/// from. The pipeline, per code region [entries[i], entries[i+1]):
 ///  0. Preconditions: the IR side must pass Forest::Validate
 ///     (`invalid-forest`) and have one tree per code region
 ///     (`tree-count-mismatch`).
@@ -23,17 +20,13 @@ namespace t3 {
 ///     region back into a decision tree — feature index, threshold bits,
 ///     NaN-routing polarity, and leaf bits per path. The lift is also the
 ///     safety proof (whitelisted grammar, contained control flow, in-bounds
-///     loads, spills and pool reads). The batch lift reconstructs the tree
-///     each kernel computes per lane; because its grammar fixes how masks
-///     are narrowed, spilled and resumed, any per-lane divergence from tree
-///     evaluation fails the parse.
+///     loads).
 ///  2. Structural pass against gbt::Forest tree i: simultaneous descent
-///     under the emitters' common correspondence (IR left child = branch
-///     target / mask-true child, right child = fallthrough / mask-false
-///     child), bit-equal thresholds and leaf values, matching split feature
-///     and NaN routing. Checks: `shape-mismatch`, `feature-mismatch`,
-///     `threshold-mismatch`, `leaf-value-mismatch`, `nan-routing-mismatch`,
-///     `branch-polarity-mismatch` (all Error).
+///     under the emitter's correspondence (IR left child = branch target,
+///     right child = fallthrough), bit-equal thresholds and leaf values,
+///     matching split feature and NaN routing. Checks: `shape-mismatch`,
+///     `feature-mismatch`, `threshold-mismatch`, `leaf-value-mismatch`,
+///     `nan-routing-mismatch`, `branch-polarity-mismatch` (all Error).
 ///  3. Semantic pass (`semantic-mismatch`, Error): an interval-analysis
 ///     proof that the lifted tree and the IR tree agree as *functions*.
 ///     Descending the IR tree partitions the feature space into its leaf
@@ -49,10 +42,9 @@ namespace t3 {
 /// an Error: a clean structural pass implies every cell agrees, and a
 /// structurally different buffer still gets a semantic verdict with a
 /// concrete witness row. Per-tree equivalence plus identical summation
-/// order (CompiledForest::Predict; the kernels' fixed `acc += leaf`
-/// epilogue, one add per tree in tree order after the caller seeds
-/// base_score) gives bit-identical forest predictions. The passes are pure
-/// byte inspection and run on any host.
+/// order (CompiledForest::Predict adds base_score, then each tree in tree
+/// order) gives bit-identical forest predictions. The passes are pure byte
+/// inspection and run on any host.
 class TranslationValidator {
  public:
   /// Validates emitted scalar code (`code`/`size`, tree functions at
@@ -60,16 +52,6 @@ class TranslationValidator {
   AnalysisReport Validate(const Forest& forest, const uint8_t* code,
                           size_t size,
                           const std::vector<size_t>& entries) const;
-};
-
-class BatchEquivalenceValidator {
- public:
-  /// Validates emitted batch code (`code`/`size`, kernels at `entries`,
-  /// constant pool from `pool_begin` rounded up to 8 bytes) against
-  /// `forest`, per lane.
-  AnalysisReport Validate(const Forest& forest, const uint8_t* code,
-                          size_t size, const std::vector<size_t>& entries,
-                          size_t pool_begin) const;
 };
 
 }  // namespace t3

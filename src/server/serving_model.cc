@@ -8,6 +8,7 @@
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "treejit/jit.h"
+#include "treejit/quick_scorer.h"
 
 namespace t3 {
 
@@ -26,20 +27,24 @@ Result<std::shared_ptr<const ServingModel>> Prepare(T3Model model,
 
   const Stopwatch compile_watch;
   Result<std::unique_ptr<CompiledForest>> compiled = CompiledForest::Compile(forest);
+  bool vectorized = false;
   if (compiled.ok()) {
-    serving->simd_batch_kernels =
-        (*compiled)->has_batch_kernels() && BatchKernelsEnabled();
+    vectorized = (*compiled)->has_batch_kernels();
     serving->evaluator = *std::move(compiled);
   } else if (compiled.status().code() == StatusCode::kUnavailable) {
     // No JIT on this host (non-x86-64, mmap or mprotect denied): the
-    // interpreter is bit-identical, just slower. Compile validated the
+    // QuickScorer that CompiledForest batches through answers every call,
+    // bit-identical, just slower on single rows. Compile validated the
     // forest before it found that out.
-    serving->evaluator = std::make_unique<FlatEvaluator>(forest);
+    auto quick = std::make_unique<QuickScorer>(forest);
+    vectorized = quick->vectorized();
+    serving->evaluator = std::move(quick);
   } else {
     // An invalid forest, or emitted code a JIT proof rejected: nothing is
     // published, and no evaluator is built for it.
     return compiled.status();
   }
+  serving->simd_batch_kernels = vectorized && BatchKernelsEnabled();
   serving->timings.compile_ms = compile_watch.ElapsedSeconds() * 1e3;
   return std::shared_ptr<const ServingModel>(std::move(serving));
 }

@@ -20,14 +20,14 @@ namespace t3 {
 /// or served by a half-swapped model.
 struct ServingModel {
   T3Model model;
-  /// The JIT-compiled forest (with the SIMD batch kernels when available),
-  /// or the FlatEvaluator where compilation is unsupported on this host.
-  /// Both are bit-identical to Forest::Predict, so the choice never changes
-  /// results.
+  /// The JIT-compiled forest, or its QuickScorer where compilation is
+  /// unsupported on this host; both batch through QuickScorer. Both are
+  /// bit-identical to Forest::Predict, so the choice never changes results.
   std::unique_ptr<const ForestEvaluator> evaluator;
-  /// True when evaluator->PredictBatch runs the AVX batch kernels on
-  /// batches of at least CompiledForest::kMinKernelRows rows: they are
-  /// compiled in and dispatched on this host (BatchKernelsEnabled).
+  /// True when evaluator->PredictBatch runs QuickScorer's 8-lane AVX2 scan
+  /// over whole 8-row blocks: it is compiled in, this forest's trees fit it
+  /// (QuickScorer::vectorized) and it is dispatched on this host
+  /// (BatchKernelsEnabled).
   bool simd_batch_kernels = false;
   uint32_t version = 0;
   std::string source;  ///< File path or a descriptive tag, for stats.
@@ -36,7 +36,7 @@ struct ServingModel {
   /// the other on the preparing thread.
   struct Timings {
     double load_ms = 0.0;     ///< Read and parse; 0 for an in-memory model.
-    double compile_ms = 0.0;  ///< JIT with its proofs, or FlatEvaluator.
+    double compile_ms = 0.0;  ///< JIT with its proofs, or QuickScorer.
   };
   Timings timings;
   /// "load <x> ms, compile <y> ms", for log lines.
@@ -48,7 +48,7 @@ struct ServingModel {
 /// Wraps `model` as a serving snapshot: compiles its forest on the calling
 /// thread (CompiledForest::Compile validates it first). Only an Unavailable
 /// compile (non-x86-64 host, mmap or mprotect denied) falls back to the
-/// bit-identical FlatEvaluator; any other error (an invalid forest, or a JIT
+/// bit-identical QuickScorer; any other error (an invalid forest, or a JIT
 /// proof that rejected the emitted code) is returned and no evaluator is
 /// built. The text format's bit-exactness is a property of the serializer,
 /// proven by gbt_test's ForestIoTest suite, not re-proven per model here.

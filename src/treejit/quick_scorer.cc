@@ -7,8 +7,22 @@
 #include <cstring>
 
 #include "common/check.h"
+#include "common/cpu_features.h"
+
+// The 8-lane scan is compiled ahead of time for AVX2 and dispatched at
+// run time (BatchKernelsEnabled), so the rest of the build stays portable.
+// -DT3_DISABLE_AVX2=ON compiles it out, leaving the one-row scan alone.
+#if defined(__x86_64__) && !defined(T3_DISABLE_AVX2)
+#define T3_QUICK_SCORER_AVX2 1
+#include <immintrin.h>
+#define T3_TARGET_AVX2 __attribute__((target("avx2")))
+#else
+#define T3_QUICK_SCORER_AVX2 0
+#endif
 
 namespace t3 {
+
+bool BatchJitSupported() { return T3_QUICK_SCORER_AVX2 != 0; }
 
 namespace {
 
@@ -42,8 +56,10 @@ QuickScorer::QuickScorer(const Forest& forest)
   tree_leaf_.resize(num_trees);
   size_t num_leaves = 0;
   size_t num_inner = 0;
+  vectorized_ = BatchJitSupported();
   for (size_t t = 0; t < num_trees; ++t) {
     const size_t leaves = (forest.trees[t].nodes.size() + 1) / 2;
+    vectorized_ = vectorized_ && leaves <= 32;
     tree_word_[t] = static_cast<uint32_t>(initial_bits_.size());
     tree_leaf_[t] = static_cast<uint32_t>(num_leaves);
     for (size_t from = 0; from < leaves; from += 64) {
@@ -278,10 +294,126 @@ void QuickScorer::PredictBatch(const double* rows, size_t num_rows,
 #ifndef NDEBUG
   T3_CHECK(num_rows == 0 || num_features >= static_cast<size_t>(num_features_));
 #endif
+  size_t done = 0;
+#if T3_QUICK_SCORER_AVX2
+  if (vectorized_ && BatchKernelsEnabled()) {
+    done = num_rows / 8 * 8;
+    PredictBlocks(rows, num_rows / 8, num_features, out);
+  }
+#endif
+  PredictEachRow(rows + done * num_features, num_rows - done, num_features,
+                 out + done);
+}
+
+void QuickScorer::PredictEachRow(const double* rows, size_t num_rows,
+                                 size_t num_features, double* out) const {
+#ifndef NDEBUG
+  T3_CHECK(num_rows == 0 || num_features >= static_cast<size_t>(num_features_));
+#endif
   std::vector<uint64_t> bits(num_words());
   for (size_t i = 0; i < num_rows; ++i) {
     out[i] = Score(rows + i * num_features, bits.data());
   }
 }
+
+#if T3_QUICK_SCORER_AVX2
+
+namespace {
+
+/// The 8 lane masks of a block, in row order, from two 4-double compare
+/// results over rows (0, 1, 4, 5) and (2, 3, 6, 7): vshufps keeps the low
+/// 32 bits of each 64-bit mask, taking two from `a` then two from `b` in
+/// each 128-bit half.
+T3_TARGET_AVX2 __m256i NarrowMasks(__m256d a, __m256d b) {
+  return _mm256_castps_si256(_mm256_shuffle_ps(
+      _mm256_castpd_ps(a), _mm256_castpd_ps(b), _MM_SHUFFLE(2, 0, 2, 0)));
+}
+
+/// One tree's bitvectors for the 8 rows of a block, one 32-bit lane each.
+struct alignas(32) LaneBits {
+  uint32_t lane[8];
+};
+
+}  // namespace
+
+T3_TARGET_AVX2 void QuickScorer::PredictBlocks(const double* rows,
+                                               size_t num_blocks,
+                                               size_t stride,
+                                               double* out) const {
+  const size_t num_trees = tree_word_.size();
+  std::vector<LaneBits> bits(num_trees);
+  // Every tree has one word, so a split's word_ is its tree's index.
+  auto* words = reinterpret_cast<__m256i*>(bits.data());
+  const __m256d all_lanes = _mm256_castsi256_pd(_mm256_set1_epi32(-1));
+  for (size_t b = 0; b < num_blocks; ++b, rows += 8 * stride, out += 8) {
+    for (size_t t = 0; t < num_trees; ++t) {
+      words[t] = _mm256_set1_epi32(static_cast<int32_t>(initial_bits_[t]));
+    }
+    for (size_t k = 0; k < split_features_.size(); ++k) {
+      // The block's values of one feature, feature-major, rows (0, 1, 4, 5)
+      // in `lo` and (2, 3, 6, 7) in `hi` for NarrowMasks.
+      const double* x = rows + split_features_[k];
+      const __m256d lo =
+          _mm256_set_pd(x[5 * stride], x[4 * stride], x[stride], x[0]);
+      const __m256d hi = _mm256_set_pd(x[7 * stride], x[6 * stride],
+                                       x[3 * stride], x[2 * stride]);
+      const __m256i nan = NarrowMasks(_mm256_cmp_pd(lo, lo, _CMP_UNORD_Q),
+                                      _mm256_cmp_pd(hi, hi, _CMP_UNORD_Q));
+      const bool any_nan = _mm256_testz_si256(nan, nan) == 0;
+      const size_t end = feature_begin_[k + 1];
+      for (size_t i = feature_begin_[k]; i < end; ++i) {
+        // The rows whose `x < threshold` is false leave split i right.
+        const __m256d threshold = _mm256_broadcast_sd(&threshold_[i]);
+        __m256i right =
+            NarrowMasks(_mm256_cmp_pd(lo, threshold, _CMP_GE_OQ),
+                        _mm256_cmp_pd(hi, threshold, _CMP_GE_OQ));
+        if (any_nan) {
+          // A NaN row goes right at every default_left == false split, so
+          // the whole run is scanned.
+          if (default_left_[i] == 0) right = _mm256_or_si256(right, nan);
+        } else if (_mm256_testz_si256(right, right) != 0) {
+          break;  // Thresholds ascend: no row passes a later one either.
+        }
+        const __m256i mask =
+            _mm256_set1_epi32(static_cast<int32_t>(mask_[i]));
+        __m256i& word = words[word_[i]];
+        word = _mm256_andnot_si256(_mm256_andnot_si256(mask, right), word);
+      }
+    }
+    // Each row's exit leaf is its lowest set bit, v & -v. Its index is the
+    // exponent of that power of two as a float; bit 31 converts to -2^31,
+    // whose sign the 0xFF mask drops.
+    __m256d sum_lo = _mm256_set1_pd(base_score_);
+    __m256d sum_hi = sum_lo;
+    for (size_t t = 0; t < num_trees; ++t) {
+      const __m256i v = words[t];
+      const __m256i lowest =
+          _mm256_and_si256(v, _mm256_sub_epi32(_mm256_setzero_si256(), v));
+      const __m256i exponent = _mm256_and_si256(
+          _mm256_srli_epi32(_mm256_castps_si256(_mm256_cvtepi32_ps(lowest)),
+                            23),
+          _mm256_set1_epi32(0xFF));
+      const __m256i leaf = _mm256_add_epi32(
+          exponent,
+          _mm256_set1_epi32(static_cast<int32_t>(tree_leaf_[t]) - 127));
+      // The masked gather with a zero source: the unmasked one leaves its
+      // source operand undefined, which GCC flags as maybe-uninitialized.
+      sum_lo = _mm256_add_pd(
+          sum_lo, _mm256_mask_i32gather_pd(_mm256_setzero_pd(),
+                                           leaf_value_.data(),
+                                           _mm256_castsi256_si128(leaf),
+                                           all_lanes, 8));
+      sum_hi = _mm256_add_pd(
+          sum_hi, _mm256_mask_i32gather_pd(_mm256_setzero_pd(),
+                                           leaf_value_.data(),
+                                           _mm256_extracti128_si256(leaf, 1),
+                                           all_lanes, 8));
+    }
+    _mm256_storeu_pd(out, sum_lo);
+    _mm256_storeu_pd(out + 4, sum_hi);
+  }
+}
+
+#endif  // T3_QUICK_SCORER_AVX2
 
 }  // namespace t3

@@ -10,11 +10,17 @@
 
 namespace t3 {
 
+/// True when this build compiles QuickScorer's 8-lane AVX2 scan (x86-64,
+/// built without -DT3_DISABLE_AVX2=ON). Whether the scan is *dispatched*
+/// also depends on the forest (QuickScorer::vectorized) and on the runtime
+/// probe (BatchKernelsEnabled in common/cpu_features.h).
+bool BatchJitSupported();
+
 /// Bitvector forest traversal (QuickScorer, Lucchese et al., SIGIR 2015):
-/// the evaluator CompiledForest::PredictBatch runs on batches too small for
-/// the AVX kernels. Its cost follows the split nodes a row rejects, not the
-/// bytes of code a walk fetches, and its arrays (~21 B per inner node plus
-/// 8 B per leaf) stay cache-resident between small calls.
+/// the evaluator behind every CompiledForest::PredictBatch. Its cost
+/// follows the split nodes a row rejects, not the bytes of code a walk
+/// fetches, and its arrays (~21 B per inner node plus 8 B per leaf) stay
+/// cache-resident between small calls.
 ///
 /// Each tree's leaves are numbered left to right and held as one bit each
 /// in the tree's bitvector (64 leaves per word, as many words as the tree
@@ -28,10 +34,17 @@ namespace t3 {
 /// leftmost leaf no false node ruled out, which is the leaf the root-down
 /// walk reaches.
 ///
+/// PredictBatch runs the same scan over 8 rows at once where it can
+/// (V-QuickScorer, Lucchese et al., SIGIR 2016): when every tree has at
+/// most 32 leaves, one 32-bit word per row holds a tree's bitvector, and
+/// one AVX2 register holds it for 8 rows. The scan of a feature's run
+/// stops when no row of the block is at or above the threshold.
+///
 /// Predictions add base_score, then each tree's exit leaf in tree order,
-/// so they are bit-identical to Forest::Predict. Works for every forest
-/// Forest::Validate accepts, whatever the tree sizes; building it is linear
-/// in the node count plus one sort of each feature's thresholds.
+/// so they are bit-identical to Forest::Predict on either path. Works for
+/// every forest Forest::Validate accepts, whatever the tree sizes; building
+/// it is linear in the node count plus one sort of each feature's
+/// thresholds.
 class QuickScorer : public ForestEvaluator {
  public:
   /// `forest` must pass Forest::Validate(). Owns its own arrays;
@@ -40,9 +53,22 @@ class QuickScorer : public ForestEvaluator {
 
   double Predict(const double* row) const override;
   /// Rows are row-major with stride `num_features`, at least the forest's
-  /// feature count.
+  /// feature count. Whole 8-row blocks go to the 8-lane scan when
+  /// vectorized() and BatchKernelsEnabled() hold; every other row (the
+  /// last num_rows % 8, or all of them otherwise) is scored on its own.
   void PredictBatch(const double* rows, size_t num_rows, size_t num_features,
                     double* out) const override;
+
+  /// The one-row scan over every row, never the 8-lane one: what
+  /// PredictBatch runs on the rows the 8-lane scan does not take. Same
+  /// stride contract and the same bits.
+  void PredictEachRow(const double* rows, size_t num_rows,
+                      size_t num_features, double* out) const;
+
+  /// True when the 8-lane AVX2 scan is compiled in (BatchJitSupported) and
+  /// every tree has at most 32 leaves. A property of the forest's shape;
+  /// the trainer's default max_leaves (31) always meets it.
+  bool vectorized() const { return vectorized_; }
 
  private:
   /// A left subtree whose leaves span several bitvector words: the first
@@ -59,6 +85,10 @@ class QuickScorer : public ForestEvaluator {
 
   /// One row's prediction with `bits` (num_words() words) as scratch.
   double Score(const double* row, uint64_t* bits) const;
+  /// Predicts rows [0, 8 * num_blocks) with the 8-lane scan. Defined only
+  /// where BatchJitSupported(); call only when vectorized().
+  void PredictBlocks(const double* rows, size_t num_blocks, size_t stride,
+                     double* out) const;
   static void ClearSpan(const Span& span, uint64_t* bits);
   size_t num_words() const { return initial_bits_.size(); }
 
@@ -83,6 +113,7 @@ class QuickScorer : public ForestEvaluator {
   std::vector<double> leaf_value_;
   double base_score_ = 0.0;
   int num_features_ = 0;
+  bool vectorized_ = false;
 };
 
 }  // namespace t3

@@ -640,7 +640,7 @@ TEST_F(ScalarLiftCorruptionTest, TruncatedInstructionIsRejected) {
 }
 
 // Compile's production wiring of the proofs: with only `audit` set it
-// lifts both artifacts without the equivalence proofs, and must stay
+// lifts the emitted code without the equivalence proof, and must stay
 // invisible for healthy forests (bit-identical predictions, no failures).
 TEST(JitProofWiringTest, LiftOnlyCompileMatchesInterpreter) {
   if (!JitSupported()) GTEST_SKIP() << "no x86-64 emitter on this host";
@@ -649,7 +649,6 @@ TEST(JitProofWiringTest, LiftOnlyCompileMatchesInterpreter) {
   JitCompileOptions options;
   options.audit = true;
   options.validate_translation = false;
-  options.validate_batch = false;
   Result<std::unique_ptr<CompiledForest>> compiled =
       CompiledForest::Compile(forest, options);
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();

@@ -663,12 +663,12 @@ TEST(PredictionServerTest, HotSwapUnderLoadDropsNothingAndBitMatches) {
   (*server)->Stop();
 }
 
-// Requests on both sides of CompiledForest::kMinKernelRows, one at a time
-// so each is one PredictBatch call, before and after a hot swap: below the
-// threshold QuickScorer answers every row, from it the AVX kernels (where
-// dispatched) take the whole 8-row blocks. Every answer bit-matches the
-// model version it names.
-TEST(PredictionServerTest, BatchesAroundKernelThresholdBitMatchAcrossSwap) {
+// Requests on both sides of the 8-row block width, one at a time so each
+// is one PredictBatch call, before and after a hot swap: below it the
+// one-row scan answers every row, from it the 8-lane scan (where
+// dispatched) takes the whole blocks. Every answer bit-matches the model
+// version it names.
+TEST(PredictionServerTest, BatchesAroundBlockWidthBitMatchAcrossSwap) {
   const int kFeatures = 12;
   const T3Model model_v1 = MakeRandomModel(3001, kFeatures, 30);
   const T3Model model_v2 = MakeRandomModel(3002, kFeatures, 30);
@@ -685,7 +685,6 @@ TEST(PredictionServerTest, BatchesAroundKernelThresholdBitMatchAcrossSwap) {
       PredictionClient::Connect("127.0.0.1", (*server)->port());
   ASSERT_TRUE(client.ok()) << client.status().ToString();
 
-  constexpr size_t kMin = CompiledForest::kMinKernelRows;
   uint64_t seed = 500;
   for (const uint32_t version : {1u, 2u}) {
     if (version == 2) {
@@ -694,7 +693,8 @@ TEST(PredictionServerTest, BatchesAroundKernelThresholdBitMatchAcrossSwap) {
       ASSERT_EQ(*swapped, 2u);
     }
     const T3Model& model = version == 1 ? model_v1 : model_v2;
-    for (const size_t num_rows : {size_t{1}, kMin - 1, kMin, kMin + 9}) {
+    for (const size_t num_rows :
+         {size_t{1}, size_t{7}, size_t{8}, size_t{73}}) {
       const PredictRowsRequest request =
           MakeRandomRequest(seed++, num_rows, kFeatures);
       Result<PredictResponse> response = client->PredictRows(request);
@@ -816,7 +816,6 @@ TEST(ModelRegistryTest, ConcurrentPreparesBitMatchTheFixtures) {
   const size_t dim = static_cast<size_t>(models[0].forest().num_features);
   ASSERT_EQ(rows.size() % dim, 0u);
   const size_t num_rows = rows.size() / dim;
-  ASSERT_GE(num_rows, CompiledForest::kMinKernelRows);
 
   Result<std::shared_ptr<const ServingModel>> initial =
       MakeServingModel(models[0], 1, paths[0]);
@@ -883,8 +882,9 @@ TEST(PredictionServerTest, ProtocolShutdownStopsWait) {
   ASSERT_TRUE(stats.ok());
   EXPECT_NE(stats->find("model_version 1"), std::string::npos);
   EXPECT_NE(stats->find("model_features 8"), std::string::npos);
-  // The kernels PredictBatch runs: compiled in and dispatched, so 0 under
-  // T3_FORCE_SCALAR=1 and in builds without them.
+  // Whether PredictBatch runs the 8-lane scan: compiled in and dispatched
+  // (the test forest's trees have at most 32 leaves), so 0 under
+  // T3_FORCE_SCALAR=1 and in builds without it.
   const bool simd = BatchJitSupported() && BatchKernelsEnabled();
   EXPECT_NE(stats->find(StrFormat("simd_batch_kernels %d\n", simd ? 1 : 0)),
             std::string::npos)

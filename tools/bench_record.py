@@ -4,7 +4,10 @@
     python3 tools/bench_record.py --workload <serve_point|serve_bulk|offline_build>
                                   --seed <n> --seconds <s> [--trace 0|1]
                                   [--checkout DIR]
-    python3 tools/bench_record.py --show <workload>
+    python3 tools/bench_record.py --show <workload|inference>
+    python3 tools/bench_record.py --inference BINARY --checkout DIR
+                                  [--filter REGEX] [--min-time S]
+                                  [--repetitions N]
 
 The first form runs `python3 perfbench/run.py` in the checkout DIR (default:
 this repository) and appends {"meta": ..., "notes": [...], "result": ...}
@@ -18,7 +21,14 @@ is refused, so every record's sha names the code that ran. perfbench builds
 into the checkout's own .bench_build/ (or $CARGO_TARGET_DIR).
 
 The second form prints one line per record of a workload: index, sha, seed,
-seconds, trace, correctness and the end-to-end metrics.
+seconds, trace, correctness and the end-to-end metrics; for "inference",
+one line per record and benchmark with its median time per item.
+
+The third form runs a Google Benchmark binary built from the checkout DIR
+(e.g. bench_micro_inference) with --benchmark_out and appends
+{"meta": ..., "result": <its JSON>} to BENCH_inference.json, where "meta"
+holds DIR's git sha, the binary's name, the filter, min time, repetitions
+and T3_FORCE_SCALAR. The same clean-checkout rule applies.
 """
 
 import argparse
@@ -26,6 +36,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 WORKLOADS = ("serve_point", "serve_bulk", "offline_build")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -70,6 +81,48 @@ def check_clean(checkout):
              "sha names the code that ran" % checkout)
 
 
+def run_inference(args):
+    checkout = os.path.abspath(args.checkout or ROOT)
+    check_clean(checkout)
+    sha = subprocess.run(["git", "-C", checkout, "rev-parse", "HEAD"],
+                         stdout=subprocess.PIPE, text=True,
+                         check=True).stdout.strip()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "benchmark.json")
+        command = [args.inference, "--benchmark_filter=" + args.filter,
+                   "--benchmark_min_time=%g" % args.min_time,
+                   "--benchmark_repetitions=%d" % args.repetitions,
+                   "--benchmark_out=" + out, "--benchmark_out_format=json"]
+        completed = subprocess.run(command, stdout=subprocess.DEVNULL)
+        if completed.returncode != 0 or not os.path.exists(out):
+            fail("%s exited %d" % (args.inference, completed.returncode))
+        with open(out) as f:
+            result = json.load(f)
+    meta = {"git_sha": sha, "binary": os.path.basename(args.inference),
+            "filter": args.filter, "min_time": args.min_time,
+            "repetitions": args.repetitions,
+            "force_scalar": os.environ.get("T3_FORCE_SCALAR") == "1"}
+    records = load_records("inference")
+    records.append({"meta": meta, "result": result})
+    save_records("inference", records)
+    for line in format_inference(len(records) - 1, records[-1]):
+        print(line)
+
+
+def format_inference(index, record):
+    meta = record["meta"]
+    for bench in record["result"].get("benchmarks", []):
+        if bench.get("aggregate_name") != "median":
+            continue
+        if bench.get("items_per_second"):
+            time = "%.4g ns/item" % (1e9 / bench["items_per_second"])
+        else:
+            time = "%.4g %s" % (bench["real_time"], bench["time_unit"])
+        yield "%d %s force_scalar=%s %s %s" % (
+            index, meta["git_sha"][:8], meta["force_scalar"],
+            bench["run_name"], time)
+
+
 def run_once(args):
     checkout = os.path.abspath(args.checkout or ROOT)
     check_clean(checkout)
@@ -112,7 +165,11 @@ def format_record(index, record):
 
 def show(workload):
     for index, record in enumerate(load_records(workload)):
-        print(format_record(index, record))
+        if workload == "inference":
+            for line in format_inference(index, record):
+                print(line)
+        else:
+            print(format_record(index, record))
 
 
 def main():
@@ -122,10 +179,16 @@ def main():
     parser.add_argument("--seconds", type=float)
     parser.add_argument("--trace", choices=("0", "1"), default="0")
     parser.add_argument("--checkout")
-    parser.add_argument("--show", choices=WORKLOADS)
+    parser.add_argument("--show", choices=WORKLOADS + ("inference",))
+    parser.add_argument("--inference", metavar="BINARY")
+    parser.add_argument("--filter", default=".")
+    parser.add_argument("--min-time", type=float, default=0.2)
+    parser.add_argument("--repetitions", type=int, default=5)
     args = parser.parse_args()
     if args.show:
         show(args.show)
+    elif args.inference:
+        run_inference(args)
     elif args.workload and args.seed is not None and args.seconds:
         run_once(args)
     else:

@@ -17,17 +17,10 @@
 //                               and prove they compute the forest
 //                               (bit-equal constants, identical NaN
 //                               routing, equal outputs over every
-//                               threshold-induced input cell),
-//   4. batch-equivalence      — BatchEquivalenceValidator (the same
-//                               module) over the AVX batch kernels: the
-//                               batch lift (lane loads / spills / pool
-//                               reads in bounds, forward-only dead-subtree
-//                               guards) and a per-lane proof that the
-//                               masked kernels compute the same forest.
-//   Pass 3 needs the x86-64 emitter (pass 4 additionally a build with
-//   batch kernels enabled); both run only when the forest IR is error-free
-//   (the emitter's preconditions are exactly the verifier's Error checks)
-//   and are reported as "skipped" otherwise. Models over
+//                               threshold-induced input cell).
+//   Pass 3 needs the x86-64 emitter and runs only when the forest IR is
+//   error-free (the emitter's preconditions are exactly the verifier's
+//   Error checks); it is reported as "skipped" otherwise. Models over
 //   the 48-feature registry space additionally get an informational
 //   dead-feature report (registry features the forest never splits on).
 //
@@ -127,14 +120,11 @@ struct FileResult {
 
 void LintModel(const std::string& content, FileResult* result) {
   result->kind = "model";
-  result->passes = {{"parse"},
-                    {"forest-verifier"},
-                    {"translation-validation"},
-                    {"batch-equivalence"}};
+  result->passes = {
+      {"parse"}, {"forest-verifier"}, {"translation-validation"}};
   PassResult& parse = result->passes[0];
   PassResult& verify = result->passes[1];
   PassResult& translate = result->passes[2];
-  PassResult& batch = result->passes[3];
 
   t3::Result<t3::Forest> forest = t3::Forest::ParseTextUnvalidated(content);
   if (!forest.ok()) {
@@ -171,25 +161,6 @@ void LintModel(const std::string& content, FileResult* result) {
   translate.state =
       equivalence.HasErrors() ? PassState::kFailed : PassState::kOk;
   result->report.Merge(equivalence);
-
-  // Stays "skipped" on builds without the batch emitter (non-x86-64 or
-  // -DT3_DISABLE_AVX2=ON) — the same contract as pass 3 off x86-64.
-  if (!t3::BatchJitSupported()) return;
-  t3::Result<t3::BatchJitArtifact> batch_artifact =
-      t3::EmitForestBatchCode(*forest);
-  if (!batch_artifact.ok()) {
-    batch.state = PassState::kFailed;
-    result->report.Add(t3::Severity::kError, "jit-emit", -1, -1,
-                       batch_artifact.status().message());
-    return;
-  }
-  const t3::AnalysisReport batch_report =
-      t3::BatchEquivalenceValidator().Validate(
-          *forest, batch_artifact->code.data(), batch_artifact->code.size(),
-          batch_artifact->entries, batch_artifact->pool_begin);
-  batch.state =
-      batch_report.HasErrors() ? PassState::kFailed : PassState::kOk;
-  result->report.Merge(batch_report);
 }
 
 void LintPlan(const std::string& content, FileResult* result) {
