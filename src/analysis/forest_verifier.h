@@ -7,8 +7,8 @@
 namespace t3 {
 
 /// Static verifier over the loaded gbt::Forest IR — the front half of the
-/// compiled-tree trust chain (the lifts in analysis/tree_lifter.h are the
-/// back half: they check the machine code emitted *from* a forest this pass
+/// compiled-tree trust chain (the lift in analysis/tree_lifter.h is the
+/// back half: it checks the machine code emitted *from* a forest this pass
 /// accepted).
 ///
 /// Error-severity checks are Forest::CheckStructure's, the very report

@@ -36,7 +36,7 @@ struct JitInstruction {
 
 /// Decodes one instruction at `offset` of the `size`-byte buffer against the
 /// emitter whitelist; false when the bytes match nothing in it or run past
-/// `size`. The lifts call it where their grammar reads the next
+/// `size`. The lift calls it where its grammar reads the next
 /// instruction. Pure byte inspection — works on any host, including
 /// non-x86-64 builds proving serialized buffers.
 bool DecodeInstruction(const uint8_t* code, size_t size, size_t offset,

@@ -266,8 +266,8 @@ CompiledForest::~CompiledForest() {
 #else  // !T3_JIT_X86_64
 
 // Portability guard: on non-x86-64 hosts (or without mmap) compilation
-// reports Unavailable and callers use QuickScorer. (The lifts and
-// validators are pure byte inspection and still work on serialized buffers
+// reports Unavailable and callers use QuickScorer. (The lift and
+// validator are pure byte inspection and still work on serialized buffers
 // everywhere.)
 
 Result<JitArtifact> EmitForestCode(const Forest& forest) {

@@ -13,7 +13,7 @@ namespace t3 {
 
 /// Machine code emitted for a forest, before it is mapped executable: the
 /// raw bytes plus each tree function's entry offset. Exposed separately
-/// from Compile so the lifts and validators (src/analysis) and tests can
+/// from Compile so the lift and validator (src/analysis) and tests can
 /// inspect the exact bytes that would run.
 struct JitArtifact {
   std::vector<uint8_t> code;

@@ -344,6 +344,12 @@ T3_TARGET_AVX2 void QuickScorer::PredictBlocks(const double* rows,
   std::vector<LaneBits> bits(num_trees);
   // Every tree has one word, so a split's word_ is its tree's index.
   auto* words = reinterpret_cast<__m256i*>(bits.data());
+  // A store through __m256i may alias anything, `this` included, so the
+  // arrays are read through locals the stores cannot change.
+  const double* threshold = threshold_.data();
+  const uint32_t* word = word_.data();
+  const uint64_t* mask = mask_.data();
+  const uint8_t* default_left = default_left_.data();
   const __m256d all_lanes = _mm256_castsi256_pd(_mm256_set1_epi32(-1));
   for (size_t b = 0; b < num_blocks; ++b, rows += 8 * stride, out += 8) {
     for (size_t t = 0; t < num_trees; ++t) {
@@ -363,21 +369,19 @@ T3_TARGET_AVX2 void QuickScorer::PredictBlocks(const double* rows,
       const size_t end = feature_begin_[k + 1];
       for (size_t i = feature_begin_[k]; i < end; ++i) {
         // The rows whose `x < threshold` is false leave split i right.
-        const __m256d threshold = _mm256_broadcast_sd(&threshold_[i]);
-        __m256i right =
-            NarrowMasks(_mm256_cmp_pd(lo, threshold, _CMP_GE_OQ),
-                        _mm256_cmp_pd(hi, threshold, _CMP_GE_OQ));
+        const __m256d t = _mm256_broadcast_sd(&threshold[i]);
+        __m256i right = NarrowMasks(_mm256_cmp_pd(lo, t, _CMP_GE_OQ),
+                                    _mm256_cmp_pd(hi, t, _CMP_GE_OQ));
         if (any_nan) {
           // A NaN row goes right at every default_left == false split, so
           // the whole run is scanned.
-          if (default_left_[i] == 0) right = _mm256_or_si256(right, nan);
+          if (default_left[i] == 0) right = _mm256_or_si256(right, nan);
         } else if (_mm256_testz_si256(right, right) != 0) {
           break;  // Thresholds ascend: no row passes a later one either.
         }
-        const __m256i mask =
-            _mm256_set1_epi32(static_cast<int32_t>(mask_[i]));
-        __m256i& word = words[word_[i]];
-        word = _mm256_andnot_si256(_mm256_andnot_si256(mask, right), word);
+        const __m256i clear = _mm256_andnot_si256(
+            _mm256_set1_epi32(static_cast<int32_t>(mask[i])), right);
+        words[word[i]] = _mm256_andnot_si256(clear, words[word[i]]);
       }
     }
     // Each row's exit leaf is its lowest set bit, v & -v. Its index is the

@@ -565,8 +565,8 @@ TEST(EvaluatorAgreementTest, VectorScanSignedZeroTiesAndInfinities) {
 
 // A tree of `leaves` leaves over feature 0 whose every split has a leaf as
 // its left child: split k tests x < k, so leaf k (numbered left to right)
-// holds 100 + k and is the exit for x in [k - 1, k), and the last leaf is
-// the exit for x >= leaves - 2. NaN goes left at every split when
+// holds 100 + k and is the exit for x < 0 (k = 0) or x in [k - 1, k), and
+// the last leaf is the exit for x >= leaves - 2. NaN goes left at every split when
 // `nan_left`, so to leaf 0, and otherwise right, so to the last leaf.
 Tree Caterpillar(int leaves, bool nan_left) {
   Tree tree;
