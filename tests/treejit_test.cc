@@ -364,6 +364,17 @@ void ExpectEvaluatorsAgree(const Forest& forest,
   }
 }
 
+// A forest whose trees all have at most 32 leaves takes QuickScorer's
+// 8-lane scan wherever the build has it; checks that, then every evaluator
+// on `rows` (one batch call each, so whole 8-row blocks go through the
+// scan where it is dispatched).
+void ExpectVectorScanAgrees(const Forest& forest,
+                            const std::vector<double>& rows,
+                            const std::string& label) {
+  EXPECT_EQ(QuickScorer(forest).vectorized(), BatchJitSupported()) << label;
+  ASSERT_NO_FATAL_FAILURE(ExpectEvaluatorsAgree(forest, rows, label));
+}
+
 // QuickScorer keeps 64 leaves per bitvector word and as many words as a
 // tree needs: one leaf, one word exactly full, one leaf past a word, and
 // masks spanning up to four words, in random and one-sided trees mixed
@@ -406,16 +417,18 @@ TEST(EvaluatorAgreementTest, QuickScorerCoversEveryTreeSize) {
 }
 
 // Rows equal to thresholds go right, +0.0 and -0.0 compare equal as
-// thresholds and as values, and one threshold value splits several trees
-// and several features (one run of equal entries in QuickScorer's sorted
-// arrays).
+// thresholds and as values, +inf passes every threshold and -inf none, and
+// one threshold value splits several trees and several features (one run
+// of equal entries in QuickScorer's sorted arrays). The trees have at most
+// 21 leaves, so batches take the 8-lane scan (GE_OQ compares) too.
 TEST(EvaluatorAgreementTest, QuickScorerTiesAndSignedZeros) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   Rng rng(2718);
   const std::vector<double> pool = {-0.0, 0.0, 1.5, -2.25};
   const std::vector<double> values = {
       -0.0, 0.0, 1.5, -2.25, std::nextafter(1.5, 0.0),
       std::nextafter(1.5, 2.0), std::nextafter(0.0, 1.0),
-      std::nextafter(0.0, -1.0), std::nextafter(-2.25, -3.0)};
+      std::nextafter(0.0, -1.0), std::nextafter(-2.25, -3.0), kInf, -kInf};
   for (int trial = 0; trial < 20; ++trial) {
     const int num_features = 1 + static_cast<int>(rng.UniformInt(0, 2));
     Forest forest;
@@ -434,8 +447,8 @@ TEST(EvaluatorAgreementTest, QuickScorerTiesAndSignedZeros) {
             rng.UniformInt(0, static_cast<int64_t>(values.size()) - 1))]);
       }
     }
-    ASSERT_NO_FATAL_FAILURE(
-        ExpectEvaluatorsAgree(forest, rows, "trial " + std::to_string(trial)));
+    ASSERT_NO_FATAL_FAILURE(ExpectVectorScanAgrees(
+        forest, rows, "trial " + std::to_string(trial)));
   }
 }
 
@@ -473,17 +486,6 @@ TEST(EvaluatorAgreementTest, QuickScorerInfinitiesAndNanPolarities) {
               std::to_string(trial)));
     }
   }
-}
-
-// A forest whose trees all have at most 32 leaves takes QuickScorer's
-// 8-lane scan wherever the build has it; checks that, then every evaluator
-// on `rows` (one batch call each, so whole 8-row blocks go through the
-// scan where it is dispatched).
-void ExpectVectorScanAgrees(const Forest& forest,
-                            const std::vector<double>& rows,
-                            const std::string& label) {
-  EXPECT_EQ(QuickScorer(forest).vectorized(), BatchJitSupported()) << label;
-  ASSERT_NO_FATAL_FAILURE(ExpectEvaluatorsAgree(forest, rows, label));
 }
 
 // Blocks whose lanes mix NaN and finite values of a feature: the block
@@ -529,45 +531,12 @@ TEST(EvaluatorAgreementTest, VectorScanMixesNanAndFiniteLanes) {
   }
 }
 
-// The 8-lane scan's compares on ties with a threshold (x == threshold goes
-// right, GE_OQ), +0.0 and -0.0 as equal thresholds and values, and +inf
-// (passes every threshold) and -inf (passes none).
-TEST(EvaluatorAgreementTest, VectorScanSignedZeroTiesAndInfinities) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  Rng rng(3141);
-  const std::vector<double> pool = {-0.0, 0.0, 1.5, -2.25};
-  const std::vector<double> values = {
-      -0.0, 0.0, 1.5, -2.25, kInf, -kInf, std::nextafter(1.5, 0.0),
-      std::nextafter(1.5, 2.0), std::nextafter(0.0, 1.0),
-      std::nextafter(0.0, -1.0)};
-  for (int trial = 0; trial < 20; ++trial) {
-    const int num_features = 1 + static_cast<int>(rng.UniformInt(0, 2));
-    Forest forest;
-    forest.num_features = num_features;
-    for (int t = 0; t < 12; ++t) {
-      Tree tree;
-      BuildShapedSubtree(&tree, &rng, num_features,
-                         1 + static_cast<int>(rng.UniformInt(0, 31)),
-                         /*shape=*/0, pool, /*default_left=*/-1);
-      forest.trees.push_back(std::move(tree));
-    }
-    std::vector<double> rows;
-    for (int r = 0; r < 200; ++r) {
-      for (int f = 0; f < num_features; ++f) {
-        rows.push_back(values[static_cast<size_t>(
-            rng.UniformInt(0, static_cast<int64_t>(values.size()) - 1))]);
-      }
-    }
-    ASSERT_NO_FATAL_FAILURE(
-        ExpectVectorScanAgrees(forest, rows, "trial " + std::to_string(trial)));
-  }
-}
-
 // A tree of `leaves` leaves over feature 0 whose every split has a leaf as
 // its left child: split k tests x < k, so leaf k (numbered left to right)
 // holds 100 + k and is the exit for x < 0 (k = 0) or x in [k - 1, k), and
-// the last leaf is the exit for x >= leaves - 2. NaN goes left at every split when
-// `nan_left`, so to leaf 0, and otherwise right, so to the last leaf.
+// the last leaf is the exit for x >= leaves - 2. NaN goes left at every
+// split when `nan_left`, so to leaf 0, and otherwise right, so to the last
+// leaf.
 Tree Caterpillar(int leaves, bool nan_left) {
   Tree tree;
   for (int k = 0; k + 1 < leaves; ++k) {
