@@ -53,8 +53,8 @@ struct JitCompileOptions {
 #endif
   /// Ignored. It proved the AVX batch kernels that Compile no longer
   /// emits: batches now run QuickScorer's ahead-of-time compiled scan, so
-  /// no generated batch code is left to prove. perfbench still sets it;
-  /// the benchmark's cleanup (ROADMAP item 1) removes it.
+  /// no generated batch code is left to prove. It stays while perfbench
+  /// still sets it.
   bool validate_batch = false;
 };
 
