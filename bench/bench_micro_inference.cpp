@@ -187,20 +187,6 @@ FixtureBatch LoadFixtureBatch(const benchmark::State& state) {
   return fixture;
 }
 
-// One `predict(rows, batch, dim, out)` call per iteration.
-template <typename Predict>
-void RunFixtureBatch(benchmark::State& state, const FixtureBatch& fixture,
-                     const Predict& predict) {
-  std::vector<double> out(fixture.batch);
-  for (auto _ : state) {
-    predict(fixture.rows.data(), fixture.batch, fixture.dim, out.data());
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(fixture.batch));
-}
-
 // The compiled batch call on what it serves: the 8-lane scan over whole
 // 8-row blocks where dispatched (not under T3_FORCE_SCALAR=1), the one-row
 // scan for the rest.
@@ -208,10 +194,14 @@ void BM_CompiledBatchFixture(benchmark::State& state) {
   const FixtureBatch fixture = LoadFixtureBatch(state);
   auto compiled = CompiledForest::Compile(fixture.forest);
   T3_CHECK(compiled.ok());
-  RunFixtureBatch(state, fixture,
-                  [&](const double* rows, size_t n, size_t dim, double* out) {
-                    (*compiled)->PredictBatch(rows, n, dim, out);
-                  });
+  std::vector<double> out(fixture.batch);
+  for (auto _ : state) {
+    (*compiled)->PredictBatch(fixture.rows.data(), fixture.batch, fixture.dim,
+                              out.data());
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(fixture.batch));
 }
 BENCHMARK(BM_CompiledBatchFixture)
     ->Arg(8)
@@ -222,14 +212,18 @@ BENCHMARK(BM_CompiledBatchFixture)
     ->Arg(2048);
 
 // The same rows through the one-row scan alone: the 8-lane scan's
-// baseline at each batch size.
+// baseline at each batch size, timed with the same loop.
 void BM_OneRowScanFixture(benchmark::State& state) {
   const FixtureBatch fixture = LoadFixtureBatch(state);
   const QuickScorer scorer(fixture.forest);
-  RunFixtureBatch(state, fixture,
-                  [&](const double* rows, size_t n, size_t dim, double* out) {
-                    scorer.PredictEachRow(rows, n, dim, out);
-                  });
+  std::vector<double> out(fixture.batch);
+  for (auto _ : state) {
+    scorer.PredictEachRow(fixture.rows.data(), fixture.batch, fixture.dim,
+                          out.data());
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(fixture.batch));
 }
 BENCHMARK(BM_OneRowScanFixture)
     ->Arg(8)

@@ -5,8 +5,6 @@
 #include <cstdio>
 #include <cstring>
 
-#include <sys/stat.h>
-
 #include "common/string_util.h"
 #include "common/token_cursor.h"
 
@@ -333,16 +331,7 @@ Result<std::string> ReadFileToString(const std::string& path) {
     return NotFoundError(StrFormat("cannot open %s: %s", path.c_str(),
                                    std::strerror(errno)));
   }
-  // A regular file is read in one call into a buffer of its size. The loop
-  // after it reads to EOF whatever that did not cover: a file whose size
-  // fstat cannot tell (a pipe) or one that grew since.
   std::string content;
-  struct stat info;
-  if (fstat(fileno(file), &info) == 0 && S_ISREG(info.st_mode) &&
-      info.st_size > 0) {
-    content.resize(static_cast<size_t>(info.st_size));
-    content.resize(std::fread(content.data(), 1, content.size(), file));
-  }
   char buffer[1 << 16];
   size_t read = 0;
   while ((read = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {

@@ -403,45 +403,6 @@ TEST(ForestIoTest, ToTextMatchesEveryTrackedModelFileBody) {
   }
 }
 
-// ReadFileToString reads a regular file in one call sized by fstat, and
-// reads to EOF what that did not cover: here /dev/null, whose size fstat
-// cannot tell. Bytes come back exact, a fixture as its stream reads it;
-// a missing file is NotFound.
-TEST(ForestIoTest, ReadFileToStringReadsWholeFiles) {
-  const std::string fixture =
-      std::string(T3_SOURCE_DIR) + "/data/model_loo_airline.txt";
-  std::ifstream stream(fixture, std::ios::binary);
-  const std::string want((std::istreambuf_iterator<char>(stream)),
-                         std::istreambuf_iterator<char>());
-  ASSERT_GT(want.size(), size_t{1} << 16);
-  Result<std::string> got = ReadFileToString(fixture);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_TRUE(*got == want);
-
-  const std::string binary_path = testing::TempDir() + "/t3_read_binary.bin";
-  std::string binary(70000, '\0');
-  for (size_t i = 0; i < binary.size(); ++i) {
-    binary[i] = static_cast<char>(i * 131 % 251);
-  }
-  ASSERT_TRUE(WriteStringToFile(binary_path, binary).ok());
-  got = ReadFileToString(binary_path);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_TRUE(*got == binary);
-
-  ASSERT_TRUE(WriteStringToFile(binary_path, "").ok());
-  got = ReadFileToString(binary_path);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(*got, "");
-
-  got = ReadFileToString("/dev/null");
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(*got, "");
-
-  got = ReadFileToString(testing::TempDir() + "/t3_no_such_file.txt");
-  ASSERT_FALSE(got.ok());
-  EXPECT_EQ(got.status().code(), StatusCode::kNotFound);
-}
-
 TEST(ForestIoTest, LoadsCheckedInModelFixture) {
   const std::string path =
       std::string(T3_SOURCE_DIR) + "/data/model_autowlm_per_query.txt";

@@ -6,8 +6,6 @@
                                   [--checkout DIR]
     python3 tools/bench_record.py --show <workload|inference>
     python3 tools/bench_record.py --inference BINARY --checkout DIR
-                                  [--filter REGEX] [--min-time S]
-                                  [--repetitions N]
 
 The first form runs `python3 perfbench/run.py` in the checkout DIR (default:
 this repository) and appends {"meta": ..., "notes": [...], "result": ...}
@@ -24,11 +22,13 @@ The second form prints one line per record of a workload: index, sha, seed,
 seconds, trace, correctness and the end-to-end metrics; for "inference",
 one line per record and benchmark with its median time per item.
 
-The third form runs a Google Benchmark binary built from the checkout DIR
-(e.g. bench_micro_inference) with --benchmark_out and appends
-{"meta": ..., "result": <its JSON>} to BENCH_inference.json, where "meta"
-holds DIR's git sha, the binary's name, the filter, min time, repetitions
-and T3_FORCE_SCALAR. The same clean-checkout rule applies.
+The third form runs bench_micro_inference built from the checkout DIR with
+--benchmark_out over the fixture benchmarks (INFERENCE_FILTER), each run
+INFERENCE_MIN_TIME s and INFERENCE_REPETITIONS times, so every record is
+taken with the same settings, and appends {"meta": ..., "result": <its
+JSON>} to BENCH_inference.json, where "meta" holds DIR's git sha, the
+binary's name, those settings and T3_FORCE_SCALAR. The same clean-checkout
+rule applies.
 """
 
 import argparse
@@ -40,6 +40,10 @@ import tempfile
 
 WORKLOADS = ("serve_point", "serve_bulk", "offline_build")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+INFERENCE_FILTER = ("BM_CompiledBatchFixture|BM_OneRowScanFixture|"
+                    "BM_BuildFixture")
+INFERENCE_MIN_TIME = 0.2
+INFERENCE_REPETITIONS = 5
 
 
 def fail(message):
@@ -89,9 +93,9 @@ def run_inference(args):
                          check=True).stdout.strip()
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "benchmark.json")
-        command = [args.inference, "--benchmark_filter=" + args.filter,
-                   "--benchmark_min_time=%g" % args.min_time,
-                   "--benchmark_repetitions=%d" % args.repetitions,
+        command = [args.inference, "--benchmark_filter=" + INFERENCE_FILTER,
+                   "--benchmark_min_time=%g" % INFERENCE_MIN_TIME,
+                   "--benchmark_repetitions=%d" % INFERENCE_REPETITIONS,
                    "--benchmark_out=" + out, "--benchmark_out_format=json"]
         completed = subprocess.run(command, stdout=subprocess.DEVNULL)
         if completed.returncode != 0 or not os.path.exists(out):
@@ -99,8 +103,8 @@ def run_inference(args):
         with open(out) as f:
             result = json.load(f)
     meta = {"git_sha": sha, "binary": os.path.basename(args.inference),
-            "filter": args.filter, "min_time": args.min_time,
-            "repetitions": args.repetitions,
+            "filter": INFERENCE_FILTER, "min_time": INFERENCE_MIN_TIME,
+            "repetitions": INFERENCE_REPETITIONS,
             "force_scalar": os.environ.get("T3_FORCE_SCALAR") == "1"}
     records = load_records("inference")
     records.append({"meta": meta, "result": result})
@@ -181,9 +185,6 @@ def main():
     parser.add_argument("--checkout")
     parser.add_argument("--show", choices=WORKLOADS + ("inference",))
     parser.add_argument("--inference", metavar="BINARY")
-    parser.add_argument("--filter", default=".")
-    parser.add_argument("--min-time", type=float, default=0.2)
-    parser.add_argument("--repetitions", type=int, default=5)
     args = parser.parse_args()
     if args.show:
         show(args.show)
