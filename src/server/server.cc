@@ -14,6 +14,7 @@
 #include <unistd.h>
 #include <utility>
 
+#include "common/cpu_features.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
@@ -178,8 +179,11 @@ std::string PredictionServer::StatsText() const {
   text += StrFormat("model_source %s\n", model->source.c_str());
   text += StrFormat("model_features %d\n", model->num_features());
   text += StrFormat("model_trees %zu\n", model->model.forest().trees.size());
+  // Whether scorer.PredictBatch runs the 8-lane AVX2 scan over whole 8-row
+  // blocks: compiled in and this forest's trees fit it (vectorized), and
+  // dispatched on this host.
   text += StrFormat("simd_batch_kernels %d\n",
-                    model->simd_batch_kernels ? 1 : 0);
+                    model->scorer.vectorized() && BatchKernelsEnabled() ? 1 : 0);
   text += StrFormat("workers %zu\n", workers_.size());
   text += StrFormat("connections_accepted %llu\n",
                     static_cast<unsigned long long>(
@@ -318,8 +322,8 @@ void PredictionServer::PredictParsed(Worker* worker) {
     }
   }
   worker->raw.resize(batch.num_rows());
-  model->evaluator->PredictBatch(batch.rows().data(), batch.num_rows(), dim,
-                                 worker->raw.data());
+  model->scorer.PredictBatch(batch.rows().data(), batch.num_rows(), dim,
+                             worker->raw.data());
 
   size_t query = 0;
   for (const PredictJob& job : worker->parsed) {

@@ -68,14 +68,14 @@ struct ServerStats {
 ///    evenly across loops;
 ///  - a worker predicts for its own connections: after each poll round it
 ///    packs every prediction request it parsed into one QueryBatch and
-///    makes one SIMD PredictBatch call on one model snapshot. Nothing
+///    makes one QuickScorer PredictBatch call on one model snapshot. Nothing
 ///    crosses threads between reading a request and writing its response,
 ///    and each connection's responses leave in the order its frames came;
 ///  - models are versioned snapshots swapped atomically through the
 ///    ModelRegistry (release/acquire shared_ptr publish), so a swap never
 ///    drops an in-flight request. The worker that parsed a kSwapModel
-///    frame (or saw RequestSwap) loads and compiles the new model itself,
-///    and its own connections wait for that load + compile;
+///    frame (or saw RequestSwap) loads and builds the new model itself,
+///    and its own connections wait for that load + build;
 ///  - client misbehavior (disconnects mid-frame, oversized or malformed
 ///    frames) costs at most that connection: bad frames get a kError
 ///    response and a close, aborted sockets are reaped, SIGPIPE is ignored

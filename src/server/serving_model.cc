@@ -4,11 +4,8 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/cpu_features.h"
 #include "common/string_util.h"
 #include "common/timer.h"
-#include "treejit/jit.h"
-#include "treejit/quick_scorer.h"
 
 namespace t3 {
 
@@ -18,42 +15,21 @@ Result<std::shared_ptr<const ServingModel>> Prepare(T3Model model,
                                                     uint32_t version,
                                                     std::string source,
                                                     double load_ms) {
-  auto serving = std::make_shared<ServingModel>();
-  serving->model = std::move(model);
-  serving->version = version;
-  serving->source = std::move(source);
-  serving->timings.load_ms = load_ms;
-  const Forest& forest = serving->model.forest();
-
-  const Stopwatch compile_watch;
-  Result<std::unique_ptr<CompiledForest>> compiled = CompiledForest::Compile(forest);
-  bool vectorized = false;
-  if (compiled.ok()) {
-    vectorized = (*compiled)->has_batch_kernels();
-    serving->evaluator = *std::move(compiled);
-  } else if (compiled.status().code() == StatusCode::kUnavailable) {
-    // No JIT on this host (non-x86-64, mmap or mprotect denied): the
-    // QuickScorer that CompiledForest batches through answers every call,
-    // bit-identical, just slower on single rows. Compile validated the
-    // forest before it found that out.
-    auto quick = std::make_unique<QuickScorer>(forest);
-    vectorized = quick->vectorized();
-    serving->evaluator = std::move(quick);
-  } else {
-    // An invalid forest, or emitted code a JIT proof rejected: nothing is
-    // published, and no evaluator is built for it.
-    return compiled.status();
-  }
-  serving->simd_batch_kernels = vectorized && BatchKernelsEnabled();
-  serving->timings.compile_ms = compile_watch.ElapsedSeconds() * 1e3;
-  return std::shared_ptr<const ServingModel>(std::move(serving));
+  const Stopwatch build_watch;
+  const Status valid = model.forest().Validate();
+  if (!valid.ok()) return valid;
+  QuickScorer scorer(model.forest());
+  const ServingModel::Timings timings{load_ms, build_watch.ElapsedSeconds() * 1e3};
+  ServingModel serving{std::move(model), std::move(scorer), version, std::move(source),
+                       timings};
+  return std::make_shared<const ServingModel>(std::move(serving));
 }
 
 }  // namespace
 
 std::string ServingModel::TimingsText() const {
-  return StrFormat("load %.3g ms, compile %.3g ms", timings.load_ms,
-                   timings.compile_ms);
+  return StrFormat("load %.3g ms, build %.3g ms", timings.load_ms,
+                   timings.build_ms);
 }
 
 Result<std::shared_ptr<const ServingModel>> MakeServingModel(

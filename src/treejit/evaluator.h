@@ -32,9 +32,9 @@ class ForestEvaluator {
 /// Flattened-array interpreter: all trees contiguously in
 /// structure-of-arrays node storage with absolute child indices — better
 /// locality than pointer chasing, still interpreted. This is the paper's
-/// "interpreted" baseline (Tables 1-2, Figure 5), the harness's evaluator
-/// and the serving fallback where the JIT is unavailable. Owns its
-/// flattened copy; independent of the source forest's lifetime.
+/// "interpreted" baseline (Tables 1-2, Figure 5) and the harness's
+/// evaluator. Owns its flattened copy; independent of the source forest's
+/// lifetime.
 class FlatEvaluator : public ForestEvaluator {
  public:
   explicit FlatEvaluator(const Forest& forest);

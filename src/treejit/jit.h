@@ -34,8 +34,7 @@ struct JitCompileOptions {
   /// (analysis/tree_lifter.h): whitelisted instructions in the emitter's
   /// grammar, control flow contained in each tree's region, every node
   /// reachable, feature loads in bounds. On by default in debug builds;
-  /// release callers opt in (a lift is one linear pass over the code —
-  /// cheap, but not free on the model-reload path).
+  /// release callers opt in (a lift is one linear pass over the code).
 #ifdef NDEBUG
   bool audit = false;
 #else
@@ -79,10 +78,13 @@ struct JitCompileOptions {
 /// Code lives in mmap'd memory managed W^X: pages are writable during
 /// emission, then flipped to read+execute — never both.
 ///
-/// Compile returns an error (and callers fall back to QuickScorer) on:
+/// Compile returns an error on:
 ///  - non-x86-64 hosts,
 ///  - mmap/mprotect failure,
 ///  - a structurally invalid forest.
+///
+/// The prediction server does not compile: a served model is a QuickScorer
+/// (server/serving_model.h).
 class CompiledForest : public ForestEvaluator {
  public:
   static Result<std::unique_ptr<CompiledForest>> Compile(

@@ -27,7 +27,7 @@
 #include "server/protocol.h"
 #include "server/server.h"
 #include "server/serving_model.h"
-#include "treejit/jit.h"
+#include "treejit/quick_scorer.h"
 
 namespace t3 {
 namespace {
@@ -35,28 +35,50 @@ namespace {
 // --- Shared fixtures: small hand-built random forests (the treejit-test
 // idiom) wrapped as serving models. ---
 
+TreeNode RandomLeaf(Rng* rng) {
+  TreeNode leaf;
+  leaf.is_leaf = true;
+  leaf.value = rng->UniformDouble(-10, 10);
+  return leaf;
+}
+
+// A split on a random feature and threshold; the caller sets its children.
+TreeNode RandomSplit(Rng* rng, int num_features) {
+  TreeNode split;
+  split.feature = static_cast<int>(rng->UniformInt(0, num_features - 1));
+  split.threshold = 0.25 * rng->UniformInt(-8, 8);
+  split.default_left = rng->Bernoulli(0.5);
+  return split;
+}
+
 int BuildRandomSubtree(Tree* tree, Rng* rng, int num_features, int depth) {
   const int index = static_cast<int>(tree->nodes.size());
   tree->nodes.emplace_back();
-  const bool leaf = depth <= 0 || rng->Bernoulli(0.3);
-  if (leaf) {
-    TreeNode& node = tree->nodes[index];
-    node.is_leaf = true;
-    node.value = rng->UniformDouble(-10, 10);
+  if (depth <= 0 || rng->Bernoulli(0.3)) {
+    tree->nodes[index] = RandomLeaf(rng);
     return index;
   }
-  const int feature = static_cast<int>(rng->UniformInt(0, num_features - 1));
-  const double threshold = 0.25 * rng->UniformInt(-8, 8);
-  const bool default_left = rng->Bernoulli(0.5);
-  const int left = BuildRandomSubtree(tree, rng, num_features, depth - 1);
-  const int right = BuildRandomSubtree(tree, rng, num_features, depth - 1);
-  TreeNode& node = tree->nodes[index];
-  node.is_leaf = false;
-  node.feature = feature;
-  node.threshold = threshold;
-  node.left = left;
-  node.right = right;
-  node.default_left = default_left;
+  TreeNode split = RandomSplit(rng, num_features);
+  split.left = BuildRandomSubtree(tree, rng, num_features, depth - 1);
+  split.right = BuildRandomSubtree(tree, rng, num_features, depth - 1);
+  tree->nodes[index] = split;
+  return index;
+}
+
+// A random subtree with exactly `num_leaves` leaves, split as evenly as
+// possible.
+int BuildSubtreeWithLeaves(Tree* tree, Rng* rng, int num_features, int num_leaves) {
+  const int index = static_cast<int>(tree->nodes.size());
+  tree->nodes.emplace_back();
+  if (num_leaves == 1) {
+    tree->nodes[index] = RandomLeaf(rng);
+    return index;
+  }
+  TreeNode split = RandomSplit(rng, num_features);
+  split.left = BuildSubtreeWithLeaves(tree, rng, num_features, num_leaves / 2);
+  split.right = BuildSubtreeWithLeaves(tree, rng, num_features,
+                                       num_leaves - num_leaves / 2);
+  tree->nodes[index] = split;
   return index;
 }
 
@@ -714,6 +736,49 @@ TEST(PredictionServerTest, BatchesAroundBlockWidthBitMatchAcrossSwap) {
   (*server)->Stop();
 }
 
+// A tree with 33 leaves does not fit the 8-lane scan's 32-bit lanes, so the
+// served QuickScorer is not vectorized: kStats says so, and every request
+// size, around the 8-row block width too, is answered by the one-row scan
+// bit for bit like the direct model call.
+TEST(PredictionServerTest, WideTreeForestServesWithoutTheEightLaneScan) {
+  constexpr int kFeatures = 8;
+  Forest forest = MakeRandomForest(61, kFeatures, 4);
+  Rng rng(62);
+  Tree wide;
+  BuildSubtreeWithLeaves(&wide, &rng, kFeatures, 33);
+  forest.trees.push_back(std::move(wide));
+  const T3Model reference(std::move(forest), PredictionTarget::kPerTuple);
+  Result<std::shared_ptr<const ServingModel>> serving =
+      MakeServingModel(reference, 1, "test:wide");
+  ASSERT_TRUE(serving.ok()) << serving.status().ToString();
+  EXPECT_FALSE((*serving)->scorer.vectorized());
+  Result<std::unique_ptr<PredictionServer>> server =
+      PredictionServer::Start(*std::move(serving), TestServerOptions());
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  Result<PredictionClient> client =
+      PredictionClient::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  Result<std::string> stats = client->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_NE(stats->find("simd_batch_kernels 0\n"), std::string::npos) << *stats;
+
+  uint64_t seed = 600;
+  for (const size_t num_rows : {size_t{1}, size_t{7}, size_t{8}, size_t{73}}) {
+    const PredictRowsRequest request = MakeRandomRequest(seed++, num_rows, kFeatures);
+    Result<PredictResponse> response = client->PredictRows(request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_EQ(response->predictions.size(), num_rows);
+    for (size_t i = 0; i < num_rows; ++i) {
+      EXPECT_EQ(response->predictions[i],
+                reference.PredictPipelineSeconds(request.rows.data() + i * kFeatures,
+                                                 request.input_cardinalities[i]))
+          << num_rows << " rows, row " << i;
+    }
+  }
+  (*server)->Stop();
+}
+
 TEST(PredictionServerTest, SwapRejectsFeatureCountMismatch) {
   const T3Model narrow = MakeRandomModel(31, 4, 3);
   const std::string narrow_path =
@@ -751,16 +816,16 @@ TEST(ModelRegistryTest, SwapReturnsThePublishedSnapshotWithItsTimings) {
   EXPECT_EQ((*swapped)->version, 2u);
   EXPECT_EQ((*swapped)->source, path);
   EXPECT_GT((*swapped)->timings.load_ms, 0.0);
-  EXPECT_GT((*swapped)->timings.compile_ms, 0.0);
+  EXPECT_GT((*swapped)->timings.build_ms, 0.0);
   const std::string text = (*swapped)->TimingsText();
   EXPECT_EQ(text.rfind("load ", 0), 0u) << text;
-  EXPECT_NE(text.find(" ms, compile "), std::string::npos) << text;
+  EXPECT_NE(text.find(" ms, build "), std::string::npos) << text;
 }
 
-// A child index out of range: Compile's Validate refuses the forest before
-// any code is emitted, and MakeServingModel returns that InvalidArgument.
-// Only an Unavailable compile falls back to the FlatEvaluator, which would
-// index the bad child unchecked, so no evaluator is built for it.
+// A child index out of range: the prepare's Forest::Validate refuses the
+// forest and MakeServingModel returns that InvalidArgument unchanged. No
+// QuickScorer is built for it: its build would index the bad child
+// unchecked.
 TEST(ModelRegistryTest, MalformedForestIsRefusedWithoutAnEvaluator) {
   Forest forest = MakeRandomForest(50, 8, 4);
   TreeNode* split = nullptr;
@@ -783,7 +848,7 @@ TEST(ModelRegistryTest, MalformedForestIsRefusedWithoutAnEvaluator) {
 
 // Four threads prepare snapshots of the 200-tree fixtures at once, two
 // through MakeServingModel and two through one registry's SwapFromFile, so
-// several compiles overlap. Every snapshot must predict the
+// several builds overlap. Every snapshot must predict the
 // mini corpus's rows bit for bit like its fixture's Forest::Predict, row
 // by row and batched.
 TEST(ModelRegistryTest, ConcurrentPreparesBitMatchTheFixtures) {
@@ -854,10 +919,10 @@ TEST(ModelRegistryTest, ConcurrentPreparesBitMatchTheFixtures) {
     for (const auto& [serving, fixture] : snapshots) {
       ASSERT_EQ(serving->source, paths[fixture]);
       const Forest& expected = models[fixture].forest();
-      serving->evaluator->PredictBatch(rows.data(), num_rows, dim, batch.data());
+      serving->scorer.PredictBatch(rows.data(), num_rows, dim, batch.data());
       for (size_t r = 0; r < num_rows; ++r) {
         const double want = expected.Predict(rows.data() + r * dim);
-        ASSERT_EQ(serving->evaluator->Predict(rows.data() + r * dim), want)
+        ASSERT_EQ(serving->scorer.Predict(rows.data() + r * dim), want)
             << paths[fixture] << " row " << r;
         ASSERT_EQ(batch[r], want) << paths[fixture] << " batch row " << r;
       }

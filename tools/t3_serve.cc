@@ -16,8 +16,8 @@
 // --swap-path— model file reloaded on SIGHUP and on empty-path kSwapModel
 //              frames (default: the --model path, when given).
 // --no-remote-shutdown — refuse kShutdown frames.
-// --check    — load and compile --model exactly as serving would, print
-//              its load and compile times, and exit without serving: 0
+// --check    — load and build --model exactly as serving would, print
+//              its load and build times, and exit without serving: 0
 //              when the model is servable, 1 otherwise. The strict-parsing
 //              regression harness runs this against deliberately corrupt
 //              fixtures.
