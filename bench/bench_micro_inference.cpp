@@ -17,6 +17,7 @@
 #include "common/random.h"
 #include "gbt/forest.h"
 #include "harness/corpus.h"
+#include "model/t3_model.h"
 #include "treejit/evaluator.h"
 #include "treejit/jit.h"
 #include "treejit/quick_scorer.h"
@@ -163,8 +164,8 @@ struct FixtureBatch {
 
 FixtureBatch LoadFixtureBatch(const benchmark::State& state) {
   const std::string data = std::string(T3_SOURCE_DIR) + "/data/";
-  Result<Forest> forest = Forest::LoadFromFile(data + "model_loo_airline.txt");
-  T3_CHECK_OK(forest);
+  Result<T3Model> model = T3Model::LoadFromFile(data + "model_loo_airline.txt");
+  T3_CHECK_OK(model);
   Result<Corpus> corpus = LoadCorpusFromFile(data + "corpus_mini.txt");
   T3_CHECK_OK(corpus);
   std::vector<double> features;
@@ -177,7 +178,7 @@ FixtureBatch LoadFixtureBatch(const benchmark::State& state) {
     }
   }
   FixtureBatch fixture;
-  fixture.forest = *std::move(forest);
+  fixture.forest = model->forest();
   fixture.dim = static_cast<size_t>(fixture.forest.num_features);
   fixture.batch = static_cast<size_t>(state.range(0));
   fixture.rows.resize(fixture.batch * fixture.dim);
@@ -247,20 +248,21 @@ constexpr const char* kFixtureModels[] = {
 // The counters are their means and the QuickScorer's share of a Compile.
 void BM_BuildFixture(benchmark::State& state) {
   const char* fixture = kFixtureModels[static_cast<size_t>(state.range(0))];
-  Result<Forest> forest =
-      Forest::LoadFromFile(std::string(T3_SOURCE_DIR) + "/data/" + fixture);
-  T3_CHECK_OK(forest);
+  Result<T3Model> model =
+      T3Model::LoadFromFile(std::string(T3_SOURCE_DIR) + "/data/" + fixture);
+  T3_CHECK_OK(model);
+  const Forest& forest = model->forest();
   double quick_scorer_s = 0.0;
   double compile_s = 0.0;
   for (auto _ : state) {
     const auto start = std::chrono::steady_clock::now();
     {
-      const QuickScorer scorer(*forest);
+      const QuickScorer scorer(forest);
       benchmark::DoNotOptimize(&scorer);
     }
     const auto built = std::chrono::steady_clock::now();
     {
-      auto compiled = CompiledForest::Compile(*forest);
+      auto compiled = CompiledForest::Compile(forest);
       T3_CHECK(compiled.ok());
       benchmark::DoNotOptimize(compiled->get());
     }

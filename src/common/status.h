@@ -62,9 +62,9 @@ inline Status InternalError(std::string message) {
 
 /// Either a value of type T or a non-OK Status explaining why there is none.
 ///
-///   Result<Forest> forest = Forest::LoadFromFile(path);
-///   if (!forest.ok()) return forest.status();
-///   Use(*forest);
+///   Result<T3Model> model = T3Model::LoadFromFile(path);
+///   if (!model.ok()) return model.status();
+///   Use(*model);
 template <typename T>
 class Result {
  public:

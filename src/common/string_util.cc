@@ -1,10 +1,10 @@
 #include "common/string_util.h"
 
-#include <cerrno>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
+
+#include "common/token_cursor.h"
 
 namespace t3 {
 
@@ -56,41 +56,55 @@ std::string_view StripAsciiWhitespace(std::string_view text) {
 }
 
 bool ParseDouble(std::string_view text, double* out) {
-  if (text.empty()) return false;
-  // strto* needs NUL termination; CLI args and corpus tokens are short, so
-  // the copy is cheap.
-  const std::string buffer(text);
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(buffer.c_str(), &end);
-  if (end != buffer.c_str() + buffer.size() || errno == ERANGE ||
-      !std::isfinite(value)) {
-    return false;
-  }
+  double value = 0.0;
+  if (!ParseNumber(text, &value) || !std::isfinite(value)) return false;
   *out = value;
   return true;
 }
 
 bool ParseInt64(std::string_view text, int64_t* out) {
-  if (text.empty()) return false;
-  const std::string buffer(text);
-  errno = 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(buffer.c_str(), &end, 10);
-  if (end != buffer.c_str() + buffer.size() || errno == ERANGE) return false;
+  int64_t value = 0;
+  if (!ParseNumber(text, &value)) return false;
   *out = value;
   return true;
 }
 
 bool ParseUint64(std::string_view text, uint64_t* out) {
-  if (text.empty() || text.front() == '-') return false;
-  const std::string buffer(text);
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(buffer.c_str(), &end, 10);
-  if (end != buffer.c_str() + buffer.size() || errno == ERANGE) return false;
+  uint64_t value = 0;
+  if (!ParseNumber(text, &value)) return false;
   *out = value;
   return true;
+}
+
+std::string JsonQuote(std::string_view s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += StrFormat("\\u%04x", c);
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += "\"";
+  return out;
 }
 
 std::string FormatDuration(double nanos) {

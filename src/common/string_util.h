@@ -44,14 +44,19 @@ std::string_view StripAsciiWhitespace(std::string_view text);
 std::string FormatDuration(double nanos);
 
 /// Strict whole-string numeric parsing for untrusted text (CLI arguments,
-/// corpus files). The entire text must be consumed — empty strings, trailing
-/// characters, and out-of-range values fail — and ParseDouble additionally
-/// rejects non-finite results ("inf", "nan", overflow). On failure, returns
-/// false and leaves *out untouched.
+/// environment variables), by ParseNumber's rules (common/token_cursor.h):
+/// the entire text must be one number — empty strings, leading whitespace or
+/// '+', hex floats, trailing characters and out-of-range values fail — and
+/// ParseDouble additionally rejects non-finite results ("inf", "nan",
+/// overflow). On failure, returns false and leaves *out untouched.
 bool ParseDouble(std::string_view text, double* out);
 bool ParseInt64(std::string_view text, int64_t* out);
 /// Rejects negative input outright ("-1" fails rather than wrapping).
 bool ParseUint64(std::string_view text, uint64_t* out);
+
+/// JSON string literal: `s` in double quotes, with quotes, backslashes and
+/// control bytes escaped.
+std::string JsonQuote(std::string_view s);
 
 }  // namespace t3
 

@@ -37,37 +37,6 @@ std::string MinMaxJson(const ColumnStats& stats) {
 
 }  // namespace
 
-std::string JsonQuote(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += "\"";
-  return out;
-}
-
 std::string CatalogStatsJson(const Catalog& catalog, const std::string& indent) {
   const std::string i1 = indent + "  ";
   const std::string i2 = i1 + "  ";

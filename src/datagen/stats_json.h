@@ -10,9 +10,6 @@
 
 namespace t3 {
 
-/// JSON string literal (quotes and escapes `s`).
-std::string JsonQuote(const std::string& s);
-
 /// Canonical JSON object for one generated catalog: content checksum plus
 /// per-table row counts and per-column {name, type, nulls, ndv, min, max}.
 /// Byte-stable for bit-identical catalogs, so string equality is a

@@ -218,20 +218,7 @@ Result<Forest> Forest::FromText(std::string_view text) {
 
 Result<Forest> Forest::ParseTextUnvalidated(std::string_view text) {
   TokenCursor cursor(text);
-  std::string_view token = cursor.NextToken();
-  // Model files wrap the forest with a one-line T3 model header; skip it so
-  // Forest::LoadFromFile works on data/model_*.txt directly.
-  if (token == "t3model") {
-    if (cursor.NextToken() != "target") {
-      return InvalidArgumentError("t3model header: expected 'target'");
-    }
-    int64_t ignored = 0;
-    if (!cursor.NextNumber(&ignored)) {
-      return InvalidArgumentError("t3model header: missing target id");
-    }
-    token = cursor.NextToken();
-  }
-  if (token != "t3gbt" || cursor.NextToken() != "v1") {
+  if (cursor.NextToken() != "t3gbt" || cursor.NextToken() != "v1") {
     return InvalidArgumentError("not a t3gbt v1 forest file");
   }
 
@@ -314,16 +301,6 @@ AnalysisReport Forest::CheckStructure() const {
 }
 
 Status Forest::Validate() const { return CheckStructure().ToStatus(); }
-
-Status Forest::SaveToFile(const std::string& path) const {
-  return WriteStringToFile(path, ToText());
-}
-
-Result<Forest> Forest::LoadFromFile(const std::string& path) {
-  Result<std::string> content = ReadFileToString(path);
-  if (!content.ok()) return content.status();
-  return FromText(*content);
-}
 
 Result<std::string> ReadFileToString(const std::string& path) {
   std::FILE* file = std::fopen(path.c_str(), "rb");

@@ -74,9 +74,9 @@ struct Forest {
   /// leaf value (feature/left/right are -1).
   std::string ToText() const;
 
-  /// Parses ToText output and rejects invalid forests (see Validate).
-  /// Tolerates a leading "t3model target <n>" line so the forest inside a
-  /// T3 model file (data/model_*.txt) loads directly.
+  /// Parses ToText output and rejects invalid forests (see Validate). The
+  /// text is the forest body alone: a model file's "t3model target <n>"
+  /// line is read by ParseModelHeader (model/t3_model.h), not here.
   ///
   /// Numbers are read by the shared TokenCursor (common/token_cursor.h), so
   /// each must fill its whole token: a leading '+', a hex float ("0x1p-1")
@@ -91,9 +91,6 @@ struct Forest {
   /// analysis::ForestVerifier warnings over the result) instead of stopping
   /// at the first error. Never feed an unvalidated forest to an evaluator.
   static Result<Forest> ParseTextUnvalidated(std::string_view text);
-
-  Status SaveToFile(const std::string& path) const;
-  static Result<Forest> LoadFromFile(const std::string& path);
 
   /// The forest's rules, every violation reported as an Error (check ids
   /// in parentheses): num_features > 0 (bad-num-features), base_score
@@ -127,8 +124,8 @@ bool SameForest(const Forest& a, const Forest& b);
 /// bench ranks features by (LightGBM's "split" importance).
 std::vector<int> FeatureSplitCounts(const Forest& forest);
 
-/// Reads a whole file; NotFound/Unavailable on error. Shared by forest,
-/// model, and corpus loaders.
+/// Reads a whole file; NotFound/Unavailable on error. Shared by the model
+/// and corpus loaders.
 Result<std::string> ReadFileToString(const std::string& path);
 
 /// Writes (truncates) a whole file.

@@ -1,6 +1,7 @@
 #include "model/t3_model.h"
 
 #include "common/string_util.h"
+#include "common/token_cursor.h"
 
 namespace t3 {
 
@@ -56,40 +57,33 @@ Status T3Model::SaveToFile(const std::string& path) const {
   return WriteStringToFile(path, out);
 }
 
+Result<PredictionTarget> ParseModelHeader(std::string_view* text) {
+  const size_t line_end = text->find('\n');
+  TokenCursor line(text->substr(0, line_end));
+  int64_t id = -1;
+  if (line_end == std::string_view::npos || line.NextToken() != "t3model" ||
+      line.NextToken() != "target" || !line.NextNumber(&id) ||
+      !line.AtEnd()) {
+    return InvalidArgumentError(
+        "bad model header: line 1 must be \"t3model target <n>\"");
+  }
+  if (id < 0 || id > 2) {
+    return InvalidArgumentError(
+        StrFormat("unknown model target %lld", static_cast<long long>(id)));
+  }
+  text->remove_prefix(line_end + 1);
+  return static_cast<PredictionTarget>(id);
+}
+
 Result<T3Model> T3Model::LoadFromFile(const std::string& path) {
   Result<std::string> content = ReadFileToString(path);
   if (!content.ok()) return content.status();
-  std::string_view text = *content;
-
-  PredictionTarget target = PredictionTarget::kPerTuple;
-  const std::string_view header = "t3model target ";
-  if (text.substr(0, header.size()) == header) {
-    const size_t value_pos = header.size();
-    const size_t line_end = text.find('\n', value_pos);
-    if (line_end == std::string_view::npos) {
-      return InvalidArgumentError("truncated t3model header");
-    }
-    const std::string_view value =
-        text.substr(value_pos, line_end - value_pos);
-    int64_t id = 0;
-    // Strict whole-string parse: "2x" or "" must be rejected, not silently
-    // truncated to a valid target id (std::atoi did exactly that).
-    if (!ParseInt64(value, &id)) {
-      return InvalidArgumentError(
-          StrFormat("malformed t3model target '%.*s'",
-                    static_cast<int>(value.size()), value.data()));
-    }
-    if (id < 0 || id > 2) {
-      return InvalidArgumentError(StrFormat(
-          "unknown model target %lld", static_cast<long long>(id)));
-    }
-    target = static_cast<PredictionTarget>(id);
-    text.remove_prefix(line_end + 1);
-  }
-
-  Result<Forest> forest = Forest::FromText(text);
+  std::string_view body = *content;
+  Result<PredictionTarget> target = ParseModelHeader(&body);
+  if (!target.ok()) return target.status();
+  Result<Forest> forest = Forest::FromText(body);
   if (!forest.ok()) return forest.status();
-  return T3Model(*std::move(forest), target);
+  return T3Model(*std::move(forest), *target);
 }
 
 }  // namespace t3

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -12,7 +13,8 @@
 namespace t3 {
 
 /// What one model prediction stands for. The integer values are the wire
-/// format of the "t3model target <n>" file header (data/model_*.txt).
+/// format of the "t3model target <n>" file header (data/model_*.txt; see
+/// ParseModelHeader).
 enum class PredictionTarget {
   kPerTuple = 0,    ///< Main T3 model: time to push one tuple through a
                     ///  pipeline; multiply by input cardinality.
@@ -110,6 +112,15 @@ class QueryBatch {
   std::vector<size_t> query_begin_;    ///< First input row of each query.
 };
 
+/// Reads the line that opens every model file, "t3model target <n>", and
+/// removes it from `*text`, which is left at the "t3gbt v1" forest body.
+/// The line is split into tokens by TokenCursor's rules, as the body is
+/// (runs of spaces and tabs, and a trailing '\r'), and must hold exactly
+/// "t3model", "target" and a PredictionTarget id 0..2; a missing header is
+/// an error, not a default target. InvalidArgument otherwise. The one reader
+/// of the header: T3Model::LoadFromFile and t3_lint call it.
+Result<PredictionTarget> ParseModelHeader(std::string_view* text);
+
 /// A trained T3 predictor: a GBDT forest plus the semantics of its output.
 /// Serialized as the forest's text format behind a one-line header:
 ///
@@ -135,6 +146,8 @@ class T3Model {
   }
 
   Status SaveToFile(const std::string& path) const;
+  /// ParseModelHeader, then Forest::FromText over the body: the returned
+  /// forest has passed Forest::Validate.
   static Result<T3Model> LoadFromFile(const std::string& path);
 
  private:

@@ -11,13 +11,11 @@ namespace t3 {
 
 namespace {
 
-Result<std::shared_ptr<const ServingModel>> Prepare(T3Model model,
-                                                    uint32_t version,
-                                                    std::string source,
-                                                    double load_ms) {
-  const Stopwatch build_watch;
-  const Status valid = model.forest().Validate();
-  if (!valid.ok()) return valid;
+/// Builds the QuickScorer tables of a validated model; `build_watch` has
+/// run since the snapshot's build step began.
+std::shared_ptr<const ServingModel> Prepare(T3Model model, uint32_t version,
+                                            std::string source, double load_ms,
+                                            const Stopwatch& build_watch) {
   QuickScorer scorer(model.forest());
   const ServingModel::Timings timings{load_ms, build_watch.ElapsedSeconds() * 1e3};
   ServingModel serving{std::move(model), std::move(scorer), version, std::move(source),
@@ -34,15 +32,20 @@ std::string ServingModel::TimingsText() const {
 
 Result<std::shared_ptr<const ServingModel>> MakeServingModel(
     T3Model model, uint32_t version, std::string source) {
-  return Prepare(std::move(model), version, std::move(source), 0.0);
+  const Stopwatch build_watch;
+  const Status valid = model.forest().Validate();
+  if (!valid.ok()) return valid;
+  return Prepare(std::move(model), version, std::move(source), 0.0, build_watch);
 }
 
 Result<std::shared_ptr<const ServingModel>> LoadServingModel(
     const std::string& path, uint32_t version) {
-  const Stopwatch watch;
+  const Stopwatch load_watch;
+  // LoadFromFile validates the forest; it is not checked again here.
   Result<T3Model> model = T3Model::LoadFromFile(path);
   if (!model.ok()) return model.status();
-  return Prepare(*std::move(model), version, path, watch.ElapsedSeconds() * 1e3);
+  const double load_ms = load_watch.ElapsedSeconds() * 1e3;
+  return Prepare(*std::move(model), version, path, load_ms, Stopwatch());
 }
 
 ModelRegistry::ModelRegistry(std::shared_ptr<const ServingModel> initial) {

@@ -22,8 +22,10 @@ struct ServingModel {
   /// Wall time of each step that made this snapshot servable, one after
   /// the other on the preparing thread.
   struct Timings {
-    double load_ms = 0.0;   ///< Read and parse; 0 for an in-memory model.
-    double build_ms = 0.0;  ///< Forest::Validate and the QuickScorer tables.
+    /// Read, parse and Forest::Validate; 0 for an in-memory model.
+    double load_ms = 0.0;
+    /// The QuickScorer tables, plus Forest::Validate for an in-memory model.
+    double build_ms = 0.0;
   };
 
   T3Model model;
@@ -47,8 +49,9 @@ struct ServingModel {
 Result<std::shared_ptr<const ServingModel>> MakeServingModel(
     T3Model model, uint32_t version, std::string source);
 
-/// MakeServingModel over T3Model::LoadFromFile(path) — the hot-swap loader:
-/// a snapshot is servable after load + build.
+/// The hot-swap loader: T3Model::LoadFromFile(path), whose Forest::Validate
+/// is the file path's one gate (its error is returned unchanged), then the
+/// QuickScorer tables. A snapshot is servable after load + build.
 Result<std::shared_ptr<const ServingModel>> LoadServingModel(
     const std::string& path, uint32_t version);
 

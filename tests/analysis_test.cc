@@ -13,6 +13,7 @@
 #include "common/random.h"
 #include "gbt/forest.h"
 #include "gbt/trainer.h"
+#include "model/t3_model.h"
 #include "treejit/jit.h"
 
 namespace t3 {
@@ -243,9 +244,10 @@ TEST(ForestVerifierTest, AcceptsTrainedForestAndFixture) {
 
   const std::string path =
       std::string(T3_SOURCE_DIR) + "/data/model_autowlm_per_query.txt";
-  Result<Forest> fixture = Forest::LoadFromFile(path);
+  Result<T3Model> fixture = T3Model::LoadFromFile(path);
   ASSERT_TRUE(fixture.ok());
-  const AnalysisReport fixture_report = ForestVerifier().Verify(*fixture);
+  const AnalysisReport fixture_report =
+      ForestVerifier().Verify(fixture->forest());
   EXPECT_TRUE(fixture_report.empty()) << fixture_report.ToString();
 }
 

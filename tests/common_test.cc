@@ -65,6 +65,9 @@ TEST(StringUtilTest, ParseDoubleStrict) {
   EXPECT_FALSE(ParseDouble("-inf", &value));
   EXPECT_FALSE(ParseDouble("nan", &value));
   EXPECT_FALSE(ParseDouble("1e999", &value));  // Overflows to infinity.
+  EXPECT_FALSE(ParseDouble(" 2.5", &value));  // Leading whitespace.
+  EXPECT_FALSE(ParseDouble("+2.5", &value));
+  EXPECT_FALSE(ParseDouble("0x1p3", &value));  // Hex float.
   EXPECT_DOUBLE_EQ(value, 7.0);  // Failures never touch the output.
 }
 
@@ -82,6 +85,8 @@ TEST(StringUtilTest, ParseInt64Strict) {
   EXPECT_FALSE(ParseInt64("12.5", &value));
   EXPECT_FALSE(ParseInt64("12abc", &value));
   EXPECT_FALSE(ParseInt64("9223372036854775808", &value));  // Overflow.
+  EXPECT_FALSE(ParseInt64("+5", &value));
+  EXPECT_FALSE(ParseInt64(" 7", &value));  // Leading whitespace.
   EXPECT_EQ(value, 5);
 }
 
@@ -95,6 +100,8 @@ TEST(StringUtilTest, ParseUint64Strict) {
   value = 5;
   EXPECT_FALSE(ParseUint64("", &value));
   EXPECT_FALSE(ParseUint64("-1", &value));  // No wrapping to huge values.
+  EXPECT_FALSE(ParseUint64(" -1", &value));  // Not even behind a space.
+  EXPECT_FALSE(ParseUint64("+1", &value));
   EXPECT_FALSE(ParseUint64("18446744073709551616", &value));  // Overflow.
   EXPECT_FALSE(ParseUint64("1.0", &value));
   EXPECT_EQ(value, 5u);

@@ -6,6 +6,7 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -364,20 +365,21 @@ TEST(ForestIoTest, EveryCheckedInFixtureRoundTripsBitExact) {
         "model_autowlm_per_query.txt", "model_loo_airline.txt",
         "cache_model_main.txt"}) {
     const std::string path = std::string(T3_SOURCE_DIR) + "/data/" + name;
-    Result<Forest> forest = Forest::LoadFromFile(path);
+    Result<T3Model> model = T3Model::LoadFromFile(path);
     // cache_* files are generated by the workbench, not checked in; they
     // are validated when present (local runs) but a fresh checkout lacks
     // them.
-    if (!forest.ok() && std::string(name).rfind("cache_", 0) == 0) continue;
-    ASSERT_TRUE(forest.ok()) << name << ": " << forest.status().ToString();
+    if (!model.ok() && std::string(name).rfind("cache_", 0) == 0) continue;
+    ASSERT_TRUE(model.ok()) << name << ": " << model.status().ToString();
+    const Forest& forest = model->forest();
 
-    Result<Forest> reloaded = Forest::FromText(forest->ToText());
+    Result<Forest> reloaded = Forest::FromText(forest.ToText());
     ASSERT_TRUE(reloaded.ok()) << name << ": "
                                << reloaded.status().ToString();
     // Text equality and field-by-field bit equality: the bit-exactness
     // proof the workbench cache runs.
-    EXPECT_EQ(reloaded->ToText(), forest->ToText()) << name;
-    EXPECT_TRUE(SameForest(*reloaded, *forest)) << name;
+    EXPECT_EQ(reloaded->ToText(), forest.ToText()) << name;
+    EXPECT_TRUE(SameForest(*reloaded, forest)) << name;
   }
 }
 
@@ -397,7 +399,7 @@ TEST(ForestIoTest, ToTextMatchesEveryTrackedModelFileBody) {
     ASSERT_EQ(text.rfind("t3model target ", 0), 0u) << name;
     const std::string body = text.substr(text.find('\n') + 1);
 
-    Result<Forest> forest = Forest::FromText(text);
+    Result<Forest> forest = Forest::FromText(body);
     ASSERT_TRUE(forest.ok()) << name << ": " << forest.status().ToString();
     EXPECT_TRUE(forest->ToText() == body) << name;
   }
@@ -406,8 +408,9 @@ TEST(ForestIoTest, ToTextMatchesEveryTrackedModelFileBody) {
 TEST(ForestIoTest, LoadsCheckedInModelFixture) {
   const std::string path =
       std::string(T3_SOURCE_DIR) + "/data/model_autowlm_per_query.txt";
-  Result<Forest> forest = Forest::LoadFromFile(path);
-  ASSERT_TRUE(forest.ok()) << forest.status().ToString();
+  Result<T3Model> model = T3Model::LoadFromFile(path);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  const Forest* forest = &model->forest();
 
   // The fixture is the paper configuration: 200 trees, 48 features.
   EXPECT_EQ(forest->num_features, 48);
@@ -496,6 +499,60 @@ TEST(T3ModelTest, RejectsMalformedTargetHeader) {
     Result<T3Model> loaded = T3Model::LoadFromFile(path);
     EXPECT_FALSE(loaded.ok()) << "header accepted: " << header;
   }
+}
+
+// The per-query fixture's forest body behind `header`, loaded from a file.
+Result<T3Model> LoadPerQueryBodyWithHeader(const std::string& header) {
+  Result<std::string> text = ReadFileToString(
+      std::string(T3_SOURCE_DIR) + "/data/model_autowlm_per_query.txt");
+  if (!text.ok()) return text.status();
+  const std::string path = testing::TempDir() + "/t3_model_header.txt";
+  const Status written =
+      WriteStringToFile(path, header + text->substr(text->find('\n') + 1));
+  if (!written.ok()) return written;
+  return T3Model::LoadFromFile(path);
+}
+
+// The header is read by the forest body's token rules: runs of spaces or
+// tabs and a CRLF line end do not change which target a file declares.
+TEST(T3ModelTest, HeaderWhitespaceDoesNotChangeTheTarget) {
+  for (const char* header : {"t3model target 2\n", "t3model  target 2\n",
+                             "t3model\ttarget 2\n", "t3model target 2\r\n",
+                             "t3model target\t 2 \n"}) {
+    Result<T3Model> loaded = LoadPerQueryBodyWithHeader(header);
+    ASSERT_TRUE(loaded.ok()) << header << ": " << loaded.status().ToString();
+    EXPECT_EQ(loaded->target(), PredictionTarget::kPerQuery) << header;
+  }
+}
+
+// A target outside 0..2, and a file with no header at all, are refused:
+// no file gets the per-tuple meaning by default.
+TEST(T3ModelTest, RejectsUnknownTargetAndMissingHeader) {
+  for (const char* header : {"t3model target 3\n", "t3model target -1\n",
+                             "t3model target 9\n", "", "t3model\n",
+                             "t3model target 2 2\n"}) {
+    Result<T3Model> loaded = LoadPerQueryBodyWithHeader(header);
+    ASSERT_FALSE(loaded.ok()) << "header accepted: " << header;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << header;
+  }
+  const std::string fixture =
+      std::string(T3_SOURCE_DIR) + "/tests/data/model_unknown_target.txt";
+  Result<T3Model> unknown = T3Model::LoadFromFile(fixture);
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), StatusCode::kInvalidArgument);
+}
+
+// ParseModelHeader consumes line 1 and leaves the view at the forest body.
+TEST(T3ModelTest, ParseModelHeaderLeavesTheBody) {
+  std::string_view text = "t3model target 1\r\nt3gbt v1\n";
+  Result<PredictionTarget> target = ParseModelHeader(&text);
+  ASSERT_TRUE(target.ok()) << target.status().ToString();
+  EXPECT_EQ(*target, PredictionTarget::kPerPipeline);
+  EXPECT_EQ(text, "t3gbt v1\n");
+
+  std::string_view body_only = "t3gbt v1\n";
+  EXPECT_FALSE(ParseModelHeader(&body_only).ok());
+  EXPECT_EQ(body_only, "t3gbt v1\n");
 }
 
 TEST(T3ModelTest, TargetTransformRoundTrips) {

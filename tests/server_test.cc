@@ -822,8 +822,30 @@ TEST(ModelRegistryTest, SwapReturnsThePublishedSnapshotWithItsTimings) {
   EXPECT_NE(text.find(" ms, build "), std::string::npos) << text;
 }
 
-// A child index out of range: the prepare's Forest::Validate refuses the
-// forest and MakeServingModel returns that InvalidArgument unchanged. No
+// The file path's one gate is T3Model::LoadFromFile: a forest that fails
+// Forest::Validate (an out-of-range feature), an unknown target header and
+// a bare forest body with no header are all InvalidArgument, and the
+// served snapshot stays version 1.
+TEST(ModelRegistryTest, SwapFromFileRefusesWhatTheLoaderRefuses) {
+  const std::string headerless = testing::TempDir() + "/t3_registry_headerless.txt";
+  ASSERT_TRUE(
+      WriteStringToFile(headerless, MakeRandomModel(43, 48, 5).forest().ToText()).ok());
+  std::shared_ptr<const ServingModel> serving;
+  ASSERT_NO_FATAL_FAILURE(MakeTestServingModel(42, 48, 5, &serving));
+  ModelRegistry registry(std::move(serving));
+  const std::string data = std::string(T3_SOURCE_DIR) + "/tests/data/";
+  for (const std::string& path : {data + "model_corrupt.txt",
+                                  data + "model_unknown_target.txt", headerless}) {
+    Result<std::shared_ptr<const ServingModel>> swapped = registry.SwapFromFile(path);
+    ASSERT_FALSE(swapped.ok()) << path;
+    EXPECT_EQ(swapped.status().code(), StatusCode::kInvalidArgument) << path;
+    EXPECT_EQ(registry.Current()->version, 1u) << path;
+  }
+  EXPECT_EQ(registry.num_swaps(), 0u);
+}
+
+// A child index out of range: MakeServingModel's Forest::Validate refuses
+// the forest and returns that InvalidArgument unchanged. No
 // QuickScorer is built for it: its build would index the bad child
 // unchecked.
 TEST(ModelRegistryTest, MalformedForestIsRefusedWithoutAnEvaluator) {

@@ -15,6 +15,7 @@
 #include "common/random.h"
 #include "gbt/forest.h"
 #include "gbt/trainer.h"
+#include "model/t3_model.h"
 #include "treejit/jit.h"
 
 namespace t3 {
@@ -164,15 +165,15 @@ TEST_F(TranslationValidatorTest, ProvesEveryCheckedInFixture) {
         "cache_model_main.txt"}) {
     const std::string path =
         std::string(T3_SOURCE_DIR) + "/data/" + name;
-    Result<Forest> forest = Forest::LoadFromFile(path);
+    Result<T3Model> model = T3Model::LoadFromFile(path);
     // cache_* files are generated by the workbench, not checked in; they
     // are validated when present (local runs) but a fresh checkout lacks
     // them.
-    if (!forest.ok() && std::string(name).rfind("cache_", 0) == 0) continue;
-    ASSERT_TRUE(forest.ok()) << name << ": " << forest.status().ToString();
-    Result<JitArtifact> artifact = EmitForestCode(*forest);
+    if (!model.ok() && std::string(name).rfind("cache_", 0) == 0) continue;
+    ASSERT_TRUE(model.ok()) << name << ": " << model.status().ToString();
+    Result<JitArtifact> artifact = EmitForestCode(model->forest());
     ASSERT_TRUE(artifact.ok()) << name;
-    const AnalysisReport report = Validate(*forest, *artifact);
+    const AnalysisReport report = Validate(model->forest(), *artifact);
     EXPECT_FALSE(report.HasErrors()) << name << ":\n" << report.ToString();
   }
 }

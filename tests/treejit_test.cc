@@ -15,6 +15,7 @@
 #include "gbt/forest.h"
 #include "gbt/trainer.h"
 #include "harness/corpus.h"
+#include "model/t3_model.h"
 #include "treejit/evaluator.h"
 #include "treejit/jit.h"
 #include "treejit/quick_scorer.h"
@@ -854,9 +855,9 @@ TEST(BatchTest, FixtureModelsScalarAndDispatchedPathsAgree) {
   Rng rng(90210);
   for (const char* fixture : kFixtureModels) {
     const std::string path = std::string(T3_SOURCE_DIR) + fixture;
-    Result<Forest> loaded = Forest::LoadFromFile(path);
+    Result<T3Model> loaded = T3Model::LoadFromFile(path);
     ASSERT_TRUE(loaded.ok()) << path << ": " << loaded.status().ToString();
-    const Forest& forest = loaded.value();
+    const Forest& forest = loaded->forest();
 
     Result<std::unique_ptr<CompiledForest>> compiled =
         CompiledForest::Compile(forest);
@@ -902,10 +903,10 @@ TEST(BatchTest, PredictBatchEveryBatchSizeOnFixtures) {
   }
   ASSERT_FALSE(features.empty());
   for (const char* fixture : kFixtureModels) {
-    Result<Forest> loaded =
-        Forest::LoadFromFile(std::string(T3_SOURCE_DIR) + fixture);
+    Result<T3Model> loaded =
+        T3Model::LoadFromFile(std::string(T3_SOURCE_DIR) + fixture);
     ASSERT_TRUE(loaded.ok()) << fixture << ": " << loaded.status().ToString();
-    const Forest& forest = loaded.value();
+    const Forest& forest = loaded->forest();
     const size_t dim = static_cast<size_t>(forest.num_features);
     ASSERT_EQ(features.size() % dim, 0u) << fixture;
     Result<std::unique_ptr<CompiledForest>> compiled =
@@ -950,10 +951,10 @@ TEST(BatchTest, VectorScanBitExactOnCorpusRowsAndExtremeBlocks) {
                                              "/data/corpus_mini.txt");
   ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
   for (const char* fixture : kFixtureModels) {
-    Result<Forest> loaded =
-        Forest::LoadFromFile(std::string(T3_SOURCE_DIR) + fixture);
+    Result<T3Model> loaded =
+        T3Model::LoadFromFile(std::string(T3_SOURCE_DIR) + fixture);
     ASSERT_TRUE(loaded.ok()) << fixture << ": " << loaded.status().ToString();
-    const Forest& forest = loaded.value();
+    const Forest& forest = loaded->forest();
     const size_t dim = static_cast<size_t>(forest.num_features);
 
     std::vector<double> rows;
@@ -1024,10 +1025,10 @@ TEST(BatchTest, LeafCellWitnessesBitExactAfterFullyCheckedCompile) {
         1 + static_cast<int>(rng.UniformInt(0, 4))));
   }
   for (const char* fixture : kFixtureModels) {
-    Result<Forest> forest =
-        Forest::LoadFromFile(std::string(T3_SOURCE_DIR) + fixture);
-    ASSERT_TRUE(forest.ok()) << fixture << ": " << forest.status().ToString();
-    forests.push_back(*std::move(forest));
+    Result<T3Model> model =
+        T3Model::LoadFromFile(std::string(T3_SOURCE_DIR) + fixture);
+    ASSERT_TRUE(model.ok()) << fixture << ": " << model.status().ToString();
+    forests.push_back(model->forest());
   }
   JitCompileOptions options;
   options.audit = true;
@@ -1077,11 +1078,11 @@ uint64_t HashArtifact(const std::vector<uint8_t>& code,
 
 TEST(JitTest, EmittedCodeForFixtureIsPinned) {
   if (!JitSupported()) GTEST_SKIP() << "JIT unsupported on this host";
-  Result<Forest> forest = Forest::LoadFromFile(
+  Result<T3Model> model = T3Model::LoadFromFile(
       std::string(T3_SOURCE_DIR) + "/data/model_loo_airline.txt");
-  ASSERT_TRUE(forest.ok()) << forest.status().ToString();
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
 
-  Result<JitArtifact> scalar = EmitForestCode(*forest);
+  Result<JitArtifact> scalar = EmitForestCode(model->forest());
   ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
   EXPECT_EQ(HashArtifact(scalar->code, scalar->entries),
             0xb35dd2f893d526fcULL);

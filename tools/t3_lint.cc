@@ -5,9 +5,12 @@
 //
 // The file kind is sniffed from the header token and picks the pass stack:
 //
-//  model ("t3model ..."):
-//   1. parse                  — ParseTextUnvalidated (no early-reject gate,
-//                               so every finding is reported),
+//  model ("t3model target <n>" + "t3gbt v1" body; any other file):
+//   1. parse                  — ParseModelHeader, the one reader of the
+//                               target line T3Model::LoadFromFile uses,
+//                               then ParseTextUnvalidated over the body (no
+//                               early-reject gate, so every finding is
+//                               reported),
 //   2. forest-verifier        — ForestVerifier over the forest IR,
 //   3. translation-validation — TranslationValidator over the exact bytes
 //                               the tree JIT would map executable: lift
@@ -57,6 +60,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/corpus_auditor.h"
@@ -65,8 +69,10 @@
 #include "analysis/plan_verifier.h"
 #include "analysis/translation_validator.h"
 #include "cli_util.h"
+#include "common/string_util.h"
 #include "gbt/forest.h"
 #include "harness/corpus.h"
+#include "model/t3_model.h"
 #include "plan/plan_file.h"
 #include "treejit/jit.h"
 
@@ -118,22 +124,29 @@ struct FileResult {
   }
 };
 
+/// Records the outcome of the file's parse pass (passes[0]): a failure is
+/// an Error finding. True when the parse succeeded.
+bool ParsePassed(const t3::Status& status, FileResult* result) {
+  result->passes[0].state = status.ok() ? PassState::kOk : PassState::kFailed;
+  if (!status.ok()) {
+    result->report.Add(t3::Severity::kError, "parse", -1, -1,
+                       status.message());
+  }
+  return status.ok();
+}
+
 void LintModel(const std::string& content, FileResult* result) {
   result->kind = "model";
   result->passes = {
       {"parse"}, {"forest-verifier"}, {"translation-validation"}};
-  PassResult& parse = result->passes[0];
   PassResult& verify = result->passes[1];
   PassResult& translate = result->passes[2];
 
-  t3::Result<t3::Forest> forest = t3::Forest::ParseTextUnvalidated(content);
-  if (!forest.ok()) {
-    parse.state = PassState::kFailed;
-    result->report.Add(t3::Severity::kError, "parse", -1, -1,
-                       forest.status().message());
-    return;
-  }
-  parse.state = PassState::kOk;
+  std::string_view body = content;
+  const t3::Result<t3::PredictionTarget> target = t3::ParseModelHeader(&body);
+  if (!ParsePassed(target.status(), result)) return;
+  t3::Result<t3::Forest> forest = t3::Forest::ParseTextUnvalidated(body);
+  if (!ParsePassed(forest.status(), result)) return;
   result->trees = forest->trees.size();
   result->nodes = forest->NumNodes();
   result->features = forest->num_features;
@@ -166,18 +179,11 @@ void LintModel(const std::string& content, FileResult* result) {
 void LintPlan(const std::string& content, FileResult* result) {
   result->kind = "plan";
   result->passes = {{"parse"}, {"plan-verify"}};
-  PassResult& parse = result->passes[0];
   PassResult& verify = result->passes[1];
 
   t3::Result<std::vector<t3::PlanNodeRecord>> records =
       t3::ParsePlanText(content);
-  if (!records.ok()) {
-    parse.state = PassState::kFailed;
-    result->report.Add(t3::Severity::kError, "parse", -1, -1,
-                       records.status().message());
-    return;
-  }
-  parse.state = PassState::kOk;
+  if (!ParsePassed(records.status(), result)) return;
   result->plan_nodes = records->size();
 
   result->report = t3::PlanVerifier().VerifyRecords(*records);
@@ -203,16 +209,9 @@ void LintCorpus(const std::string& content, const std::string& path,
                     {"plan-verify"},
                     {"feature-audit"},
                     {"corpus-audit"}};
-  PassResult& parse = result->passes[0];
 
   t3::Result<t3::Corpus> corpus = t3::ParseCorpus(content, path);
-  if (!corpus.ok()) {
-    parse.state = PassState::kFailed;
-    result->report.Add(t3::Severity::kError, "parse", -1, -1,
-                       corpus.status().message());
-    return;
-  }
-  parse.state = PassState::kOk;
+  if (!ParsePassed(corpus.status(), result)) return;
   result->records = corpus->records.size();
   result->pipelines = corpus->NumPipelines();
 
@@ -305,46 +304,15 @@ void PrintHuman(const FileResult& result) {
               result.report.NumWarnings());
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void PrintJson(const std::vector<FileResult>& results, int exit_code) {
   std::printf("{\n  \"files\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
     const FileResult& result = results[i];
-    std::printf("    {\n      \"path\": \"%s\",\n      \"kind\": \"%s\",\n",
-                JsonEscape(result.path).c_str(), result.kind);
+    std::printf("    {\n      \"path\": %s,\n      \"kind\": \"%s\",\n",
+                t3::JsonQuote(result.path).c_str(), result.kind);
     if (result.unreadable) {
-      std::printf("      \"unreadable\": \"%s\",\n",
-                  JsonEscape(result.unreadable_message).c_str());
+      std::printf("      \"unreadable\": %s,\n",
+                  t3::JsonQuote(result.unreadable_message).c_str());
     }
     if (std::strcmp(result.kind, "model") == 0) {
       std::printf("      \"trees\": %zu,\n      \"nodes\": %zu,\n"
@@ -352,8 +320,8 @@ void PrintJson(const std::vector<FileResult>& results, int exit_code) {
                   result.trees, result.nodes, result.features);
       std::printf("      \"dead_features\": [");
       for (size_t d = 0; d < result.dead_features.size(); ++d) {
-        std::printf("%s\"%s\"", d == 0 ? "" : ", ",
-                    JsonEscape(result.dead_features[d]).c_str());
+        std::printf("%s%s", d == 0 ? "" : ", ",
+                    t3::JsonQuote(result.dead_features[d]).c_str());
       }
       std::printf("],\n");
     } else if (std::strcmp(result.kind, "plan") == 0) {
@@ -373,11 +341,11 @@ void PrintJson(const std::vector<FileResult>& results, int exit_code) {
         result.report.diagnostics();
     for (size_t d = 0; d < diagnostics.size(); ++d) {
       const t3::Diagnostic& diagnostic = diagnostics[d];
-      std::printf("%s\n        {\"severity\": \"%s\", \"check\": \"%s\", "
-                  "\"tree\": %d, \"node\": %d, \"message\": \"%s\"}",
+      std::printf("%s\n        {\"severity\": \"%s\", \"check\": %s, "
+                  "\"tree\": %d, \"node\": %d, \"message\": %s}",
                   d == 0 ? "" : ",", t3::SeverityName(diagnostic.severity),
-                  JsonEscape(diagnostic.check).c_str(), diagnostic.tree,
-                  diagnostic.node, JsonEscape(diagnostic.message).c_str());
+                  t3::JsonQuote(diagnostic.check).c_str(), diagnostic.tree,
+                  diagnostic.node, t3::JsonQuote(diagnostic.message).c_str());
     }
     std::printf("%s],\n", diagnostics.empty() ? "" : "\n      ");
     std::printf("      \"errors\": %zu,\n      \"warnings\": %zu\n    }%s\n",
