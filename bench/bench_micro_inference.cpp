@@ -4,16 +4,19 @@
 // rows) across forest sizes and batched across batch sizes, on controlled
 // synthetic forests;
 // BM_CompiledBatchFixture and BM_OneRowScanFixture add one trained model
-// over real feature rows, and BM_BuildFixture the cost of building each
-// evaluator on the checked-in fixtures under data/.
+// over real feature rows, BM_BuildFixture the cost of building each
+// evaluator and BM_LoadFixture the steps of making a model file servable,
+// both on the checked-in fixtures under data/.
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <functional>
 #include <string>
+#include <string_view>
 
 #include "common/check.h"
+#include "common/file_util.h"
 #include "common/random.h"
 #include "gbt/forest.h"
 #include "harness/corpus.h"
@@ -277,6 +280,48 @@ void BM_BuildFixture(benchmark::State& state) {
   state.SetLabel(fixture);
 }
 BENCHMARK(BM_BuildFixture)->DenseRange(0, 3)->Unit(benchmark::kMicrosecond);
+
+// The steps of LoadServingModel on the fixture `state.range(0)` (an index
+// into kFixtureModels), each timed apart every iteration: reading the file,
+// its header and forest parse, Validate, and the QuickScorer build. The
+// counters are their means in microseconds.
+void BM_LoadFixture(benchmark::State& state) {
+  const char* fixture = kFixtureModels[static_cast<size_t>(state.range(0))];
+  const std::string path = std::string(T3_SOURCE_DIR) + "/data/" + fixture;
+  double read_s = 0.0;
+  double parse_s = 0.0;
+  double validate_s = 0.0;
+  double quick_scorer_s = 0.0;
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    Result<std::string> content = ReadFileToString(path);
+    T3_CHECK_OK(content);
+    const auto read = std::chrono::steady_clock::now();
+    std::string_view body = *content;
+    T3_CHECK_OK(ParseModelHeader(&body));
+    Result<Forest> forest = Forest::ParseTextUnvalidated(body);
+    T3_CHECK_OK(forest);
+    const auto parsed = std::chrono::steady_clock::now();
+    T3_CHECK_OK(forest->Validate());
+    const auto validated = std::chrono::steady_clock::now();
+    {
+      const QuickScorer scorer(*forest);
+      benchmark::DoNotOptimize(&scorer);
+    }
+    const auto built = std::chrono::steady_clock::now();
+    read_s += std::chrono::duration<double>(read - start).count();
+    parse_s += std::chrono::duration<double>(parsed - read).count();
+    validate_s += std::chrono::duration<double>(validated - parsed).count();
+    quick_scorer_s += std::chrono::duration<double>(built - validated).count();
+  }
+  const double iterations = static_cast<double>(state.iterations());
+  state.counters["read_us"] = 1e6 * read_s / iterations;
+  state.counters["parse_us"] = 1e6 * parse_s / iterations;
+  state.counters["validate_us"] = 1e6 * validate_s / iterations;
+  state.counters["quick_scorer_us"] = 1e6 * quick_scorer_s / iterations;
+  state.SetLabel(fixture);
+}
+BENCHMARK(BM_LoadFixture)->DenseRange(0, 3)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace t3

@@ -2,9 +2,9 @@
 
 #include <cmath>
 
+#include "common/file_util.h"
 #include "common/string_util.h"
 #include "common/token_cursor.h"
-#include "gbt/forest.h"  // ReadFileToString / WriteStringToFile
 #include "plan/plan_file.h"
 
 namespace t3 {

@@ -1,5 +1,6 @@
 #include "model/t3_model.h"
 
+#include "common/file_util.h"
 #include "common/string_util.h"
 #include "common/token_cursor.h"
 

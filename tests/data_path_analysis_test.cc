@@ -16,6 +16,7 @@
 #include "analysis/feature_auditor.h"
 #include "analysis/plan_verifier.h"
 #include "common/check.h"
+#include "common/file_util.h"
 #include "common/stats.h"
 #include "datagen/generator.h"
 #include "datagen/spec.h"

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/forest_diff.h"
+#include "common/file_util.h"
 #include "common/stats.h"
 #include "common/string_util.h"
 #include "gbt/trainer.h"

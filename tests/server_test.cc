@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "common/cpu_features.h"
+#include "common/file_util.h"
 #include "common/net.h"
 #include "common/random.h"
 #include "common/string_util.h"

@@ -41,7 +41,7 @@ import tempfile
 WORKLOADS = ("serve_point", "serve_bulk", "offline_build")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 INFERENCE_FILTER = ("BM_CompiledBatchFixture|BM_OneRowScanFixture|"
-                    "BM_BuildFixture")
+                    "BM_BuildFixture|BM_LoadFixture")
 INFERENCE_MIN_TIME = 0.2
 INFERENCE_REPETITIONS = 5
 

@@ -27,9 +27,9 @@
 #include <vector>
 
 #include "cli_util.h"
+#include "common/file_util.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "gbt/forest.h"
 #include "harness/corpus.h"
 #include "harness/runner.h"
 #include "querygen/querygen.h"

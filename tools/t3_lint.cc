@@ -69,6 +69,7 @@
 #include "analysis/plan_verifier.h"
 #include "analysis/translation_validator.h"
 #include "cli_util.h"
+#include "common/file_util.h"
 #include "common/string_util.h"
 #include "gbt/forest.h"
 #include "harness/corpus.h"
