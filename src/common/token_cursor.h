@@ -1,10 +1,13 @@
 #ifndef T3_COMMON_TOKEN_CURSOR_H_
 #define T3_COMMON_TOKEN_CURSOR_H_
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstddef>
 #include <string_view>
+
+#include "common/check.h"
 
 namespace t3 {
 
@@ -27,7 +30,7 @@ bool ParseNumber(std::string_view token, T* out) {
 class TokenCursor {
  public:
   explicit TokenCursor(std::string_view text)
-      : pos_(text.data()), end_(text.data() + text.size()) {}
+      : pos_(text.data()), end_(text.data() + text.size()), counted_(pos_) {}
 
   bool AtEnd() {
     SkipSpace();
@@ -38,8 +41,25 @@ class TokenCursor {
   /// this before anything is sized by it.
   size_t Remaining() const { return static_cast<size_t>(end_ - pos_); }
 
-  /// 1-based line of the next unread byte.
-  int line() const { return line_; }
+  /// 1-based line of the next unread byte. Lines are counted on demand,
+  /// from where the last call stopped, so a reader that asks once per
+  /// record still scans each byte once.
+  int line() const {
+    line_ += static_cast<int>(std::count(counted_, pos_, '\n'));
+    counted_ = pos_;
+    return line_;
+  }
+
+  /// The next unread byte and the end of the text, for a reader that scans
+  /// one fixed layout by pointer (Forest's node lines) and then moves the
+  /// cursor past what it read with Advance.
+  const char* pos() const { return pos_; }
+  const char* end() const { return end_; }
+  /// Moves the cursor forward to `to`, which lies in [pos(), end()].
+  void Advance(const char* to) {
+    T3_CHECK(to >= pos_ && to <= end_);
+    pos_ = to;
+  }
 
   /// Next whitespace-delimited token; empty at end of input.
   std::string_view NextToken() {
@@ -71,15 +91,14 @@ class TokenCursor {
     return c == ' ' || c == '\t' || c == '\n' || c == '\r';
   }
   void SkipSpace() {
-    while (pos_ != end_ && IsSpace(*pos_)) {
-      if (*pos_ == '\n') ++line_;
-      ++pos_;
-    }
+    while (pos_ != end_ && IsSpace(*pos_)) ++pos_;
   }
 
   const char* pos_;
   const char* end_;
-  int line_ = 1;
+  // line() has counted the '\n's before counted_: line_ - 1 of them.
+  mutable const char* counted_;
+  mutable int line_ = 1;
 };
 
 }  // namespace t3
